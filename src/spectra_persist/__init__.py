@@ -7,11 +7,11 @@ either structure be recovered from the other.
 from .complexes import FilteredChainComplex, Generator, Violation, homology_dims_by_level
 from .errors import (ClosureError, InconsistentTableError, InsufficientRMaxError,
                      InvalidComplexError, PageTableError, ParseError, UsageError)
-from .fields import FieldSpec, PrimeField, RationalField, Scalar, arith, field_from_text, inv
+from .fields import FieldSpec, PrimeField, RationalField, Scalar, field_from_text
 from .ingest import (FilteredSimplicialComplex, PointCloud, make_simplicial,
                      parse_complex, parse_point_cloud, parse_simplicial, rips,
                      serialize_complex, simplicial_to_chain)
-from .linalg import SparseMatrix, axpy, kernel, rank, subquotient_dim
+from .linalg import SparseMatrix, axpy, kernel, rank
 from .persistence import (INF, Barcode, BarEntry, Pair, Pairing, betti, decompose,
                           multiplicity)
 from .randomgen import permute_generators, random_complex
@@ -27,10 +27,10 @@ __all__ = [
     "InconsistentTableError", "InsufficientRMaxError", "InvalidComplexError",
     "PageTable", "PageTableError", "Pair", "Pairing", "ParseError", "PointCloud",
     "PrimeField", "RationalField", "Scalar", "SparseMatrix", "UsageError",
-    "VerifyReport", "Violation", "arith", "axpy", "betti", "collapse_page",
-    "decompose", "field_from_text", "homology_dims_by_level", "inv", "kernel",
+    "VerifyReport", "Violation", "axpy", "betti", "collapse_page",
+    "decompose", "field_from_text", "homology_dims_by_level", "kernel",
     "make_simplicial", "multiplicity", "pages_direct", "pages_from_barcode",
     "parse_complex", "parse_page_table", "parse_point_cloud", "parse_simplicial",
     "permute_generators", "random_complex", "rank", "recover_barcode", "rips",
-    "serialize_complex", "simplicial_to_chain", "subquotient_dim", "verify",
+    "serialize_complex", "simplicial_to_chain", "verify",
 ]

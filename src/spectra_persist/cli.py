@@ -15,8 +15,8 @@ from .complexes import FilteredChainComplex
 from .errors import (ClosureError, InvalidComplexError, PageTableError,
                      ParseError, UsageError)
 from .fields import field_from_text
-from .ingest import (parse_complex, parse_point_cloud, parse_simplicial, rips,
-                     serialize_complex, simplicial_to_chain)
+from .ingest import (_data_lines, parse_complex, parse_point_cloud, parse_simplicial,
+                     rips, serialize_complex, simplicial_to_chain)
 from .persistence import INF, Barcode, betti, decompose
 from .randomgen import random_complex
 from .spectral import (PageTable, pages_direct, pages_from_barcode,
@@ -26,13 +26,15 @@ JSON_FORMAT = "spectra-persist/1"
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _load_complex(args) -> FilteredChainComplex:
@@ -43,12 +45,9 @@ def _load_complex(args) -> FilteredChainComplex:
     if args.input is None:
         raise UsageError("an input path (or '-') is required unless --random is given")
     text = _read_text(args.input)
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            if line.split()[0] == "simp":
-                return simplicial_to_chain(parse_simplicial(text), field)
-            break
+    first = next(_data_lines(text), None)
+    if first is not None and first[1][0] == "simp":
+        return simplicial_to_chain(parse_simplicial(text), field)
     return parse_complex(text, field)
 
 

@@ -206,9 +206,6 @@ class FilteredChainComplex:
         self._violations = out
         return out
 
-    def is_valid(self) -> bool:
-        return not self.validate()
-
     def ensure_valid(self) -> None:
         violations = self.validate()
         if violations:
@@ -249,30 +246,24 @@ def homology_dims_by_level(c: FilteredChainComplex) -> dict[tuple[int, int], int
     generator; absent keys are zero.
     """
     c.ensure_valid()
-    field = c.field
+    # per degree: level -> boundary columns of the generators at that level
+    blocks: dict[int, dict[int, list[SparseColumn]]] = {}
     for n in c.degrees():
         below = c.gens(n - 1)
+        by_level = blocks[n] = {}
         for g in c.gens(n):
-            for r, _ in c.column(n, g.gid):
-                if below[r].filtration != g.filtration:
-                    raise UsageError("complex is not level-graded")
-
-    def blocks(n: int) -> dict[int, list[SparseColumn]]:
-        out: dict[int, list[SparseColumn]] = {}
-        for g in c.gens(n):
-            out.setdefault(g.filtration, []).append(c.column(n, g.gid))
-        return out
+            col = c.column(n, g.gid)
+            if any(below[r].filtration != g.filtration for r, _ in col):
+                raise UsageError("complex is not level-graded")
+            by_level.setdefault(g.filtration, []).append(col)
 
     dims: dict[tuple[int, int], int] = {}
-    for n in c.degrees():
+    for n, by_level in blocks.items():
         n_below = c.n_gens(n - 1)
         n_here = c.n_gens(n)
-        out_blocks = blocks(n)
-        in_blocks = blocks(n + 1)
-        levels = {g.filtration for g in c.gens(n)}
-        for s in levels:
-            count = sum(1 for g in c.gens(n) if g.filtration == s)
-            r_out = rank(SparseMatrix(n_below, out_blocks.get(s, [])), field)
-            r_in = rank(SparseMatrix(n_here, in_blocks.get(s, [])), field)
-            dims[(n, s)] = count - r_out - r_in
+        in_blocks = blocks.get(n + 1, {})
+        for s, out_cols in by_level.items():
+            r_out = rank(SparseMatrix(n_below, out_cols), c.field)
+            r_in = rank(SparseMatrix(n_here, in_blocks.get(s, [])), c.field)
+            dims[(n, s)] = len(out_cols) - r_out - r_in
     return dims

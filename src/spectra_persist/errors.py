@@ -21,11 +21,18 @@ class ClosureError(ValueError):
 
 
 class InvalidComplexError(UsageError):
-    """A filtered chain complex failed validation."""
+    """A filtered chain complex failed validation.
+
+    ``violations`` keeps every violation; the message names the first
+    three and counts the rest, so it stays one short line.
+    """
 
     def __init__(self, violations):
         self.violations = list(violations)
-        lines = "; ".join(str(v) for v in self.violations)
+        lines = "; ".join(str(v) for v in self.violations[:3])
+        more = len(self.violations) - 3
+        if more > 0:
+            lines += f"; and {more} more"
         super().__init__(f"invalid complex: {lines}")
 
 

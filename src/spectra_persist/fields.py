@@ -192,17 +192,3 @@ def field_from_text(token: str) -> FieldSpec:
         raise UsageError(f"unknown field {token!r} (expected a prime or 'q')") from None
     return PrimeField(p)
 
-
-def arith(field: FieldSpec, op: str, a: Scalar, b: Scalar) -> Scalar:
-    """Checked binary operation; both operands must be canonical for *field*."""
-    a = field.check(a)
-    b = field.check(b)
-    if op == "add":
-        return field.add(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    raise UsageError(f"unknown operation {op!r}")
-
-
-def inv(field: FieldSpec, a: Scalar) -> Scalar:
-    return field.inv(field.check(a))

@@ -40,6 +40,14 @@ def _data_lines(text: str):
             yield line_no, line.split()
 
 
+def _real(token: str) -> float:
+    """A finite float; NaN and infinities raise ValueError like bad text does."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token!r} is not finite")
+    return value
+
+
 # -- chain complexes ----------------------------------------------------------
 
 def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
@@ -179,7 +187,7 @@ def parse_simplicial(text: str) -> FilteredSimplicialComplex:
         if len(toks) < 3:
             raise ParseError("expected 'simp <value> <v0> [<v1> ...]'", line_no)
         try:
-            value = float(toks[1])
+            value = _real(toks[1])
             verts = tuple(sorted(int(t) for t in toks[2:]))
         except ValueError:
             raise ParseError("bad simplex line", line_no) from None
@@ -274,7 +282,7 @@ def parse_point_cloud(text: str) -> PointCloud:
             if expected is not None:
                 raise ParseError("cannot mix pt lines with a dist matrix", line_no)
             try:
-                points.append([float(t) for t in toks[1:]])
+                points.append([_real(t) for t in toks[1:]])
             except ValueError:
                 raise ParseError("bad coordinate", line_no) from None
         elif toks[0] == "dist":
@@ -286,7 +294,7 @@ def parse_point_cloud(text: str) -> PointCloud:
                 raise ParseError("bad matrix size", line_no) from None
         elif expected is not None:
             try:
-                rows.append([float(t) for t in toks])
+                rows.append([_real(t) for t in toks])
             except ValueError:
                 raise ParseError("bad distance entry", line_no) from None
         else:

@@ -1,11 +1,13 @@
 """Sparse exact linear algebra over a field.
 
 Columns are sorted lists of ``(row, coeff)`` with strictly increasing rows
-and no stored zeros.  Everything works column-at-a-time: rank, kernels and
-subquotient dimensions all share one left-to-right reduction loop that
-maintains a map from pivot row to an already-reduced column.  The same loop
-drives the persistence pairing, so a bug in it cannot hide behind a second
-implementation.
+and no stored zeros.  Everything works column-at-a-time through one
+left-to-right reduction loop, :meth:`ColumnReducer.reduce`, which keeps a
+map from pivot row to an already-reduced column.  ``rank`` counts the
+columns that survive it; ``kernel`` runs it on columns extended by their
+combination vectors, so no second elimination is needed to track them.  The
+same loop drives the persistence pairing and the direct page engine, so a
+bug in it cannot hide behind a second implementation.
 """
 from __future__ import annotations
 
@@ -134,55 +136,21 @@ def rank(m: SparseMatrix, field: FieldSpec) -> int:
 def kernel(m: SparseMatrix, field: FieldSpec) -> SparseMatrix:
     """Basis of the kernel, as combination vectors over the column indices.
 
-    Columns are processed left to right, so each returned vector is
-    supported on its defining column index and earlier ones; kernel bases
-    are prefix-adapted to any ordering the caller baked into the columns.
+    Column j is reduced with its combination vector appended as the entry
+    ``(j - n_cols, one)`` on a row below the matrix, where no pivot can sit;
+    eliminations then carry the combination along.  A column reducing to
+    those rows alone is a kernel vector.  Columns are processed left to
+    right, so each vector ends in ``(j, one)`` and is supported on earlier
+    indices otherwise: kernel bases are prefix-adapted to any ordering the
+    caller baked into the columns.
     """
-    pivots: dict[int, tuple[SparseColumn, SparseColumn]] = {}
+    n_cols = m.n_cols
+    red = ColumnReducer(field)
     out = []
     for j, col in enumerate(m.columns):
-        combo: SparseColumn = [(j, field.one)]
-        while col:
-            hit = None
-            for idx in range(len(col) - 1, -1, -1):
-                r, v = col[idx]
-                if r in pivots:
-                    hit = (r, v)
-                    break
-            if hit is None:
-                break
-            pc, pcombo = pivots[hit[0]]
-            c = field.neg(hit[1])
-            col = axpy(field, col, c, pc)
-            combo = axpy(field, combo, c, pcombo)
-        if col:
-            row, lead = col[-1]
-            inv_lead = field.inv(lead)
-            pivots[row] = (scale(field, col, inv_lead), scale(field, combo, inv_lead))
+        reduced = red.reduce([(j - n_cols, field.one)] + col)
+        if reduced[-1][0] < 0:
+            out.append([(r + n_cols, v) for r, v in reduced])
         else:
-            out.append(combo)
-    return SparseMatrix(m.n_cols, out)
-
-
-def subquotient_dim(numerator: SparseMatrix, denominator: SparseMatrix, field: FieldSpec) -> int:
-    """dim((A + B) / B) for spans A = numerator, B = denominator.
-
-    Equals rank([A | B]) - rank(B); computed in one pass by reducing the
-    denominator first and counting numerator columns that survive.
-    """
-    if numerator.n_rows != denominator.n_rows:
-        raise UsageError(
-            f"ambient mismatch: {numerator.n_rows} rows vs {denominator.n_rows}"
-        )
-    red = ColumnReducer(field)
-    for col in denominator.columns:
-        reduced = red.reduce(col)
-        if reduced:
             red.add_pivot(reduced)
-    extra = 0
-    for col in numerator.columns:
-        reduced = red.reduce(col)
-        if reduced:
-            red.add_pivot(reduced)
-            extra += 1
-    return extra
+    return SparseMatrix(n_cols, out)

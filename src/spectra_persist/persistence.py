@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .complexes import FilteredChainComplex, Generator
 from .errors import UsageError
@@ -74,13 +74,6 @@ class Barcode:
     def essential_count(self, degree: int) -> int:
         return sum(m for e, m in self._counts.items()
                    if e.degree == degree and e.is_essential)
-
-    def max_finite_lifetime(self) -> int:
-        finite = [e.lifetime for e in self._counts if not e.is_essential]
-        return max(finite) if finite else 0
-
-    def min_birth(self) -> Optional[int]:
-        return min((e.birth for e in self._counts), default=None)
 
     def __len__(self) -> int:
         return sum(self._counts.values())

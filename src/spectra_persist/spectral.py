@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Optional
 
 from .complexes import FilteredChainComplex, homology_dims_by_level
@@ -44,7 +45,8 @@ PageIndex = float  # int >= 1, or math.inf
 class PageTable:
     """Dimensions of the pages E^(r) for r = 1..r_max and r = inf.
 
-    Only nonzero cells are stored; absent keys read as zero.
+    Only nonzero cells are stored; absent keys read as zero.  A table is
+    immutable, so its row totals are summed once, here.
     """
 
     def __init__(self, r_max: int, dims: Mapping = ()):
@@ -52,12 +54,14 @@ class PageTable:
             raise UsageError(f"r_max must be a positive integer, got {r_max!r}")
         self.r_max = r_max
         self._dims: dict[tuple[PageIndex, int, int], int] = {}
+        self._totals: dict[tuple[PageIndex, int], int] = {}
         for (r, n, s), d in dict(dims).items():
             self._check_r(r)
             if d < 0:
                 raise UsageError(f"negative dimension at (r={r}, n={n}, s={s})")
             if d:
                 self._dims[(r, n, s)] = d
+                self._totals[(r, n)] = self._totals.get((r, n), 0) + d
 
     def _check_r(self, r: PageIndex) -> None:
         if r == INF:
@@ -75,7 +79,7 @@ class PageTable:
     def row_total(self, r: PageIndex, n: int) -> int:
         """Sum of the page-r dimensions over all levels at degree n."""
         self._check_r(r)
-        return sum(d for (rr, nn, _), d in self._dims.items() if rr == r and nn == n)
+        return self._totals.get((r, n), 0)
 
     def cells(self) -> list[tuple[PageIndex, int, int, int]]:
         """Nonzero cells as (r, n, s, dim), finite pages first, inf row last."""
@@ -123,11 +127,17 @@ class PageTable:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PageTable":
-        dims = {}
-        for cell in obj.get("dims", ()):
-            r = INF if cell["r"] == "inf" else int(cell["r"])
-            dims[(r, int(cell["n"]), int(cell["s"]))] = int(cell["dim"])
-        return cls(int(obj["r_max"]), dims)
+        """Inverse of :meth:`to_json_obj`; a malformed object is a ParseError."""
+        try:
+            dims = {}
+            for cell in obj.get("dims", ()):
+                r = INF if cell["r"] == "inf" else int(cell["r"])
+                dims[(r, int(cell["n"]), int(cell["s"]))] = int(cell["dim"])
+            return cls(int(obj["r_max"]), dims)
+        except KeyError as exc:
+            raise ParseError(f"page table JSON lacks key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad page table JSON: {exc}") from None
 
 
 def parse_page_table(text: str) -> PageTable:
@@ -196,6 +206,15 @@ def pages_from_barcode(b: Barcode, r_max: int) -> PageTable:
 
 # -- engine 2: pages straight from the complex -------------------------------
 
+@dataclass
+class _Degree:
+    """One degree's boundary columns, ordered for the zeta sweeps."""
+    col_levels: list  # filtration of each column, nondecreasing
+    row_levels: list  # filtration of each row one degree below, nondecreasing
+    cols: list        # boundary columns over row positions, in column order
+    ranks: dict       # row cut K -> rank after each column prefix
+
+
 class _KernelDims:
     """zeta(r, n, s) lookups backed by shared rank sweeps.
 
@@ -207,80 +226,59 @@ class _KernelDims:
 
     def __init__(self, c: FilteredChainComplex):
         self.field = c.field
-        self.deg: dict[int, dict] = {}
         orders = {}
         for n in c.degrees():
             gens = c.gens(n)
-            order = sorted(range(len(gens)), key=lambda i: (gens[i].filtration, i))
-            orders[n] = order
-        for n in c.degrees():
+            orders[n] = sorted(range(len(gens)), key=lambda i: (gens[i].filtration, i))
+        self.deg: dict[int, _Degree] = {}
+        for n, order in orders.items():
             gens = c.gens(n)
-            order = orders[n]
-            col_levels = [gens[i].filtration for i in order]
             below = c.gens(n - 1)
             row_order = orders.get(n - 1, [])
             pos_of = {gid: k for k, gid in enumerate(row_order)}
-            row_levels = [below[g].filtration for g in row_order]
-            cols = []
-            for i in order:
-                col = sorted((pos_of[r], v) for r, v in c.column(n, i))
-                cols.append((col, [p for p, _ in col]))
-            self.deg[n] = {
-                "col_levels": col_levels,
-                "row_levels": row_levels,
-                "cols": cols,
-                "ranks": {},  # row cut K -> prefix rank list
-            }
+            self.deg[n] = _Degree(
+                col_levels=[gens[i].filtration for i in order],
+                row_levels=[below[g].filtration for g in row_order],
+                cols=[sorted((pos_of[r], v) for r, v in c.column(n, i)) for i in order],
+                ranks={},
+            )
 
-    def _prefix_ranks(self, n: int, cut_pos: int) -> list[int]:
-        info = self.deg[n]
-        cached = info["ranks"].get(cut_pos)
+    def _prefix_ranks(self, deg: _Degree, cut_pos: int) -> list[int]:
+        cached = deg.ranks.get(cut_pos)
         if cached is not None:
             return cached
         reducer = ColumnReducer(self.field)
         ranks = [0]
         r = 0
-        for col, positions in info["cols"]:
-            if cut_pos > 0:
-                col = col[bisect_left(positions, cut_pos):]
-            reduced = reducer.reduce(col)
+        for col in deg.cols:
+            reduced = reducer.reduce(col[bisect_left(col, cut_pos, key=itemgetter(0)):])
             if reduced:
                 reducer.add_pivot(reduced)
                 r += 1
             ranks.append(r)
-        info["ranks"][cut_pos] = ranks
+        deg.ranks[cut_pos] = ranks
         return ranks
 
-    def zeta(self, r: int, n: int, s: int) -> int:
-        """dim { x in F^s C_n : d(x) in F^(s-r) C_(n-1) }."""
-        info = self.deg.get(n)
-        if info is None:
+    def zeta(self, r: PageIndex, n: int, s: int) -> int:
+        """dim { x in F^s C_n : d(x) in F^(s-r) C_(n-1) }; r = inf gives the cycles."""
+        deg = self.deg.get(n)
+        if deg is None:
             return 0
-        ncols = bisect_right(info["col_levels"], s)
+        ncols = bisect_right(deg.col_levels, s)
         if ncols == 0:
             return 0
-        cut_pos = bisect_right(info["row_levels"], s - r)
-        return ncols - self._prefix_ranks(n, cut_pos)[ncols]
-
-    def zeta_cycles(self, n: int, s: int) -> int:
-        """dim of the cycles inside F^s C_n (row cut removed entirely)."""
-        info = self.deg.get(n)
-        if info is None:
-            return 0
-        ncols = bisect_right(info["col_levels"], s)
-        if ncols == 0:
-            return 0
-        return ncols - self._prefix_ranks(n, 0)[ncols]
+        cut_pos = bisect_right(deg.row_levels, s - r)
+        return ncols - self._prefix_ranks(deg, cut_pos)[ncols]
 
     def image_rank(self, n: int, i: int, j: int) -> int:
         """rank of H_n(F^i) -> H_n(F^j) for i <= j.
 
         Cycles in F^i modulo the boundaries from F^j that land in F^i; the
         latter form d({x in F^j C_(n+1) : d(x) in F^i}) whose dimension is
-        zeta(j-i, n+1, j) - zeta_cycles(n+1, j).
+        zeta(j-i, n+1, j) - zeta(inf, n+1, j).
         """
-        cycles = self.zeta_cycles(n, i)
-        hit = self.zeta(j - i, n + 1, j) - self.zeta_cycles(n + 1, j)
+        cycles = self.zeta(INF, n, i)
+        hit = self.zeta(j - i, n + 1, j) - self.zeta(INF, n + 1, j)
         return cycles - hit
 
 

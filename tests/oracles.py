@@ -3,15 +3,16 @@
 Everything here works on dense row-lists with its own Gaussian elimination,
 deliberately separate from the library's sparse column kernels: an oracle
 must not share the code path it is checking.  The page oracle below is the
-one exception in style (it spans subquotients with library kernels), kept
-to pin the optimized rank-identity engine against the literal subquotient
-construction.
+one exception in style (it spans subquotients with library kernels and
+measures them with library ranks, dim((A + B) / B) = rank([A | B]) -
+rank(B)), kept to pin the optimized rank-identity engine against the
+literal subquotient construction.
 """
 from __future__ import annotations
 
 from spectra_persist.complexes import FilteredChainComplex
 from spectra_persist.fields import FieldSpec
-from spectra_persist.linalg import SparseMatrix, axpy, kernel, subquotient_dim
+from spectra_persist.linalg import SparseMatrix, axpy, kernel, rank
 from spectra_persist.persistence import INF, Barcode, BarEntry
 
 
@@ -174,6 +175,12 @@ def barcode_by_rank(c: FilteredChainComplex) -> Barcode:
 
 
 # -- literal subquotient page construction ------------------------------------
+
+def subquotient_dim(numerator: SparseMatrix, denominator: SparseMatrix, field: FieldSpec) -> int:
+    """dim((A + B) / B) for spans A = numerator, B = denominator."""
+    stacked = SparseMatrix(numerator.n_rows, numerator.columns + denominator.columns)
+    return rank(stacked, field) - rank(denominator, field)
+
 
 def _span_z(c: FilteredChainComplex, r: int, n: int, s: int) -> SparseMatrix:
     """Column span of { x in F^s C_n : d(x) in F^(s-r) C_(n-1) }."""

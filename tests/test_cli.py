@@ -177,6 +177,50 @@ def test_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+def assert_one_line_data_error(code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 400
+
+
+def test_field_mismatch_error_is_capped(capsys, monkeypatch):
+    # GF(3) residues read over GF(5): every triangle breaks d∘d = 0
+    code, out, _ = run(capsys, "rips", FIXTURES / "circle8.pts",
+                       "--max-dim", "2", "--threshold", "1.6", "--field", "3")
+    assert code == 0
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, out, err = run(capsys, "verify", "-", "--field", "5")
+    assert_one_line_data_error(code, out, err)
+    assert err.rstrip().endswith("and 5 more")
+
+
+@pytest.mark.parametrize("text", ['{"dims": []}',
+                                  '{"r_max": 2, "dims": [{"r": "x", "n": 0, "s": 0, "dim": 1}]}'])
+def test_recover_malformed_json_is_a_data_error(capsys, tmp_path, text):
+    table = tmp_path / "pages.json"
+    table.write_text(text)
+    assert_one_line_data_error(*run(capsys, "recover", table))
+
+
+def test_non_utf8_input_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "bad.fcc"
+    path.write_bytes(b"gen a 0 0\xff\n")
+    assert_one_line_data_error(*run(capsys, "barcode", path))
+
+
+@pytest.mark.parametrize("command, text", [
+    ("barcode", "simp nan 0\n"),
+    ("barcode", "simp inf 0\n"),
+    ("rips", "pt nan 0\n"),
+    ("rips", "pt 0 -inf\n"),
+    ("rips", "dist 1\nnan\n"),
+])
+def test_non_finite_reals_are_data_errors(capsys, tmp_path, command, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert_one_line_data_error(*run(capsys, command, path))
+
+
 def test_determinism_same_input_same_bytes(capsys):
     a = run(capsys, "verify", "--random", "25", "--seed", "3", "--field", "5")
     b = run(capsys, "verify", "--random", "25", "--seed", "3", "--field", "5")

@@ -30,6 +30,18 @@ def test_filtration_violation_reported():
         c.ensure_valid()
 
 
+def test_invalid_complex_message_names_three_and_counts_the_rest():
+    gens = [("v", 0, 1)] + [(f"e{k}", 1, 0) for k in range(10)]
+    c = FilteredChainComplex.from_named(Q, gens, {f"e{k}": [(1, "v")] for k in range(10)})
+    with pytest.raises(InvalidComplexError) as exc:
+        c.ensure_valid()
+    message = str(exc.value)
+    assert len(exc.value.violations) == 10
+    assert message.count("generator") == 3
+    assert message.endswith("; and 7 more")
+    assert len(message) < 400 and "\n" not in message
+
+
 def test_dd_violation_reported():
     c = FilteredChainComplex.from_named(
         Q, [("a", 2, 0), ("b", 1, 0), ("c", 0, 0)],

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spectra_persist.errors import UsageError
-from spectra_persist.fields import (PrimeField, RationalField, arith,
-                                    field_from_text, inv)
+from spectra_persist.fields import PrimeField, RationalField, field_from_text
 
 GF2 = PrimeField(2)
 GF5 = PrimeField(5)
@@ -13,34 +12,34 @@ Q = RationalField()
 
 
 def test_add_mod_five():
-    assert arith(GF5, "add", 2, 4) == 1
+    assert GF5.add(GF5.check(2), GF5.check(4)) == 1
 
 
 def test_add_rationals():
-    assert arith(Q, "add", Fraction(2, 3), Fraction(1, 6)) == Fraction(5, 6)
+    assert Q.add(Q.check(Fraction(2, 3)), Q.check(Fraction(1, 6))) == Fraction(5, 6)
 
 
 def test_mul_gf2_identity():
-    assert arith(GF2, "mul", 1, 1) == 1
+    assert GF2.mul(GF2.check(1), GF2.check(1)) == 1
 
 
 def test_inv_mod_five():
-    assert inv(GF5, 2) == 3
+    assert GF5.inv(2) == 3
 
 
 def test_inv_rational():
-    assert inv(Q, Fraction(-3, 4)) == Fraction(-4, 3)
+    assert Q.inv(Fraction(-3, 4)) == Fraction(-4, 3)
 
 
 def test_inv_gf2():
-    assert inv(GF2, 1) == 1
+    assert GF2.inv(1) == 1
 
 
 def test_inv_zero_rejected():
     with pytest.raises(ZeroDivisionError):
-        inv(GF5, 0)
+        GF5.inv(0)
     with pytest.raises(ZeroDivisionError):
-        inv(Q, Fraction(0))
+        Q.inv(Fraction(0))
 
 
 def test_composite_modulus_rejected():
@@ -52,11 +51,11 @@ def test_composite_modulus_rejected():
 
 def test_cross_field_rejected():
     with pytest.raises(UsageError):
-        arith(GF5, "add", Fraction(1, 2), 1)
+        GF5.check(Fraction(1, 2))
     with pytest.raises(UsageError):
-        arith(GF5, "add", 7, 1)  # not a canonical residue
+        GF5.check(7)  # not a canonical residue
     with pytest.raises(UsageError):
-        arith(Q, "mul", 1.5, Fraction(1))
+        Q.check(1.5)
 
 
 def test_field_from_text():

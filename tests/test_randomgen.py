@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from spectra_persist.fields import PrimeField
@@ -34,3 +35,21 @@ def test_permutation_preserves_validity():
         p = permute_generators(rng, c)
         assert p.validate() == []
         assert p.total_gens() == c.total_gens()
+
+
+def test_generated_stream_is_frozen():
+    # sha256 of a canonical dump of 200 complexes over the corpus fields;
+    # a change in the sampling or in the kernel basis it draws from shows
+    # up here before it moves the benchmark corpus
+    h = hashlib.sha256()
+    fields = corpus_fields()
+    rng = random.Random(2403)
+    for k in range(200):
+        field = fields[k % len(fields)]
+        c = random_complex(rng, rng.randint(0, 40), field)
+        h.update(f"complex {k} {field}\n".encode())
+        for n in c.degrees():
+            h.update(f"deg {n} {[g.filtration for g in c.gens(n)]}\n".encode())
+            for col in c.boundary[n]:
+                h.update(f"{[(r, field.format(v)) for r, v in col]}\n".encode())
+    assert h.hexdigest() == "ca15ae32e8ae40a5715963c388edfffd41cae07dcbfbfbf4f7fc1db8e65b95a3"
