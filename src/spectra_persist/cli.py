@@ -15,8 +15,8 @@ from .complexes import FilteredChainComplex
 from .errors import (ClosureError, InvalidComplexError, PageTableError,
                      ParseError, UsageError)
 from .fields import field_from_text
-from .ingest import (_data_lines, parse_complex, parse_point_cloud, parse_simplicial,
-                     rips, serialize_complex, simplicial_to_chain)
+from .ingest import (_data_lines, _real, parse_complex, parse_point_cloud,
+                     parse_simplicial, rips, serialize_complex, simplicial_to_chain)
 from .persistence import INF, Barcode, betti, decompose
 from .randomgen import random_complex
 from .spectral import (PageTable, pages_direct, pages_from_barcode,
@@ -169,6 +169,11 @@ def cmd_rips(args) -> int:
     path = args.dist if args.dist is not None else args.input
     if path is None:
         raise UsageError("an input path (or '-') is required")
+    if args.threshold is not None:
+        try:
+            _real(args.threshold)
+        except ValueError:
+            raise UsageError(f"--threshold must be finite, got {args.threshold}") from None
     pc = parse_point_cloud(_read_text(path))
     fsc = rips(pc, args.max_dim, args.threshold)
     field = field_from_text(args.field)

@@ -16,6 +16,19 @@ from .errors import UsageError
 Scalar = Union[int, Fraction]
 
 
+def parse_int(token: str) -> int:
+    """``int(token)`` restricted to ASCII ``[+-]?[0-9]+``.
+
+    ``int`` alone also takes ``1_000``, surrounding blanks and non-ASCII
+    digits; anything outside the pattern raises ValueError, as ``int`` does
+    for bad text.
+    """
+    if not (token.isascii()
+            and (token.isdigit() or token[:1] in "+-" and token[1:].isdigit())):
+        raise ValueError(f"invalid integer {token!r}")
+    return int(token)
+
+
 def _is_prime(p: int) -> bool:
     # trial division; moduli used here are small (2, 5, 32003, ...)
     if p < 2:
@@ -118,7 +131,7 @@ class PrimeField(FieldSpec):
 
     def parse(self, text: str) -> int:
         try:
-            return int(text, 10) % self.p
+            return parse_int(text) % self.p
         except ValueError:
             raise UsageError(f"{text!r} is not a GF({self.p}) scalar") from None
 
@@ -187,7 +200,7 @@ def field_from_text(token: str) -> FieldSpec:
     if tok in ("q", "rational", "rationals"):
         return RationalField()
     try:
-        p = int(tok, 10)
+        p = parse_int(tok)
     except ValueError:
         raise UsageError(f"unknown field {token!r} (expected a prime or 'q')") from None
     return PrimeField(p)

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .complexes import FilteredChainComplex, Generator
 from .errors import ClosureError, ParseError, UsageError
-from .fields import FieldSpec
+from .fields import FieldSpec, parse_int
 from .linalg import column_from_entries
 
 
@@ -64,7 +64,7 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
             if name in gens:
                 raise ParseError(f"duplicate generator {name!r}", line_no)
             try:
-                degree, filtration = int(toks[2]), int(toks[3])
+                degree, filtration = parse_int(toks[2]), parse_int(toks[3])
             except ValueError:
                 raise ParseError("degree and filtration must be integers", line_no) from None
             g = Generator(len(by_degree.setdefault(degree, [])), degree, filtration, name)
@@ -188,7 +188,7 @@ def parse_simplicial(text: str) -> FilteredSimplicialComplex:
             raise ParseError("expected 'simp <value> <v0> [<v1> ...]'", line_no)
         try:
             value = _real(toks[1])
-            verts = tuple(sorted(int(t) for t in toks[2:]))
+            verts = tuple(sorted(parse_int(t) for t in toks[2:]))
         except ValueError:
             raise ParseError("bad simplex line", line_no) from None
         if len(set(verts)) != len(verts):
@@ -289,7 +289,7 @@ def parse_point_cloud(text: str) -> PointCloud:
             if len(toks) != 2:
                 raise ParseError("expected 'dist <n>'", line_no)
             try:
-                expected = int(toks[1])
+                expected = parse_int(toks[1])
             except ValueError:
                 raise ParseError("bad matrix size", line_no) from None
         elif expected is not None:

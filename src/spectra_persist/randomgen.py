@@ -14,6 +14,10 @@ from .complexes import FilteredChainComplex, Generator
 from .fields import FieldSpec, PrimeField, RationalField, Scalar
 from .linalg import SparseMatrix, axpy, kernel
 
+DEGREES = (-1, 3)          # inclusive range of generator degrees
+LEVELS = (-3, 6)           # inclusive range of filtration levels
+ZERO_COLUMN_CHANCE = 0.35  # share of boundary columns left empty
+
 
 def random_nonzero_scalar(rng: random.Random, field: FieldSpec) -> Scalar:
     if isinstance(field, PrimeField):
@@ -22,18 +26,11 @@ def random_nonzero_scalar(rng: random.Random, field: FieldSpec) -> Scalar:
     return Fraction(num, rng.randint(1, 3))
 
 
-def random_complex(
-    rng: random.Random,
-    n_gens: int,
-    field: FieldSpec,
-    degree_range: tuple[int, int] = (-1, 3),
-    level_range: tuple[int, int] = (-3, 6),
-    zero_column_chance: float = 0.35,
-) -> FilteredChainComplex:
+def random_complex(rng: random.Random, n_gens: int, field: FieldSpec) -> FilteredChainComplex:
     by_degree: dict[int, list[Generator]] = {}
     for _ in range(n_gens):
-        degree = rng.randint(*degree_range)
-        level = rng.randint(*level_range)
+        degree = rng.randint(*DEGREES)
+        level = rng.randint(*LEVELS)
         gens = by_degree.setdefault(degree, [])
         gens.append(Generator(len(gens), degree, level))
 
@@ -50,7 +47,7 @@ def random_complex(
             for g in gens:
                 eligible = [col for lvl, col in cycles_below if lvl <= g.filtration]
                 col: list = []
-                if eligible and rng.random() > zero_column_chance:
+                if eligible and rng.random() > ZERO_COLUMN_CHANCE:
                     picks = rng.sample(eligible, rng.randint(1, min(3, len(eligible))))
                     for vec in picks:
                         col = axpy(field, col, random_nonzero_scalar(rng, field), vec)

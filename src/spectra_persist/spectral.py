@@ -20,22 +20,25 @@ cell into pure kernel dimensions:
                    - zeta(r-1,n+1,s+r-1) + zeta(r,n+1,s+r-1)
 
 where zeta(r,n,s) = dim Z[r,n,s] = #cols(level <= s) - rank of the boundary
-submatrix with those columns and the rows above level s-r.  Each zeta is a
-rank computation, grouped so that one reduction sweep per (degree, row cut)
-serves every column prefix.  The infinity row comes from images of homology
-under inclusion: dim E[inf,n,s] = rank(H_n(F^s) -> H_n(C))
-- rank(H_n(F^(s-1)) -> H_n(C)), again via kernel dimensions.
+submatrix with those columns and the rows above level s-r.  With columns and
+rows ordered by level that submatrix is a lower-left block, and by the
+pairing lemma its rank is the number of pivot pairs inside it.  One
+reduction per degree, of the anti-transposed (coboundary) matrix, gives the
+pairs, so every zeta is a count.  Since d_r leaves the filtration once
+r > filtration span, the infinity row is the same expression at
+r = span + 1.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import accumulate
 from typing import Mapping, Optional
 
 from .complexes import FilteredChainComplex, homology_dims_by_level
 from .errors import (InconsistentTableError, InsufficientRMaxError, ParseError,
                      UsageError)
+from .fields import parse_int
 from .linalg import ColumnReducer
 from .persistence import INF, Barcode, BarEntry, betti, decompose, multiplicity
 
@@ -127,17 +130,31 @@ class PageTable:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PageTable":
-        """Inverse of :meth:`to_json_obj`; a malformed object is a ParseError."""
+        """Inverse of :meth:`to_json_obj`; a malformed object is a ParseError.
+
+        Numbers must be JSON integers (not booleans, floats or strings),
+        except that ``r`` may be ``"inf"``.
+        """
         try:
-            dims = {}
-            for cell in obj.get("dims", ()):
-                r = INF if cell["r"] == "inf" else int(cell["r"])
-                dims[(r, int(cell["n"]), int(cell["s"]))] = int(cell["dim"])
-            return cls(int(obj["r_max"]), dims)
+            dims = dict(_page_cell(c["r"], c["n"], c["s"], c["dim"])
+                        for c in obj.get("dims", ()))
+            return cls(_check_int(obj["r_max"]), dims)
         except KeyError as exc:
             raise ParseError(f"page table JSON lacks key {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise ParseError(f"bad page table JSON: {exc}") from None
+
+
+def _check_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _page_cell(r, n, s, d) -> tuple[tuple[PageIndex, int, int], int]:
+    """Key and dimension of one table cell; r is ``"inf"`` or an integer."""
+    key = (INF if r == "inf" else _check_int(r), _check_int(n), _check_int(s))
+    return key, _check_int(d)
 
 
 def parse_page_table(text: str) -> PageTable:
@@ -155,7 +172,7 @@ def parse_page_table(text: str) -> PageTable:
             parts = line[1:].split()
             if len(parts) == 2 and parts[0] == "r_max":
                 try:
-                    r_max = int(parts[1])
+                    r_max = parse_int(parts[1])
                 except ValueError:
                     raise ParseError(f"bad r_max {parts[1]!r}", line_no) from None
             continue
@@ -165,11 +182,10 @@ def parse_page_table(text: str) -> PageTable:
         if len(parts) != 4:
             raise ParseError(f"expected 'r n s dim', got {line!r}", line_no)
         try:
-            r = INF if parts[0] == "inf" else int(parts[0])
-            n, s, d = int(parts[1]), int(parts[2]), int(parts[3])
+            key, d = _page_cell(*(t if t == "inf" else parse_int(t) for t in parts))
         except ValueError:
             raise ParseError(f"bad page cell {line!r}", line_no) from None
-        dims[(r, n, s)] = d
+        dims[key] = d
     if r_max is None:
         finite = [r for (r, _, _) in dims if r != INF]
         r_max = max(finite) if finite else 1
@@ -208,24 +224,28 @@ def pages_from_barcode(b: Barcode, r_max: int) -> PageTable:
 
 @dataclass
 class _Degree:
-    """One degree's boundary columns, ordered for the zeta sweeps."""
+    """One degree's boundary matrix, reduced once for the zeta counts."""
     col_levels: list  # filtration of each column, nondecreasing
     row_levels: list  # filtration of each row one degree below, nondecreasing
-    cols: list        # boundary columns over row positions, in column order
+    low: list         # row position paired with each column, -1 if none
     ranks: dict       # row cut K -> rank after each column prefix
 
 
 class _KernelDims:
-    """zeta(r, n, s) lookups backed by shared rank sweeps.
+    """zeta(r, n, s) lookups counted off one pairing per degree.
 
     Per degree, columns are ordered by (filtration, gid) and their rows are
-    reindexed by the same order one degree below.  For a fixed row cut K
-    (keep rows at position >= K) one reduction sweep records the rank after
-    every column prefix, which answers zeta for every s at that cut.
+    reindexed by the same order one degree below.  By the pairing lemma the
+    rank of the block with rows at position >= K and the first k columns is
+    the number of pairs (low[j], j) inside it.  The pairs come from a
+    reduction of the anti-transposed (coboundary) matrix, bottom row first:
+    row p becomes column n_rows-1-p and column j becomes row n_cols-1-j,
+    which maps lower-left blocks to lower-left blocks and so pairs to pairs.
+    It is not the reduction ``decompose`` runs, so the engines stay
+    independent.
     """
 
     def __init__(self, c: FilteredChainComplex):
-        self.field = c.field
         orders = {}
         for n in c.degrees():
             gens = c.gens(n)
@@ -235,32 +255,33 @@ class _KernelDims:
             gens = c.gens(n)
             below = c.gens(n - 1)
             row_order = orders.get(n - 1, [])
-            pos_of = {gid: k for k, gid in enumerate(row_order)}
+            n_rows, n_cols = len(row_order), len(order)
+            flip = {gid: n_rows - 1 - k for k, gid in enumerate(row_order)}
+            cocols: list = [[] for _ in row_order]
+            for i, gid in enumerate(reversed(order)):
+                for r, v in c.column(n, gid):
+                    cocols[flip[r]].append((i, v))
+            low = [-1] * n_cols
+            reducer = ColumnReducer(c.field)
+            for q, col in enumerate(cocols):
+                col = reducer.reduce(col)
+                if col:
+                    low[n_cols - 1 - reducer.add_pivot(col)] = n_rows - 1 - q
             self.deg[n] = _Degree(
                 col_levels=[gens[i].filtration for i in order],
                 row_levels=[below[g].filtration for g in row_order],
-                cols=[sorted((pos_of[r], v) for r, v in c.column(n, i)) for i in order],
+                low=low,
                 ranks={},
             )
 
     def _prefix_ranks(self, deg: _Degree, cut_pos: int) -> list[int]:
-        cached = deg.ranks.get(cut_pos)
-        if cached is not None:
-            return cached
-        reducer = ColumnReducer(self.field)
-        ranks = [0]
-        r = 0
-        for col in deg.cols:
-            reduced = reducer.reduce(col[bisect_left(col, cut_pos, key=itemgetter(0)):])
-            if reduced:
-                reducer.add_pivot(reduced)
-                r += 1
-            ranks.append(r)
-        deg.ranks[cut_pos] = ranks
+        ranks = deg.ranks.get(cut_pos)
+        if ranks is None:
+            ranks = deg.ranks[cut_pos] = [0, *accumulate(p >= cut_pos for p in deg.low)]
         return ranks
 
-    def zeta(self, r: PageIndex, n: int, s: int) -> int:
-        """dim { x in F^s C_n : d(x) in F^(s-r) C_(n-1) }; r = inf gives the cycles."""
+    def zeta(self, r: int, n: int, s: int) -> int:
+        """dim { x in F^s C_n : d(x) in F^(s-r) C_(n-1) }."""
         deg = self.deg.get(n)
         if deg is None:
             return 0
@@ -270,17 +291,6 @@ class _KernelDims:
         cut_pos = bisect_right(deg.row_levels, s - r)
         return ncols - self._prefix_ranks(deg, cut_pos)[ncols]
 
-    def image_rank(self, n: int, i: int, j: int) -> int:
-        """rank of H_n(F^i) -> H_n(F^j) for i <= j.
-
-        Cycles in F^i modulo the boundaries from F^j that land in F^i; the
-        latter form d({x in F^j C_(n+1) : d(x) in F^i}) whose dimension is
-        zeta(j-i, n+1, j) - zeta(inf, n+1, j).
-        """
-        cycles = self.zeta(INF, n, i)
-        hit = self.zeta(j - i, n + 1, j) - self.zeta(INF, n + 1, j)
-        return cycles - hit
-
 
 def pages_direct(c: FilteredChainComplex, r_max: int) -> PageTable:
     if not isinstance(r_max, int) or r_max < 1:
@@ -289,19 +299,17 @@ def pages_direct(c: FilteredChainComplex, r_max: int) -> PageTable:
     if not c.degrees():
         return PageTable(r_max, {})
     table = _KernelDims(c)
-    top = c.max_level
+    limit = c.filtration_span + 1  # d_r leaves the filtration once r > span
     dims: dict[tuple[PageIndex, int, int], int] = {}
     cells = sorted({(g.degree, g.filtration) for g in c.all_generators()})
     for n, s in cells:
-        for r in range(1, r_max + 1):
-            val = (table.zeta(r, n, s) - table.zeta(r - 1, n, s - 1)
-                   - table.zeta(r - 1, n + 1, s + r - 1)
-                   + table.zeta(r, n + 1, s + r - 1))
+        for r in [*range(1, r_max + 1), INF]:
+            k = limit if r == INF else r
+            val = (table.zeta(k, n, s) - table.zeta(k - 1, n, s - 1)
+                   - table.zeta(k - 1, n + 1, s + k - 1)
+                   + table.zeta(k, n + 1, s + k - 1))
             if val:
                 dims[(r, n, s)] = val
-        stable = table.image_rank(n, s, top) - table.image_rank(n, s - 1, top)
-        if stable:
-            dims[(INF, n, s)] = stable
     return PageTable(r_max, dims)
 
 

@@ -195,11 +195,43 @@ def test_field_mismatch_error_is_capped(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("text", ['{"dims": []}',
-                                  '{"r_max": 2, "dims": [{"r": "x", "n": 0, "s": 0, "dim": 1}]}'])
+                                  '{"r_max": 2, "dims": [{"r": "x", "n": 0, "s": 0, "dim": 1}]}',
+                                  '{"r_max": 2, "dims": [{"r": 1.7, "n": 0, "s": 0, "dim": 1}]}',
+                                  '{"r_max": 2, "dims": [{"r": 1, "n": 0, "s": 0, "dim": true}]}',
+                                  '{"r_max": 2, "dims": [{"r": 1, "n": "0", "s": 0, "dim": 1}]}'])
 def test_recover_malformed_json_is_a_data_error(capsys, tmp_path, text):
     table = tmp_path / "pages.json"
     table.write_text(text)
     assert_one_line_data_error(*run(capsys, "recover", table))
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_rips_non_finite_threshold_is_a_usage_error(capsys, threshold):
+    code, out, err = run(capsys, "rips", FIXTURES / "circle8.pts",
+                         f"--threshold={threshold}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, text, field, want", [
+    ("barcode", "gen a ١ 0\n", "2", 1),                               # gen degree
+    ("barcode", "gen a 0 ١\n", "2", 1),                               # gen level
+    ("barcode", "gen a 0 1_0\n", "2", 1),
+    ("barcode", "gen a 0 0\ngen b 1 1\nbnd b 1_001 a\n", "5", 1),     # GF(p) scalar
+    ("barcode", "simp 0 1_0\n", "2", 1),                              # simp vertex id
+    ("rips", "dist ١\n0\n", "2", 1),                                  # dist size
+    ("recover", "# r_max 1_0\n", "2", 1),                             # page-table r_max
+    ("recover", "# r_max 2\n1 0 0 ١\n", "2", 1),                      # page-table cell
+    ("barcode", "gen a 0 0\n", "1_1", 2),                             # field token
+    ("barcode", "gen a 0 0\n", "１１", 2),
+])
+def test_integer_tokens_are_ascii_digits(capsys, tmp_path, command, text, field, want):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    args = [command, path] if command == "recover" else [command, path, "--field", field]
+    code, out, err = run(capsys, *args)
+    assert code == want and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_non_utf8_input_is_a_data_error(capsys, tmp_path):

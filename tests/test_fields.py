@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spectra_persist.errors import UsageError
-from spectra_persist.fields import PrimeField, RationalField, field_from_text
+from spectra_persist.fields import PrimeField, RationalField, field_from_text, parse_int
 
 GF2 = PrimeField(2)
 GF5 = PrimeField(5)
@@ -100,3 +100,10 @@ def test_normalization_idempotent_prime(a):
 @given(st.fractions(max_denominator=1000))
 def test_normalization_idempotent_rational(a):
     assert Q.normalize(Q.normalize(a)) == Q.normalize(a)
+
+
+def test_parse_int_takes_only_ascii_digits():
+    assert [parse_int(t) for t in ("0", "+7", "-12", "007")] == [0, 7, -12, 7]
+    for bad in ("", "+", "-", "1_000", "١", "１", " 1", "1 ", "1.0", "0x1", "+-1"):
+        with pytest.raises(ValueError):
+            parse_int(bad)

@@ -1,0 +1,83 @@
+"""Golden digest of the CLI over a fixed matrix of commands.
+
+Every case runs ``cli.main`` in-process; its argv, exit code, stdout and
+stderr go into one sha256.  A change to any byte of any output changes the
+digest, so a refactor that claims byte-identical output is checked here
+rather than by hand.  Only re-record the digest when an output is meant to
+change, and say which one in the change log.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+from spectra_persist.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+COMPLEXES = ("u_0_2_3.fcc", "triangle.fcc", "empty.fcc", "broken_dsq.fcc")
+FIELDS = ("2", "3", "q")
+FORMATS = ("text", "json", "tsv")
+GOLDEN = "48db53964e227ae46ff1bb8168828d82d804cdc7acc7ff706bde5b998172c7b4"
+
+
+def _run(argv, stdin=""):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    argv = [str(FIXTURES / a[len("@"):]) if a.startswith("@") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cases():
+    """(argv, stdin-producing argv or None) pairs; '@name' is a fixture path."""
+    for name in COMPLEXES:
+        for field in FIELDS:
+            for fmt in FORMATS:
+                common = ["@" + name, "--field", field, "--format", fmt]
+                yield ["barcode", *common], None
+                yield ["pages", *common, "--engine", "both"], None
+                yield ["pages", *common, "--engine", "direct"], None
+                yield ["pages", *common, "--engine", "direct", "--r-max", "1"], None
+                yield ["pages", *common, "--engine", "direct", "--r-max", "2"], None
+                yield ["verify", *common], None
+                yield (["recover", "-", "--format", fmt],
+                       ["pages", "@" + name, "--field", field, "--format", fmt])
+    clouds = (["@circle8.pts", "--max-dim", "2"],
+              ["@circle8.pts", "--max-dim", "1", "--threshold", "1.6"],
+              ["@two_points.pts", "--max-dim", "1"],
+              ["--dist", "@d3.txt", "--max-dim", "2"])
+    for cloud in clouds:
+        for field in FIELDS:
+            rips = ["rips", *cloud, "--field", field]
+            yield rips, None
+            for fmt in FORMATS:
+                yield ["barcode", "-", "--field", field, "--format", fmt], rips
+            yield ["verify", "-", "--field", field], rips
+            yield ["pages", "-", "--field", field, "--engine", "both"], rips
+    for seed in range(4):
+        for field in ("2", "5", "q"):
+            rand = ["--random", "14", "--seed", str(seed), "--field", field]
+            yield ["barcode", *rand], None
+            yield ["pages", *rand, "--engine", "both"], None
+            yield ["pages", *rand, "--engine", "direct", "--r-max", "1"], None
+            yield ["verify", *rand], None
+
+
+def test_cli_output_matches_golden_digest():
+    h = hashlib.sha256()
+    for argv, source in _cases():
+        stdin = "" if source is None else _run(source)[1]
+        h.update(repr((source, argv, *_run(argv, stdin))).encode())
+    assert h.hexdigest() == GOLDEN

@@ -6,11 +6,12 @@ from spectra_persist.complexes import FilteredChainComplex
 from spectra_persist.errors import (InconsistentTableError, InsufficientRMaxError,
                                     ParseError, UsageError)
 from spectra_persist.fields import PrimeField, RationalField
+from spectra_persist.linalg import ColumnReducer
 from spectra_persist.persistence import INF, Barcode, BarEntry, decompose
 from spectra_persist.randomgen import corpus_fields, random_complex
-from spectra_persist.spectral import (PageTable, collapse_page, pages_direct,
-                                      pages_from_barcode, parse_page_table,
-                                      recover_barcode, verify)
+from spectra_persist.spectral import (PageTable, _KernelDims, collapse_page,
+                                      pages_direct, pages_from_barcode,
+                                      parse_page_table, recover_barcode, verify)
 
 from helpers import model_essential, model_pair, triangle
 from oracles import pages_direct_spans, persistent_betti
@@ -191,14 +192,14 @@ def test_direct_engine_matches_literal_subquotients():
                 assert t.dim(r, n, s) == literal.get((r, n, s), 0), (trial, r, n, s)
 
 
-def test_infinity_row_matches_image_rank_oracle():
-    rng = random.Random(20)
+def assert_limit_row_matches_oracle(seed, r_max_of):
+    rng = random.Random(seed)
     for trial in range(15):
         field = corpus_fields()[trial % 4]
         c = random_complex(rng, rng.randint(3, 18), field)
         if not c.degrees():
             continue
-        t = pages_direct(c, c.filtration_span + 1)
+        t = pages_direct(c, r_max_of(c))
         top = c.max_level
         for n in c.degrees():
             for s in range(c.min_level, top + 1):
@@ -206,6 +207,51 @@ def test_infinity_row_matches_image_rank_oracle():
                             - (persistent_betti(c, n, s - 1, top)
                                if s - 1 >= c.min_level else 0))
                 assert t.dim(INF, n, s) == expected, (trial, n, s)
+
+
+def test_infinity_row_matches_image_rank_oracle():
+    assert_limit_row_matches_oracle(20, lambda c: c.filtration_span + 1)
+
+
+def test_limit_row_does_not_depend_on_r_max():
+    # at r_max = span + 1 the limit equals the last finite page, so only a
+    # shallow table shows whether the limit row is computed on its own
+    assert_limit_row_matches_oracle(22, lambda c: 1)
+
+
+def by_level(gens):
+    return sorted(range(len(gens)), key=lambda i: (gens[i].filtration, i))
+
+
+def test_anti_transposed_pairs_match_decompose():
+    # the duality the direct engine relies on: reducing the coboundary
+    # matrix bottom row first pairs exactly the generators decompose pairs,
+    # zero-length pairs included
+    rng = random.Random(21)
+    for trial in range(100):
+        field = corpus_fields()[trial % 4]
+        c = random_complex(rng, rng.randint(3, 30), field)
+        pairing, _ = decompose(c)
+        want = sorted((p.death.degree, p.death.gid, p.birth.gid) for p in pairing.pairs)
+        got = []
+        for n, deg in _KernelDims(c).deg.items():
+            cols, rows = by_level(c.gens(n)), by_level(c.gens(n - 1))
+            got += [(n, cols[j], rows[p]) for j, p in enumerate(deg.low) if p >= 0]
+        assert sorted(got) == want, trial
+
+
+def test_pages_direct_reduces_each_degree_once(monkeypatch):
+    c = random_complex(random.Random(23), 60, PrimeField(5))
+    built = []
+    init = ColumnReducer.__init__
+
+    def counting_init(self, field):
+        built.append(field)
+        init(self, field)
+
+    monkeypatch.setattr(ColumnReducer, "__init__", counting_init)
+    pages_direct(c, c.filtration_span + 1)
+    assert 0 < len(built) <= len(c.degrees())
 
 
 def test_verify_model_and_triangle_pass():
