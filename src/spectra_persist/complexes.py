@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidComplexError, UsageError
-from .fields import FieldSpec
-from .linalg import SparseColumn, SparseMatrix, axpy, column_from_entries, rank
+from .fields import FieldSpec, RationalField
+from .linalg import (SparseColumn, SparseMatrix, axpy, column_from_entries,
+                     integer_combination, integral, rank)
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,7 @@ class FilteredChainComplex:
         for n, gens in self.generators.items():
             self.boundary.setdefault(n, [[] for _ in gens])
         self._violations: Optional[list[Violation]] = None
+        self._ranks: dict[int, int] = {}  # n -> rank of d_n, like _violations
 
     @classmethod
     def empty(cls, field: FieldSpec) -> "FilteredChainComplex":
@@ -193,14 +195,22 @@ class FilteredChainComplex:
                             f"boundary target {tgt.label()} at level {tgt.filtration} "
                             f"exceeds source level {g.filtration}",
                         ))
+        # over Q, d∘d is summed in integer columns, without Fraction arithmetic
+        rational = isinstance(self.field, RationalField)
         for n in self.degrees():
             if n - 1 not in self.generators:
                 continue
             prev_cols = self.boundary[n - 1]
+            if rational:
+                prev_ints = [integral(col) for col in prev_cols]
             for g in self.generators[n]:
-                acc: SparseColumn = []
-                for r, v in self.boundary[n][g.gid]:
-                    acc = axpy(self.field, acc, v, prev_cols[r])
+                col = self.boundary[n][g.gid]
+                if rational:
+                    acc = integer_combination(col, prev_ints)
+                else:
+                    acc = []
+                    for r, v in col:
+                        acc = axpy(self.field, acc, v, prev_cols[r])
                 if acc:
                     out.append(Violation(n, g.gid, f"d∘d ≠ 0 at generator {g.label()}"))
         self._violations = out
@@ -231,9 +241,13 @@ class FilteredChainComplex:
         self.ensure_valid()
         if n not in self.generators:
             return 0
-        r_out = rank(self.boundary_matrix(n), self.field)
-        r_in = rank(self.boundary_matrix(n + 1), self.field)
-        return self.n_gens(n) - r_out - r_in
+        return self.n_gens(n) - self._rank(n) - self._rank(n + 1)
+
+    def _rank(self, n: int) -> int:
+        """Rank of d_n, computed once per complex."""
+        if n not in self._ranks:
+            self._ranks[n] = rank(self.boundary_matrix(n), self.field)
+        return self._ranks[n]
 
 
 def homology_dims_by_level(c: FilteredChainComplex) -> dict[tuple[int, int], int]:

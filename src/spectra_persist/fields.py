@@ -182,8 +182,15 @@ class RationalField(FieldSpec):
         return a == 0
 
     def parse(self, text: str) -> Fraction:
+        # only ASCII [+-]?digits or [+-]?digits/digits: Fraction() alone also
+        # takes 1_000, non-ASCII digits, decimals and exponents
+        num, slash, den = text.partition("/")
         try:
-            return Fraction(text)
+            if not slash:
+                return Fraction(parse_int(num))
+            if den[:1] in ("+", "-"):
+                raise ValueError(text)
+            return Fraction(parse_int(num), parse_int(den))
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"{text!r} is not a rational scalar") from None
 

@@ -142,7 +142,7 @@ def decompose(c: FilteredChainComplex) -> tuple[Pairing, Barcode]:
                 continue  # w stays an essential candidate
             pivot_pos = reducer.add_pivot(col)
             birth = targets[order[pivot_pos]]
-            stored = reducer.pivots[pivot_pos]
+            stored = reducer.scalars(reducer.pivots[pivot_pos])
             cycle = sorted(((order[p], v) for p, v in stored))
             del survivors[(n, w.gid)]
             del survivors[(n - 1, birth.gid)]

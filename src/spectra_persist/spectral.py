@@ -434,9 +434,9 @@ def verify(c: FilteredChainComplex, r_max: int) -> VerifyReport:
     degrees = sorted(set(c.degrees()) | {n for n, _ in direct.support()})
     bad = []
     for n in degrees:
-        total = direct.row_total(INF, n)
-        if total != c.homology_dim(n):
-            bad.append((n, total, c.homology_dim(n)))
+        total, homology = direct.row_total(INF, n), c.homology_dim(n)
+        if total != homology:
+            bad.append((n, total, homology))
     checks.append(CheckResult(
         "limit-row-is-total-homology", not bad,
         "" if not bad else f"first mismatch (n,limit,homology)={bad[0]}",

@@ -218,6 +218,7 @@ def test_rips_non_finite_threshold_is_a_usage_error(capsys, threshold):
     ("barcode", "gen a 0 ١\n", "2", 1),                               # gen level
     ("barcode", "gen a 0 1_0\n", "2", 1),
     ("barcode", "gen a 0 0\ngen b 1 1\nbnd b 1_001 a\n", "5", 1),     # GF(p) scalar
+    ("barcode", "gen a 0 0\ngen b 1 1\nbnd b 1_000 a\n", "q", 1),     # Q scalar
     ("barcode", "simp 0 1_0\n", "2", 1),                              # simp vertex id
     ("rips", "dist ١\n0\n", "2", 1),                                  # dist size
     ("recover", "# r_max 1_0\n", "2", 1),                             # page-table r_max

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -48,6 +49,19 @@ def test_dd_violation_reported():
         {"a": [(1, "b")], "b": [(1, "c")]})
     violations = c.validate()
     assert any(v.degree == 2 and "d∘d" in v.reason for v in violations)
+
+
+@pytest.mark.parametrize("eps, broken", [(Fraction(0), False),
+                                         (Fraction(1, 10**30), True)])
+def test_dd_over_q_is_exact_in_fractional_parts(eps, broken):
+    # d∘d(t) = (7/9)(3/7) + (1/15)(5/2) - (1/2 + eps) = 1/3 + 1/6 - 1/2 - eps
+    c = FilteredChainComplex.from_named(
+        Q, [("a", 0, 0), ("e1", 1, 0), ("e2", 1, 0), ("e3", 1, 0), ("t", 2, 0)],
+        {"e1": [(Fraction(3, 7), "a")], "e2": [(Fraction(5, 2), "a")], "e3": [(1, "a")],
+         "t": [(Fraction(7, 9), "e1"), (Fraction(1, 15), "e2"),
+               (-(Fraction(1, 2) + eps), "e3")]})
+    reasons = [v.reason for v in c.validate()]
+    assert reasons == (["d∘d ≠ 0 at generator t"] if broken else [])
 
 
 def test_associated_graded_drops_level_jumps():

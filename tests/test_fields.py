@@ -107,3 +107,13 @@ def test_parse_int_takes_only_ascii_digits():
     for bad in ("", "+", "-", "1_000", "١", "１", " 1", "1 ", "1.0", "0x1", "+-1"):
         with pytest.raises(ValueError):
             parse_int(bad)
+
+
+def test_rational_parse_takes_only_ascii_integers_and_fractions():
+    good = ("7", "-7", "+7", "6/4", "-6/4", "0/5", "007/02")
+    assert [Q.parse(t) for t in good] == [7, -7, 7, Fraction(3, 2), Fraction(-3, 2), 0,
+                                          Fraction(7, 2)]
+    for bad in ("1_000", "١", "１", "0.5", ".5", "1e3", "1/0", "0/0", "1/-2", "1/+2",
+                "", "/", "1/", "/2", "1/2/3", " 1", "1 ", "nan", "inf", "0x1"):
+        with pytest.raises(UsageError, match="is not a rational scalar"):
+            Q.parse(bad)

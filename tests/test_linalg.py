@@ -7,7 +7,7 @@ from spectra_persist.errors import UsageError
 from spectra_persist.fields import PrimeField, RationalField
 from spectra_persist.linalg import SparseMatrix, axpy, kernel, rank
 
-from oracles import subquotient_dim
+from oracles import dense_kernel, dense_rank, subquotient_dim
 
 GF2 = PrimeField(2)
 Q = RationalField()
@@ -146,3 +146,27 @@ def test_kernel_basis_is_prefix_adapted():
             assert all(r < j for r, _ in combo[:-1])
             lasts.append(j)
         assert lasts == sorted(set(lasts))
+
+
+def _huge_or_small(rng):
+    return rng.choice([Fraction(10**30, 7), Fraction(-7, 10**30), Fraction(-3, 10**20),
+                       Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))])
+
+
+def test_q_rank_and_kernel_match_dense_oracles_under_column_scaling():
+    # the integer kernel must give the same rank and the same kernel basis
+    # (last entry one on column j, other entries on earlier pivot columns)
+    # whatever the size of the rationals
+    rng = random.Random(31)
+    for trial in range(60):
+        m = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 8), Q)
+        cols = []
+        for col in m.columns:
+            s = _huge_or_small(rng)
+            cols.append([(r, v * s * (_huge_or_small(rng) if trial % 2 else 1))
+                         for r, v in col])
+        dense = [[dict(col).get(r, Q.zero) for col in cols] for r in range(m.n_rows)]
+        scaled = SparseMatrix(m.n_rows, cols)
+        assert rank(scaled, Q) == dense_rank(dense, Q), trial
+        want = [[(j, v) for j, v in enumerate(vec) if v] for vec in dense_kernel(dense, Q)]
+        assert kernel(scaled, Q).columns == want, trial

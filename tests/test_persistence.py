@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -178,6 +179,32 @@ def test_pairing_cycles_reproduce_boundaries():
         for g in pairing.essentials:
             full = len(by_degree.get(g.degree, []))
             assert replay(g.degree, c.column(g.degree, g.gid), full) == {}
+
+
+def test_q_decompose_is_invariant_under_rescaled_generators():
+    # g -> lam_g * g multiplies d(g) by lam_g and row g by 1 / lam_g; the
+    # barcode, the pairs and the unit-lead cycles read back in the old basis
+    # stay the same however large the rationals get
+    rng = random.Random(41)
+    huge = [Fraction(10**30, 7), Fraction(-7, 10**30), Fraction(3, 10**20)]
+    for trial in range(30):
+        c = random_complex(rng, rng.randint(3, 40), Q)
+        lam = {(g.degree, g.gid): rng.choice([*huge, Fraction(rng.randint(1, 9), 4)])
+               for g in c.all_generators()}
+        scaled = FilteredChainComplex(Q, c.generators, {
+            n: [[(r, v * lam[(n, g.gid)] / lam[(n - 1, r)]) for r, v in c.column(n, g.gid)]
+                for g in c.gens(n)]
+            for n in c.degrees()})
+        pairing, barcode = decompose(c)
+        pairing_s, barcode_s = decompose(scaled)
+        assert barcode_s == barcode, trial
+        assert len(pairing_s.pairs) == len(pairing.pairs)
+        for p, ps in zip(pairing.pairs, pairing_s.pairs):
+            assert (ps.death, ps.birth) == (p.death, p.birth)
+            n = p.birth.degree
+            back = [(r, v * lam[(n, r)]) for r, v in ps.cycle]
+            lead = dict(back)[p.birth.gid]
+            assert [(r, v / lead) for r, v in back] == p.cycle, trial
 
 
 def test_betti_matches_rank_oracle_on_random_complexes():

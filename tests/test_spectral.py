@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from spectra_persist import complexes
 from spectra_persist.complexes import FilteredChainComplex
 from spectra_persist.errors import (InconsistentTableError, InsufficientRMaxError,
                                     ParseError, UsageError)
 from spectra_persist.fields import PrimeField, RationalField
-from spectra_persist.linalg import ColumnReducer
+from spectra_persist.linalg import ColumnReducer, rank
 from spectra_persist.persistence import INF, Barcode, BarEntry, decompose
 from spectra_persist.randomgen import corpus_fields, random_complex
 from spectra_persist.spectral import (PageTable, _KernelDims, collapse_page,
@@ -252,6 +253,21 @@ def test_pages_direct_reduces_each_degree_once(monkeypatch):
     monkeypatch.setattr(ColumnReducer, "__init__", counting_init)
     pages_direct(c, c.filtration_span + 1)
     assert 0 < len(built) <= len(c.degrees())
+
+
+def test_verify_ranks_each_boundary_matrix_once(monkeypatch):
+    c = random_complex(random.Random(29), 60, PrimeField(5))
+    ranked = []
+
+    def counting_rank(m, field):
+        ranked.append(m)  # kept alive, so the column ids below stay unique
+        return rank(m, field)
+
+    monkeypatch.setattr(complexes, "rank", counting_rank)
+    assert verify(c, c.filtration_span + 1).all_passed
+    keys = [tuple(map(id, m.columns)) for m in ranked]
+    for n in c.degrees():
+        assert keys.count(tuple(map(id, c.boundary[n]))) == 1, n
 
 
 def test_verify_model_and_triangle_pass():
