@@ -29,19 +29,33 @@ def parse_int(token: str) -> int:
     return int(token)
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017);
+# the bound itself is the least strong pseudoprime to all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    # trial division; moduli used here are small (2, 5, 32003, ...)
+    """Exact primality for 0 <= p < _MR_BOUND, in time polynomial in its digits."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -82,12 +96,18 @@ class FieldSpec:
     def format(self, a: Scalar) -> str:
         raise NotImplementedError
 
+    def token(self) -> str:
+        """The text :func:`field_from_text` reads back as this field."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class PrimeField(FieldSpec):
     p: int
 
     def __post_init__(self):
+        if self.p >= _MR_BOUND:
+            raise UsageError(f"modulus {self.p} is too large (at most {_MR_BOUND - 1})")
         if not _is_prime(self.p):
             raise UsageError(f"modulus {self.p} is not prime")
 
@@ -138,6 +158,9 @@ class PrimeField(FieldSpec):
     def format(self, a: int) -> str:
         return str(a % self.p)
 
+    def token(self) -> str:
+        return str(self.p)
+
     def __str__(self) -> str:
         return f"GF({self.p})"
 
@@ -156,6 +179,8 @@ class RationalField(FieldSpec):
         return Fraction(1)
 
     def normalize(self, a) -> Fraction:
+        if type(a) is Fraction:  # immutable and already in lowest terms
+            return a
         if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
             raise UsageError(f"{a!r} is not a rational scalar")
         return Fraction(a)
@@ -196,6 +221,9 @@ class RationalField(FieldSpec):
 
     def format(self, a: Fraction) -> str:
         return str(Fraction(a))
+
+    def token(self) -> str:
+        return "q"
 
     def __str__(self) -> str:
         return "Q"

@@ -2,12 +2,16 @@
 
 Chain-complex format (line oriented, '#' starts a comment):
 
+    field <p|q>
     gen <name> <degree:int> <filtration:int>
     bnd <source-name> <coeff> <target-name> [<coeff> <target-name> ...]
 
 Coefficients use the field's text form (decimal residue over GF(p),
 ``num`` or ``num/den`` over the rationals).  Repeated bnd lines for one
-source accumulate.
+source accumulate.  The optional ``field`` line records the field the
+coefficients were written in (a prime, or ``q``); a file may hold at most
+one, and it must name the field the file is read over, since a GF(3)
+residue such as ``2`` is a different number over GF(5).
 
 Simplicial format:
 
@@ -29,7 +33,7 @@ from typing import Optional, Sequence
 
 from .complexes import FilteredChainComplex, Generator
 from .errors import ClosureError, ParseError, UsageError
-from .fields import FieldSpec, parse_int
+from .fields import FieldSpec, field_from_text, parse_int
 from .linalg import column_from_entries
 
 
@@ -55,9 +59,26 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
     gens: dict[str, Generator] = {}
     by_degree: dict[int, list[Generator]] = {}
     pending: list[tuple[int, list[str]]] = []
+    written: Optional[FieldSpec] = None
     for line_no, toks in _data_lines(text):
         kind = toks[0]
-        if kind == "gen":
+        if kind == "field":
+            if len(toks) != 2:
+                raise ParseError("expected 'field <p|q>'", line_no)
+            try:
+                declared = field_from_text(toks[1])
+            except UsageError as exc:
+                raise ParseError(str(exc), line_no) from None
+            if written is not None:
+                raise ParseError(
+                    f"second field line names {declared}, the first named {written}",
+                    line_no)
+            if declared != field:
+                raise ParseError(
+                    f"complex is written over {declared}, not the requested {field}",
+                    line_no)
+            written = declared
+        elif kind == "gen":
             if len(toks) != 4:
                 raise ParseError("expected 'gen <name> <degree> <filtration>'", line_no)
             name = toks[1]
@@ -109,8 +130,10 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
 
 
 def serialize_complex(c: FilteredChainComplex, comments: Sequence[str] = ()) -> str:
-    """Canonical text form: generators sorted by (degree, filtration, id)."""
+    """Canonical text form: the field line, then generators sorted by
+    (degree, filtration, id)."""
     lines = [f"# {comment}" for comment in comments]
+    lines.append(f"field {c.field.token()}")
     ordered = sorted(c.all_generators(), key=lambda g: (g.degree, g.filtration, g.gid))
     for g in ordered:
         lines.append(f"gen {g.label()} {g.degree} {g.filtration}")

@@ -27,6 +27,14 @@ reduction per degree, of the anti-transposed (coboundary) matrix, gives the
 pairs, so every zeta is a count.  Since d_r leaves the filtration once
 r > filtration span, the infinity row is the same expression at
 r = span + 1.
+
+Counting pairs also says where a cell can change with r.  Write a pair as
+(b, t): its row sits at level b, its column at level t, and b <= t.  The
+first two terms differ by the columns at level s minus the pairs of d_n with
+t = s and b > s - r; the last two differ by minus the pairs of d_(n+1) with
+b = s and t <= s + r - 1.  Both counts move only at r = t - b + 1 of such a
+pair, so the cell is constant between those breakpoints, and the engine
+evaluates it at r = 1, at each breakpoint up to r_max, and at the limit.
 """
 from __future__ import annotations
 
@@ -243,6 +251,11 @@ class _KernelDims:
     which maps lower-left blocks to lower-left blocks and so pairs to pairs.
     It is not the reduction ``decompose`` runs, so the engines stay
     independent.
+
+    As a count, zeta(r, n, s) is the columns at level <= s minus the pairs
+    with column level t <= s and row level b > s - r.  So a pair of d_n
+    changes the cells (n, t) and (n-1, b) at r = t - b + 1 and no other
+    cell at any other r: ``breakpoints`` lists them.
     """
 
     def __init__(self, c: FilteredChainComplex):
@@ -291,8 +304,24 @@ class _KernelDims:
         cut_pos = bisect_right(deg.row_levels, s - r)
         return ncols - self._prefix_ranks(deg, cut_pos)[ncols]
 
+    def breakpoints(self):
+        """(n, s, r) for every pair: the cells it changes and from which page."""
+        for n, deg in self.deg.items():
+            for t, p in zip(deg.col_levels, deg.low):
+                if p >= 0:
+                    b = deg.row_levels[p]
+                    yield n, t, t - b + 1
+                    yield n - 1, b, t - b + 1
+
 
 def pages_direct(c: FilteredChainComplex, r_max: int) -> PageTable:
+    """Page dimensions from kernel counts, never from a barcode.
+
+    Each cell is evaluated with the four-term formula only at r = 1, at the
+    breakpoints r = t - b + 1 <= r_max of the pairs that touch it (see the
+    module docstring), and at the limit; between breakpoints the value is
+    constant, so it fills the run up to the next one.
+    """
     if not isinstance(r_max, int) or r_max < 1:
         raise UsageError(f"r_max must be a positive integer, got {r_max!r}")
     c.ensure_valid()
@@ -300,16 +329,27 @@ def pages_direct(c: FilteredChainComplex, r_max: int) -> PageTable:
         return PageTable(r_max, {})
     table = _KernelDims(c)
     limit = c.filtration_span + 1  # d_r leaves the filtration once r > span
+    starts = {(g.degree, g.filtration): [1] for g in c.all_generators()}
+    for n, s, k in table.breakpoints():
+        if k <= r_max:
+            starts[(n, s)].append(k)
+
+    def value(k, n, s):
+        return (table.zeta(k, n, s) - table.zeta(k - 1, n, s - 1)
+                - table.zeta(k - 1, n + 1, s + k - 1)
+                + table.zeta(k, n + 1, s + k - 1))
+
     dims: dict[tuple[PageIndex, int, int], int] = {}
-    cells = sorted({(g.degree, g.filtration) for g in c.all_generators()})
-    for n, s in cells:
-        for r in [*range(1, r_max + 1), INF]:
-            k = limit if r == INF else r
-            val = (table.zeta(k, n, s) - table.zeta(k - 1, n, s - 1)
-                   - table.zeta(k - 1, n + 1, s + k - 1)
-                   + table.zeta(k, n + 1, s + k - 1))
+    for (n, s), ks in starts.items():
+        ks = sorted(set(ks))
+        for k, end in zip(ks, [*ks[1:], r_max + 1]):
+            val = value(k, n, s)
             if val:
-                dims[(r, n, s)] = val
+                for r in range(k, end):
+                    dims[(r, n, s)] = val
+        val = value(limit, n, s)
+        if val:
+            dims[(INF, n, s)] = val
     return PageTable(r_max, dims)
 
 
@@ -338,10 +378,18 @@ def recover_barcode(p: PageTable, s_min: int) -> Barcode:
 
         nu[n, s, m] = dim(m, n, s) - dim(m+1, n, s) - nu[n-1, s-m, m]
 
-    walking the birth level upward from s_min (every level below it is
-    empty).  A negative intermediate value means the table is not the page
-    table of any complex; a cell whose r_max dimension has not yet reached
-    the limit means r_max was too small to see every bar die.
+    for birth levels s_min..(top level of the support), degrees from the
+    lowest in the support to one above the highest, and 1 <= m < r_max.
+    A term is zero unless the cell drops between pages m and m+1 or
+    nu[n-1, s-m, m] is nonzero, so only those triples are visited: the
+    drops read off the stored (nonzero) cells, and each nonzero nu
+    schedules the triple (n+1, s+m, m) it feeds (left unvisited when s+m
+    is above the top level, as the full walk leaves it).  They are visited in
+    (s, n, m) order, the order of the recursion, so the first negative
+    value is the same one the full walk meets.  A negative value means the
+    table is not the page table of any complex; a cell whose r_max
+    dimension has not yet reached the limit means r_max was too small to
+    see every bar die.
     """
     support = p.support()
     if not support:
@@ -357,25 +405,33 @@ def recover_barcode(p: PageTable, s_min: int) -> Barcode:
                 f"cell (n={n}, s={s}) still differs from its limit at r_max={p.r_max}"
             )
     counts: dict[BarEntry, int] = {}
-    nu: dict[tuple[int, int, int], int] = {}
-    degrees = sorted({n for n, _ in support})
-    n_range = range(degrees[0], degrees[-1] + 2)
     for n, s in sorted(support):
         d = p.dim(INF, n, s)
         if d:
             counts[BarEntry(n, s, INF)] = d
-    for s in range(s_min, max(births) + 1):
-        for n in n_range:
-            for m in range(1, p.r_max):
-                val = (p.dim(m, n, s) - p.dim(m + 1, n, s)
-                       - nu.get((n - 1, s - m, m), 0))
-                if val < 0:
-                    raise InconsistentTableError(
-                        f"negative multiplicity {val} at (n={n}, s={s}, m={m})"
-                    )
-                if val:
-                    nu[(n, s, m)] = val
-                    counts[BarEntry(n, s, m)] = val
+    dims = p._dims
+    todo: dict[int, list] = {}  # level s -> [(n, m)] to visit there
+    for (r, n, s), d in dims.items():
+        if r == INF:
+            continue
+        if r < p.r_max and dims.get((r + 1, n, s), 0) != d:
+            todo.setdefault(s, []).append((n, r))
+        if r > 1 and (r - 1, n, s) not in dims:
+            todo.setdefault(s, []).append((n, r - 1))
+    top = max(births)
+    nu: dict[tuple[int, int, int], int] = {}
+    for s in range(min(todo, default=top + 1), top + 1):
+        for n, m in sorted(set(todo.pop(s, ()))):
+            val = (dims.get((m, n, s), 0) - dims.get((m + 1, n, s), 0)
+                   - nu.get((n - 1, s - m, m), 0))
+            if val < 0:
+                raise InconsistentTableError(
+                    f"negative multiplicity {val} at (n={n}, s={s}, m={m})"
+                )
+            if val:
+                nu[(n, s, m)] = val
+                counts[BarEntry(n, s, m)] = val
+                todo.setdefault(s + m, []).append((n + 1, m))
     return Barcode(counts)
 
 

@@ -11,6 +11,7 @@ literal subquotient construction.
 from __future__ import annotations
 
 from spectra_persist.complexes import FilteredChainComplex
+from spectra_persist.errors import InconsistentTableError, InsufficientRMaxError, UsageError
 from spectra_persist.fields import FieldSpec
 from spectra_persist.linalg import SparseMatrix, axpy, kernel, rank
 from spectra_persist.persistence import INF, Barcode, BarEntry
@@ -224,3 +225,51 @@ def pages_direct_spans(c: FilteredChainComplex, r_max: int):
             if val:
                 dims[(r, n, s)] = val
     return dims
+
+
+# -- dense barcode recovery ----------------------------------------------------
+
+def recover_barcode_dense(p, s_min: int) -> Barcode:
+    """``recover_barcode`` by the full recursion over every (s, n, m).
+
+        nu[n, s, m] = dim(m, n, s) - dim(m+1, n, s) - nu[n-1, s-m, m]
+
+    walked for every birth level s_min..(top of the support), every degree
+    from the lowest in the support to one above the highest, and every
+    1 <= m < r_max; the same errors, with the same messages, in the same
+    order as the library's sparse walk.
+    """
+    support = p.support()
+    if not support:
+        return Barcode()
+    births = [s for _, s in support]
+    if min(births) < s_min:
+        raise UsageError(
+            f"table has support at level {min(births)} below s_min={s_min}"
+        )
+    for n, s in sorted(support):
+        if p.dim(p.r_max, n, s) != p.dim(INF, n, s):
+            raise InsufficientRMaxError(
+                f"cell (n={n}, s={s}) still differs from its limit at r_max={p.r_max}"
+            )
+    counts: dict[BarEntry, int] = {}
+    nu: dict[tuple[int, int, int], int] = {}
+    degrees = sorted({n for n, _ in support})
+    n_range = range(degrees[0], degrees[-1] + 2)
+    for n, s in sorted(support):
+        d = p.dim(INF, n, s)
+        if d:
+            counts[BarEntry(n, s, INF)] = d
+    for s in range(s_min, max(births) + 1):
+        for n in n_range:
+            for m in range(1, p.r_max):
+                val = (p.dim(m, n, s) - p.dim(m + 1, n, s)
+                       - nu.get((n - 1, s - m, m), 0))
+                if val < 0:
+                    raise InconsistentTableError(
+                        f"negative multiplicity {val} at (n={n}, s={s}, m={m})"
+                    )
+                if val:
+                    nu[(n, s, m)] = val
+                    counts[BarEntry(n, s, m)] = val
+    return Barcode(counts)

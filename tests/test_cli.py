@@ -183,15 +183,37 @@ def assert_one_line_data_error(code, out, err):
 
 
 def test_field_mismatch_error_is_capped(capsys, monkeypatch):
-    # GF(3) residues read over GF(5): every triangle breaks d∘d = 0
+    # GF(3) residues read over GF(5): the field line stops them at parse time;
+    # without it, every triangle breaks d∘d = 0
     code, out, _ = run(capsys, "rips", FIXTURES / "circle8.pts",
                        "--max-dim", "2", "--threshold", "1.6", "--field", "3")
     assert code == 0
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
-    code, out, err = run(capsys, "verify", "-", "--field", "5")
-    assert_one_line_data_error(code, out, err)
+    code, out_v, err = run(capsys, "verify", "-", "--field", "5")
+    assert_one_line_data_error(code, out_v, err)
+    assert "GF(3)" in err and "GF(5)" in err
+    unmarked = "".join(l for l in out.splitlines(True) if not l.startswith("field "))
+    monkeypatch.setattr("sys.stdin", io.StringIO(unmarked))
+    code, out_v, err = run(capsys, "verify", "-", "--field", "5")
+    assert_one_line_data_error(code, out_v, err)
     assert err.rstrip().endswith("and 5 more")
+
+
+def test_rips_field_travels_through_the_pipe(capsys, monkeypatch):
+    import io
+    rips = ["rips", FIXTURES / "circle8.pts", "--max-dim", "1", "--threshold", "1.6"]
+    code, out, _ = run(capsys, *rips, "--field", "3")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, out_b, err = run(capsys, "barcode", "-", "--field", "5")
+    assert_one_line_data_error(code, out_b, err)
+    assert "complex is written over GF(3), not the requested GF(5)" in err
+    code, out, _ = run(capsys, *rips, "--field", "5")
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, out_b, err = run(capsys, "barcode", "-", "--field", "5")
+    assert code == 0 and err == ""
+    assert out_b.splitlines() == ["0 0 1 7", "0 0 inf 1", "1 1 inf 1", "1 2 inf 8"]
 
 
 @pytest.mark.parametrize("text", ['{"dims": []}',

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spectra_persist.errors import UsageError
-from spectra_persist.fields import PrimeField, RationalField, field_from_text, parse_int
+from spectra_persist.fields import (_MR_BOUND, PrimeField, RationalField, _is_prime,
+                                    field_from_text, parse_int)
 
 GF2 = PrimeField(2)
 GF5 = PrimeField(5)
@@ -47,6 +48,26 @@ def test_composite_modulus_rejected():
         PrimeField(6)
     with pytest.raises(UsageError):
         PrimeField(1)
+
+
+def test_primality_is_exact_and_fast_on_large_moduli():
+    def trial_division(n):
+        return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(20000) if _is_prime(n)] == \
+        [n for n in range(20000) if trial_division(n)]
+    # Carmichael numbers and strong pseudoprimes to the smallest bases
+    for composite in (561, 41041, 825265, 2047, 3215031751, 3825123056546413051,
+                      2**61 + 1):
+        assert not _is_prime(composite), composite
+    # the bound fools every base, which is why PrimeField stops below it
+    assert _MR_BOUND == 1287836182261 * 2575672364521 and _is_prime(_MR_BOUND)
+    for prime in (32003, 2**31 - 1, 2**61 - 1, 2**89 - 1):
+        assert _is_prime(prime), prime
+    assert PrimeField(2**61 - 1).inv(2) == 2**60
+    with pytest.raises(UsageError, match="too large"):
+        PrimeField(_MR_BOUND)
+    with pytest.raises(UsageError, match="too large"):
+        field_from_text(str(10**40))
 
 
 def test_cross_field_rejected():
@@ -117,3 +138,20 @@ def test_rational_parse_takes_only_ascii_integers_and_fractions():
                 "", "/", "1/", "/2", "1/2/3", " 1", "1 ", "nan", "inf", "0x1"):
         with pytest.raises(UsageError, match="is not a rational scalar"):
             Q.parse(bad)
+
+
+class _Half(Fraction):
+    """A Fraction subclass: normalize must still hand back a plain Fraction."""
+
+
+def test_rational_normalize_passes_fractions_through_and_converts_the_rest():
+    for method in (Q.normalize, Q.check):
+        half = Fraction(1, 2)
+        assert method(half) is half
+        for value, want in ((3, Fraction(3)), (-4, Fraction(-4)),
+                            (_Half(2, 4), Fraction(1, 2))):
+            got = method(value)
+            assert type(got) is Fraction and got == want
+        for bad in (True, False, 1.5, "1/2", None, complex(1, 0)):
+            with pytest.raises(UsageError, match="is not a rational scalar"):
+                method(bad)

@@ -20,7 +20,8 @@ from spectra_persist.cli import main
 
 # names and small integers are listed twice to draw them more often
 TOKENS = (
-    "gen", "bnd", "simp", "pt", "dist", "#", "r_max", "inf", "-inf", "nan",
+    "gen", "bnd", "simp", "pt", "dist", "field", "#", "r_max", "inf", "-inf", "nan",
+    "q", "Q",
     "a", "b", "c", "a", "b", "c", "x",
     "-2", "-1", "0", "1", "2", "3", "5", "0", "1", "2", "+1", "007",
     "1/2", "-3/4", "2/6", "1/0", "0/0", "1/-2", "/", "1/", "1/2/3",
@@ -29,7 +30,7 @@ TOKENS = (
 
 # most lines open with a keyword of some input format, so that some inputs
 # get past the first token
-HEADS = ("gen", "bnd", "simp", "pt", "dist", "# r_max", "1", "inf", "")
+HEADS = ("gen", "bnd", "simp", "pt", "dist", "field", "# r_max", "1", "inf", "")
 LINE = st.builds(lambda head, rest: " ".join([head, *rest]).strip(),
                  st.sampled_from(HEADS), st.lists(st.sampled_from(TOKENS), max_size=5))
 LINES = st.lists(LINE, max_size=8).map(lambda lines: "\n".join(lines) + "\n")

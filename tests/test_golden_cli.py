@@ -20,7 +20,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 COMPLEXES = ("u_0_2_3.fcc", "triangle.fcc", "empty.fcc", "broken_dsq.fcc")
 FIELDS = ("2", "3", "q")
 FORMATS = ("text", "json", "tsv")
-GOLDEN = "48db53964e227ae46ff1bb8168828d82d804cdc7acc7ff706bde5b998172c7b4"
+GOLDEN = "2e89df815036effaed98ec865bb51776da0b76a76de25c0f54ea2765abf34e92"
 
 
 def _run(argv, stdin=""):

@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectra_persist.errors import ParseError, UsageError
 from spectra_persist.fields import PrimeField, RationalField
@@ -11,6 +12,7 @@ from spectra_persist.ingest import (PointCloud, make_simplicial, parse_complex,
                                     serialize_complex, simplicial_to_chain)
 from spectra_persist.persistence import INF, Barcode, BarEntry, decompose
 from spectra_persist.randomgen import corpus_fields, random_complex
+from spectra_persist.spectral import pages_direct
 
 from oracles import barcode_by_rank
 
@@ -68,6 +70,48 @@ def test_serialize_parse_round_trip():
         again = parse_complex(text, field)
         assert serialize_complex(again) == text  # byte-exact once canonical
         assert decompose(again)[1] == decompose(c)[1]
+
+
+def test_field_line_is_written_once_and_checked_on_parse():
+    gf3, gf5 = PrimeField(3), PrimeField(5)
+    c = parse_complex("gen a 0 0\ngen b 1 1\nbnd b 1 a\n", gf3)
+    text = serialize_complex(c, ["a comment"])
+    assert [l for l in text.splitlines() if l.startswith("field")] == ["field 3"]
+    assert text.splitlines()[:2] == ["# a comment", "field 3"]
+    assert serialize_complex(parse_complex(text, gf3)) == serialize_complex(c)
+    assert "field q\n" in serialize_complex(parse_complex(text.replace("field 3", "field q"), Q))
+    with pytest.raises(ParseError,
+                       match=r"^line 2: complex is written over GF\(3\), not the requested GF\(5\)$"):
+        parse_complex(text, gf5)
+    with pytest.raises(ParseError, match=r"^line 2: .* over Q, not the requested GF\(3\)$"):
+        parse_complex(text.replace("field 3", "field q"), gf3)
+    # the same field twice, or another one second, is not a file serialize_complex writes
+    for second in ("field 3", "field 5", "field q"):
+        with pytest.raises(ParseError, match=r"^line 3: second field line names .* "
+                                             r"the first named GF\(3\)$"):
+            parse_complex(text.replace("field 3", "field 3\n" + second), gf3)
+    with pytest.raises(ParseError, match=r"over GF\(2305843009213693951\), not"):
+        parse_complex(text.replace("field 3", "field 2305843009213693951"), gf3)
+    for bad in ("field", "field 3 3", "field 4", "field x", "field 3.0", f"field {10**40}"):
+        with pytest.raises(ParseError, match="^line 2: "):
+            parse_complex(text.replace("field 3", bad), gf3)
+    # a file without the line parses as before, whatever the field
+    plain = "gen a 0 0\ngen b 1 1\nbnd b 2 a\n"
+    assert parse_complex(plain, gf5).column(1, 0) == [(0, 2)]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 25),
+       field=st.sampled_from([PrimeField(2), PrimeField(5), Q]))
+def test_serialized_complex_keeps_field_barcode_and_pages(seed, size, field):
+    c = random_complex(random.Random(seed), size, field)
+    text = serialize_complex(c)
+    assert [l for l in text.splitlines() if l.startswith("field")] == [f"field {field.token()}"]
+    again = parse_complex(text, field)
+    assert serialize_complex(again) == text
+    assert decompose(again)[1] == decompose(c)[1]
+    r_max = c.filtration_span + 1 if c.degrees() else 1
+    assert pages_direct(again, r_max) == pages_direct(c, r_max)
 
 
 def test_simplicial_single_vertex():

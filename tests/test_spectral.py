@@ -1,12 +1,15 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectra_persist import complexes
 from spectra_persist.complexes import FilteredChainComplex
 from spectra_persist.errors import (InconsistentTableError, InsufficientRMaxError,
                                     ParseError, UsageError)
 from spectra_persist.fields import PrimeField, RationalField
+from spectra_persist.ingest import PointCloud, rips, simplicial_to_chain
 from spectra_persist.linalg import ColumnReducer, rank
 from spectra_persist.persistence import INF, Barcode, BarEntry, decompose
 from spectra_persist.randomgen import corpus_fields, random_complex
@@ -15,7 +18,7 @@ from spectra_persist.spectral import (PageTable, _KernelDims, collapse_page,
                                       parse_page_table, recover_barcode, verify)
 
 from helpers import model_essential, model_pair, triangle
-from oracles import pages_direct_spans, persistent_betti
+from oracles import pages_direct_spans, persistent_betti, recover_barcode_dense
 
 Q = RationalField()
 
@@ -121,23 +124,68 @@ def test_recover_inconsistent_table():
     dims = {(2, 0, 0): 1}
     with pytest.raises(InconsistentTableError):
         recover_barcode(PageTable(3, dims), 0)
+    # the bar born at (0, 0) must die at (1, 1), the top level, but that cell
+    # does not drop: only the nu term at (n=1, s=1, m=1) sees it
+    dims = {(1, 0, 0): 1, (1, 1, 1): 1, (2, 1, 1): 1, (INF, 1, 1): 1}
+    with pytest.raises(InconsistentTableError,
+                       match=r"^negative multiplicity -1 at \(n=1, s=1, m=1\)$"):
+        recover_barcode(PageTable(2, dims), 0)
+
+
+def random_barcode(rng):
+    counts = {}
+    for _ in range(rng.randint(0, 12)):
+        e = BarEntry(rng.randint(-2, 3), rng.randint(-3, 6), rng.choice([1, 2, 3, 5, INF]))
+        counts[e] = counts.get(e, 0) + rng.randint(1, 2)
+    return Barcode(counts)
 
 
 def test_round_trip_random_barcodes():
     rng = random.Random(14)
     for _ in range(50):
-        counts = {}
-        for _ in range(rng.randint(0, 12)):
-            n = rng.randint(-2, 3)
-            s = rng.randint(-3, 6)
-            m = rng.choice([1, 2, 3, 5, INF])
-            e = BarEntry(n, s, m)
-            counts[e] = counts.get(e, 0) + rng.randint(1, 2)
-        b = Barcode(counts)
-        r_max = max((e.lifetime for e in counts if e.lifetime != INF), default=0) + 1
+        b = random_barcode(rng)
+        entries = [e for e, _ in b.entries()]
+        r_max = max((e.lifetime for e in entries if e.lifetime != INF), default=0) + 1
         table = pages_from_barcode(b, int(r_max))
-        s_min = min((e.birth for e in counts), default=0)
+        s_min = min((e.birth for e in entries), default=0)
         assert recover_barcode(table, s_min) == b
+
+
+def outcome(recover, table, s_min):
+    try:
+        return recover(table, s_min)
+    except (InconsistentTableError, InsufficientRMaxError, UsageError) as exc:
+        return type(exc), str(exc)
+
+
+def test_recover_matches_dense_recursion():
+    # exact tables, tables with cells bumped by +-1 (mostly not page tables of
+    # any complex), and tables cut below their longest bar
+    rng = random.Random(15)
+    seen = set()
+    for trial in range(120):
+        b = random_barcode(rng)
+        longest = max((e.lifetime for e, _ in b.entries() if not e.is_essential), default=0)
+        tables = [pages_from_barcode(b, longest + 1 + rng.randint(0, 2))]
+        if longest > 1:
+            tables.append(pages_from_barcode(b, rng.randint(1, longest - 1)))
+        dims = {(r, n, s): d for r, n, s, d in tables[0].cells()}
+        for _ in range(rng.randint(1, 3)):
+            live = sorted((k for k, d in dims.items() if d), key=repr)
+            if live and rng.random() < 0.5:
+                dims[rng.choice(live)] -= 1
+            else:
+                r = rng.choice([*range(1, tables[0].r_max + 1), INF])
+                key = (r, rng.randint(-2, 4), rng.randint(-3, 8))
+                dims[key] = dims.get(key, 0) + 1
+        tables.append(PageTable(tables[0].r_max, dims))
+        for table in tables:
+            births = [s for _, s in table.support()] or [0]
+            s_min = min(births) - rng.choice([0, 0, 0, 1, -1])
+            got = outcome(recover_barcode, table, s_min)
+            assert got == outcome(recover_barcode_dense, table, s_min), (trial, table.cells())
+            seen.add(got[0] if isinstance(got, tuple) else Barcode)
+    assert seen == {Barcode, InconsistentTableError, InsufficientRMaxError, UsageError}
 
 
 def test_monotone_in_r_and_euler_characteristic():
@@ -255,6 +303,42 @@ def test_pages_direct_reduces_each_degree_once(monkeypatch):
     assert 0 < len(built) <= len(c.degrees())
 
 
+def test_pages_direct_work_is_bounded_by_pairs_not_pages(monkeypatch):
+    # each cell is evaluated at r = 1, at the limit, and once per pair that
+    # touches it; a per-page loop would call zeta 4 * cells * (r_max + 1) times
+    rng = random.Random(25)
+    pc = PointCloud.from_points([(rng.random(), rng.random()) for _ in range(14)])
+    c = simplicial_to_chain(rips(pc, 2, 0.45), PrimeField(2))
+    r_max = c.filtration_span + 1
+    cells = len({(g.degree, g.filtration) for g in c.all_generators()})
+    pairs = sum(p >= 0 for deg in _KernelDims(c).deg.values() for p in deg.low)
+    assert 2 * cells + 2 * pairs < cells * (r_max + 1)
+    calls = []
+    zeta = _KernelDims.zeta
+
+    def counting_zeta(self, r, n, s):
+        calls.append((r, n, s))
+        return zeta(self, r, n, s)
+
+    monkeypatch.setattr(_KernelDims, "zeta", counting_zeta)
+    pages_direct(c, r_max)
+    assert 0 < len(calls) <= 4 * (2 * cells + 2 * pairs)
+
+
+def test_pages_direct_truncates_to_smaller_r_max():
+    # breakpoints past r_max are clipped: a shallow table is the deep one
+    # cut at r_max, with the same limit row
+    rng = random.Random(27)
+    for trial in range(30):
+        field = corpus_fields()[trial % 4]
+        c = random_complex(rng, rng.randint(3, 30), field)
+        deep_r = c.filtration_span + 3
+        deep = pages_direct(c, deep_r)
+        for r_max in range(1, deep_r):
+            cut = {(r, n, s): d for r, n, s, d in deep.cells() if r == INF or r <= r_max}
+            assert pages_direct(c, r_max) == PageTable(r_max, cut), (trial, r_max)
+
+
 def test_verify_ranks_each_boundary_matrix_once(monkeypatch):
     c = random_complex(random.Random(29), 60, PrimeField(5))
     ranked = []
@@ -294,3 +378,20 @@ def test_page_table_parse_errors():
         parse_page_table("1 2 3")
     with pytest.raises(ParseError):
         parse_page_table("one 2 3 4")
+
+
+@st.composite
+def page_tables(draw):
+    r_max = draw(st.integers(1, 6))
+    keys = st.tuples(st.sampled_from([*range(1, r_max + 1), INF]),
+                     st.integers(-3, 3), st.integers(-5, 5))
+    return PageTable(r_max, draw(st.dictionaries(keys, st.integers(0, 3), max_size=12)))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(table=page_tables())
+def test_page_table_text_and_json_round_trips(table):
+    assert parse_page_table("\n".join(table.to_lines())) == table
+    assert parse_page_table("\n".join(table.to_lines("\t"))) == table
+    obj = json.loads(json.dumps(table.to_json_obj()))
+    assert PageTable.from_json_obj(obj) == table
