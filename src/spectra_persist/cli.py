@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
+from itertools import islice
 
 from .complexes import FilteredChainComplex
 from .errors import (ClosureError, InvalidComplexError, PageTableError,
                      ParseError, UsageError)
-from .fields import field_from_text
+from .fields import field_from_text, parse_int
 from .ingest import (_data_lines, _real, parse_complex, parse_point_cloud,
                      parse_simplicial, rips, serialize_complex, simplicial_to_chain)
 from .persistence import INF, Barcode, betti, decompose
@@ -51,17 +53,36 @@ def _load_complex(args) -> FilteredChainComplex:
     return parse_complex(text, field)
 
 
+# integer options, by dest, with the least value each takes; they arrive as
+# text, because argparse's int also takes '1_0' and non-ASCII digits
+_INT_OPTIONS = {"r_max": 1, "random": 0, "seed": None, "s_min": None, "max_dim": None,
+               "n": None, "i": None, "j": None}
+
+
+def _parse_int_options(args) -> None:
+    for dest, least in _INT_OPTIONS.items():
+        text = getattr(args, dest, None)
+        if not isinstance(text, str):
+            continue
+        flag = "--" + dest.replace("_", "-")
+        try:
+            value = parse_int(text)
+        except ValueError:
+            raise UsageError(f"{flag} must be an integer, got {text!r}") from None
+        if least is not None and value < least:
+            raise UsageError(f"{flag} must be >= {least}")
+        setattr(args, dest, value)
+
+
 def _default_r_max(args, c: FilteredChainComplex) -> int:
-    if args.r_max is not None:
-        if args.r_max < 1:
-            raise UsageError("--r-max must be >= 1")
-        return args.r_max
-    return c.filtration_span + 1
+    return c.filtration_span + 1 if args.r_max is None else args.r_max
 
 
 def _emit(lines) -> None:
-    for line in lines:
-        print(line)
+    """Write lines in batches as they come, so a long page table is never held whole."""
+    lines = iter(lines)
+    while batch := list(islice(lines, 4096)):
+        sys.stdout.write("\n".join(batch) + "\n")
 
 
 def _barcode_lines(b: Barcode, sep: str = " ") -> list[str]:
@@ -189,7 +210,10 @@ def cmd_recover(args) -> int:
     text = _read_text(args.input)
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        obj = json.loads(stripped)
+        try:
+            obj = json.loads(stripped)
+        except RecursionError:
+            raise ParseError("page table JSON is nested too deeply") from None
         table = PageTable.from_json_obj(obj)
     else:
         table = parse_page_table(text)
@@ -225,12 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coefficient field: a prime, or 'q' (default 2)")
         p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
         if with_rmax:
-            p.add_argument("--r-max", type=int, default=None,
+            p.add_argument("--r-max", default=None,
                            help="deepest page (default: filtration span + 1)")
         if with_random:
-            p.add_argument("--random", type=int, metavar="N", default=None,
+            p.add_argument("--random", metavar="N", default=None,
                            help="generate a random N-generator complex instead of reading input")
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", default=0)
 
     p = sub.add_parser("barcode", help="interval decomposition of a complex")
     add_common(p, with_random=True)
@@ -249,23 +273,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", help="point cloud path, or '-' for stdin")
     p.add_argument("--dist", default=None, metavar="PATH",
                    help="read a distance-matrix file instead")
-    p.add_argument("--max-dim", type=int, default=1)
+    p.add_argument("--max-dim", default=1)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--field", default="2")
     p.set_defaults(func=cmd_rips)
 
     p = sub.add_parser("recover", help="barcode from a serialized page table")
     p.add_argument("input", help="page table path, or '-' for stdin")
-    p.add_argument("--s-min", type=int, default=None,
+    p.add_argument("--s-min", default=None,
                    help="lowest birth level (default: lowest level in the table)")
     p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("betti", help="persistent Betti number from the barcode")
     add_common(p, with_random=True)
-    p.add_argument("--n", type=int, required=True, help="homological degree")
-    p.add_argument("--i", type=int, required=True, help="source level")
-    p.add_argument("--j", type=int, required=True, help="target level")
+    p.add_argument("--n", required=True, help="homological degree")
+    p.add_argument("--i", required=True, help="source level")
+    p.add_argument("--j", required=True, help="target level")
     p.set_defaults(func=cmd_betti)
 
     return parser
@@ -273,9 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = parser.parse_args(argv)
+        _parse_int_options(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left early (say, `| head`): send what is still buffered
+        # to devnull, so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, ClosureError, PageTableError, InvalidComplexError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

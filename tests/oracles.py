@@ -15,6 +15,7 @@ from spectra_persist.errors import InconsistentTableError, InsufficientRMaxError
 from spectra_persist.fields import FieldSpec
 from spectra_persist.linalg import SparseMatrix, axpy, kernel, rank
 from spectra_persist.persistence import INF, Barcode, BarEntry
+from spectra_persist.spectral import _KernelDims
 
 
 def dense_rank(rows: list, field: FieldSpec) -> int:
@@ -273,3 +274,106 @@ def recover_barcode_dense(p, s_min: int) -> Barcode:
                     nu[(n, s, m)] = val
                     counts[BarEntry(n, s, m)] = val
     return Barcode(counts)
+
+
+# -- dense page tables -----------------------------------------------------------
+
+def _page_key(r):
+    return (r == INF, r if r != INF else 0)
+
+
+class DensePageTable:
+    """A page table stored one entry per nonzero (r, n, s), every page spelled out.
+
+    The same reading interface as ``spectral.PageTable`` (which stores runs
+    over r instead), kept as the literal definition to compare it against.
+    """
+
+    def __init__(self, r_max: int, dims):
+        self.r_max = r_max
+        self._dims = {key: d for key, d in dict(dims).items() if d}
+
+    def _check_r(self, r) -> None:
+        if r != INF and not 1 <= r <= self.r_max:
+            raise UsageError(f"page index {r!r} outside 1..{self.r_max} and inf")
+
+    def dim(self, r, n: int, s: int) -> int:
+        self._check_r(r)
+        return self._dims.get((r, n, s), 0)
+
+    def support(self) -> set:
+        return {(n, s) for (_, n, s) in self._dims}
+
+    def row_total(self, r, n: int) -> int:
+        self._check_r(r)
+        return sum(d for (q, m, _), d in self._dims.items() if q == r and m == n)
+
+    def cells(self) -> list:
+        return [(r, n, s, d) for (r, n, s), d in
+                sorted(self._dims.items(), key=lambda item: (*_page_key(item[0][0]),
+                                                             *item[0][1:]))]
+
+    def diff(self, other: "DensePageTable") -> list:
+        out = []
+        for key in set(self._dims) | set(other._dims):
+            a, b = self._dims.get(key, 0), other._dims.get(key, 0)
+            if a != b:
+                out.append((*key, a, b))
+        out.sort(key=lambda t: (*_page_key(t[0]), t[1], t[2]))
+        return out
+
+    def to_lines(self, sep: str = " ") -> list:
+        return [f"# r_max {self.r_max}"] + [
+            sep.join(("inf" if r == INF else str(r), str(n), str(s), str(d)))
+            for r, n, s, d in self.cells()]
+
+
+def collapse_page_dense(p, n: int, s: int):
+    """``collapse_page`` by walking down from r_max one page at a time."""
+    target = p.dim(INF, n, s)
+    if p.dim(p.r_max, n, s) != target:
+        return None
+    r = p.r_max
+    while r > 1 and p.dim(r - 1, n, s) == target:
+        r -= 1
+    return r
+
+
+def dense_pages_from_barcode(b: Barcode, r_max: int) -> DensePageTable:
+    """The closed form page by page: an essential bar (n, s, inf) puts one
+    dimension at (n, s) on every page; a finite bar (n, s, m) puts one at
+    (n, s) and one at (n+1, s+m) on pages 1..m and nothing afterwards."""
+    dims: dict = {}
+
+    def bump(r, n, s, by):
+        dims[(r, n, s)] = dims.get((r, n, s), 0) + by
+
+    for entry, mult in b.entries():
+        n, s = entry.degree, entry.birth
+        if entry.is_essential:
+            for r in [*range(1, r_max + 1), INF]:
+                bump(r, n, s, mult)
+        else:
+            m = entry.lifetime
+            for r in range(1, min(m, r_max) + 1):
+                bump(r, n, s, mult)
+                bump(r, n + 1, s + m, mult)
+    return DensePageTable(r_max, dims)
+
+
+def dense_pages_direct(c: FilteredChainComplex, r_max: int) -> DensePageTable:
+    """The four-term zeta formula evaluated at every page of every cell."""
+    dims: dict = {}
+    if not c.degrees():
+        return DensePageTable(r_max, dims)
+    kd = _KernelDims(c)
+
+    def value(k, n, s):
+        return (kd.zeta(k, n, s) - kd.zeta(k - 1, n, s - 1)
+                - kd.zeta(k - 1, n + 1, s + k - 1) + kd.zeta(k, n + 1, s + k - 1))
+
+    for n, s in {(g.degree, g.filtration) for g in c.all_generators()}:
+        for r in range(1, r_max + 1):
+            dims[(r, n, s)] = value(r, n, s)
+        dims[(INF, n, s)] = value(c.filtration_span + 1, n, s)
+    return DensePageTable(r_max, dims)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from spectra_persist.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -220,7 +224,8 @@ def test_rips_field_travels_through_the_pipe(capsys, monkeypatch):
                                   '{"r_max": 2, "dims": [{"r": "x", "n": 0, "s": 0, "dim": 1}]}',
                                   '{"r_max": 2, "dims": [{"r": 1.7, "n": 0, "s": 0, "dim": 1}]}',
                                   '{"r_max": 2, "dims": [{"r": 1, "n": 0, "s": 0, "dim": true}]}',
-                                  '{"r_max": 2, "dims": [{"r": 1, "n": "0", "s": 0, "dim": 1}]}'])
+                                  '{"r_max": 2, "dims": [{"r": 1, "n": "0", "s": 0, "dim": 1}]}',
+                                  pytest.param('{"a":' + "[" * 100_000, id="deeply-nested")])
 def test_recover_malformed_json_is_a_data_error(capsys, tmp_path, text):
     table = tmp_path / "pages.json"
     table.write_text(text)
@@ -247,14 +252,42 @@ def test_rips_non_finite_threshold_is_a_usage_error(capsys, threshold):
     ("recover", "# r_max 2\n1 0 0 ١\n", "2", 1),                      # page-table cell
     ("barcode", "gen a 0 0\n", "1_1", 2),                             # field token
     ("barcode", "gen a 0 0\n", "１１", 2),
+    ("pages --r-max ١٠", "gen a 0 0\n", "2", 2),                    # integer options
+    ("verify --r-max 1_0", "gen a 0 0\n", "2", 2),
+    ("verify --random -3", "", "2", 2),
+    ("barcode --random ١", "", "2", 2),
+    ("barcode --random 3 --seed 1_0", "", "2", 2),
+    ("recover --s-min ١", "# r_max 1\n", "2", 2),
+    ("rips --max-dim ２", "pt 0 0\n", "2", 2),
+    ("betti --n ١ --i 0 --j 0", "gen a 0 0\n", "2", 2),
+    ("betti --n 0 --i 0 --j 1_0", "gen a 0 0\n", "2", 2),
+    ("betti --n 0 --i 0 --j +", "gen a 0 0\n", "2", 2),
 ])
 def test_integer_tokens_are_ascii_digits(capsys, tmp_path, command, text, field, want):
     path = tmp_path / "input.txt"
     path.write_text(text, encoding="utf-8")
-    args = [command, path] if command == "recover" else [command, path, "--field", field]
+    command, *options = command.split(" ")
+    args = [command, path, *options]
+    if command != "recover":
+        args += ["--field", field]
     code, out, err = run(capsys, *args)
     assert code == want and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # `pages ... | head -3`: here the reader is gone before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectra_persist.cli", "pages",
+             str(FIXTURES / "triangle.fcc"), "--r-max", "10"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1 and proc.stderr == b""
 
 
 def test_non_utf8_input_is_a_data_error(capsys, tmp_path):

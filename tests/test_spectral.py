@@ -1,15 +1,18 @@
+import io
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectra_persist import complexes
+from spectra_persist import complexes, spectral
+from spectra_persist.cli import main
 from spectra_persist.complexes import FilteredChainComplex
 from spectra_persist.errors import (InconsistentTableError, InsufficientRMaxError,
                                     ParseError, UsageError)
 from spectra_persist.fields import PrimeField, RationalField
-from spectra_persist.ingest import PointCloud, rips, simplicial_to_chain
+from spectra_persist.ingest import PointCloud, parse_complex, rips, simplicial_to_chain
 from spectra_persist.linalg import ColumnReducer, rank
 from spectra_persist.persistence import INF, Barcode, BarEntry, decompose
 from spectra_persist.randomgen import corpus_fields, random_complex
@@ -18,7 +21,9 @@ from spectra_persist.spectral import (PageTable, _KernelDims, collapse_page,
                                       parse_page_table, recover_barcode, verify)
 
 from helpers import model_essential, model_pair, triangle
-from oracles import pages_direct_spans, persistent_betti, recover_barcode_dense
+from oracles import (DensePageTable, collapse_page_dense, dense_pages_direct,
+                     dense_pages_from_barcode, pages_direct_spans, persistent_betti,
+                     recover_barcode_dense)
 
 Q = RationalField()
 
@@ -361,6 +366,30 @@ def test_verify_model_and_triangle_pass():
         assert len(report.checks) == 5
 
 
+@pytest.mark.parametrize("fake, failures", [
+    # the bar never dies: the row totals stay flat where the bars drop
+    (Barcode({BarEntry(0, 2, INF): 1, BarEntry(1, 5, INF): 1}),
+     ["pages-equal (4 differing cells, first (4, 0, 2, 0, 1))",
+      "limit-row-is-total-homology (first mismatch (n,limit,homology)=(0, 1, 0))",
+      "totalized-dimension-identity (first mismatch (r,n,pages,bars)=(4, 0, 1, 0))"]),
+    (Barcode({BarEntry(0, 2, 1): 1}),
+     ["pages-equal (6 differing cells, first (1, 1, 3, 0, 1))",
+      "page-one-is-graded-homology (first mismatch (n,s,page,graded)=(1, 3, 1, 0))",
+      "totalized-dimension-identity (first mismatch (r,n,pages,bars)=(2, 0, 0, 1))"]),
+    (Barcode({BarEntry(0, 2, 3): 2}),
+     ["pages-equal (6 differing cells, first (1, 0, 2, 1, 2))",
+      "page-one-is-graded-homology (first mismatch (n,s,page,graded)=(0, 2, 2, 1))",
+      "totalized-dimension-identity (first mismatch (r,n,pages,bars)=(1, 0, 2, 1))"]),
+])
+def test_verify_names_the_first_mismatch_of_a_wrong_table(monkeypatch, fake, failures):
+    # the direct engine swapped for the pages of a wrong barcode: each check
+    # reports its count and first mismatch as the per-page checks did
+    monkeypatch.setattr(spectral, "pages_direct", lambda c, r_max: pages_from_barcode(fake, r_max))
+    lines = verify(model_pair(Q, 0, 2, 3), 4).lines()
+    assert [line[len("[FAIL] "):] for line in lines if line.startswith("[FAIL]")] == [
+        *failures, "barcode-round-trip (recovered barcode differs)"]
+
+
 def test_verify_empty_passes_vacuously():
     report = verify(FilteredChainComplex.empty(PrimeField(2)), 2)
     assert report.all_passed
@@ -395,3 +424,146 @@ def test_page_table_text_and_json_round_trips(table):
     assert parse_page_table("\n".join(table.to_lines("\t"))) == table
     obj = json.loads(json.dumps(table.to_json_obj()))
     assert PageTable.from_json_obj(obj) == table
+
+
+def test_page_table_rejects_non_integer_cells():
+    with pytest.raises(UsageError, match=r"not indexed by integers"):
+        PageTable(3, {(1, 0.5, 0): 1})
+    with pytest.raises(UsageError, match=r"not indexed by integers"):
+        PageTable(3, {(2, "x", 0): 1})
+    with pytest.raises(UsageError, match=r"not indexed by integers"):
+        PageTable(3, {(2, 0, True): 1})
+    for d in (1.5, True, "1", None):
+        with pytest.raises(UsageError, match=r"^dimension .* is not an integer$"):
+            PageTable(3, {(1, 0, 0): d})
+    with pytest.raises(UsageError, match=r"^negative dimension at \(r=2, n=0, s=0\)$"):
+        PageTable(3, {(2, 0, 0): -1})
+    with pytest.raises(UsageError):
+        PageTable(3, {(True, 0, 0): 1})
+    with pytest.raises(UsageError):
+        PageTable(True, {})
+
+
+@st.composite
+def table_pairs(draw):
+    """A run table and its dense oracle: from a barcode, a complex or a mapping."""
+    kind = draw(st.sampled_from(["barcode", "complex", "dense"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "barcode":
+        b = random_barcode(rng)
+        r_max = draw(st.integers(1, 7))
+        return pages_from_barcode(b, r_max), dense_pages_from_barcode(b, r_max)
+    if kind == "complex":
+        field = draw(st.sampled_from([PrimeField(2), PrimeField(5), Q]))
+        c = random_complex(rng, draw(st.integers(0, 24)), field)
+        r_max = draw(st.integers(1, c.filtration_span + 3))
+        return pages_direct(c, r_max), dense_pages_direct(c, r_max)
+    r_max = draw(st.integers(1, 6))
+    keys = st.tuples(st.sampled_from([*range(1, r_max + 1), INF]),
+                     st.integers(-2, 2), st.integers(-3, 3))
+    dims = draw(st.dictionaries(keys, st.integers(0, 3), max_size=14))
+    return PageTable(r_max, dims), DensePageTable(r_max, dims)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(pair=table_pairs(), data=st.data())
+def test_run_table_reads_like_the_dense_oracle(pair, data):
+    runs, dense = pair
+    r_max = dense.r_max
+    pages = [*range(1, r_max + 1), INF]
+    cells = dense.support() | {(0, 0), (1, -1)}
+    assert runs.support() == dense.support()
+    assert bool(runs) == bool(dense.cells())
+    for n, s in cells:
+        assert [runs.dim(r, n, s) for r in pages] == [dense.dim(r, n, s) for r in pages]
+        assert collapse_page(runs, n, s) == collapse_page_dense(dense, n, s)
+    for n in {n for n, _ in cells} | {n + 1 for n, _ in cells}:
+        assert ([runs.row_total(r, n) for r in pages]
+                == [dense.row_total(r, n) for r in pages])
+    assert runs.cells() == dense.cells()
+    assert list(runs.to_lines("\t")) == dense.to_lines("\t")
+    assert runs.to_json_obj()["dims"] == [
+        {"r": "inf" if r == INF else r, "n": n, "s": s, "dim": d}
+        for r, n, s, d in dense.cells()]
+    # a nearby table: a few cells bumped, r_max moved by at most one
+    other_r = max(1, r_max + data.draw(st.integers(-1, 1)))
+    dims = {(r, n, s): d for r, n, s, d in dense.cells() if r == INF or r <= other_r}
+    for _ in range(data.draw(st.integers(0, 3))):
+        key = (data.draw(st.sampled_from([*range(1, other_r + 1), INF])),
+               *data.draw(st.sampled_from(sorted(cells))))
+        dims[key] = max(0, dims.get(key, 0) + data.draw(st.sampled_from([-1, 1])))
+    other, other_dense = PageTable(other_r, dims), DensePageTable(other_r, dims)
+    assert runs.diff(other) == dense.diff(other_dense)
+    assert other.diff(runs) == other_dense.diff(dense)
+    assert (runs == other) == (r_max == other_r and not dense.diff(other_dense))
+
+
+def test_page_table_runs_are_canonical():
+    # a run starts only where the dimension changes, and pages rise
+    rng = random.Random(31)
+    for trial in range(30):
+        c = random_complex(rng, rng.randint(3, 30), corpus_fields()[trial % 4])
+        t = pages_direct(c, c.filtration_span + 2)
+        for n, s in t.support():
+            steps = t.steps(n, s)
+            assert steps and all(d != prev for (_, d), (_, prev)
+                                 in zip(steps, [(0, 0), *steps]))
+            assert steps == sorted(steps, key=lambda step: step[0])
+
+
+def two_bars(span):
+    return parse_complex(f"gen a 0 0\ngen b 0 {span}\n", PrimeField(2))
+
+
+def test_verify_is_independent_of_the_filtration_span():
+    c = two_bars(10**12)
+    r_max = c.filtration_span + 1
+    _, b = decompose(c)
+    for t in (pages_direct(c, r_max), pages_from_barcode(b, r_max)):
+        assert t.steps(0, 0) == [(1, 1)] and t.steps(0, 10**12) == [(1, 1)]
+        assert t.row_total(10**9, 0) == 2 and t.dim(INF, 0, 10**12) == 1
+        assert collapse_page(t, 0, 0) == 1
+    tracemalloc.start()
+    try:
+        report = verify(c, r_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed, report.lines()
+    assert peak < 2_000_000
+
+
+class LineCounter(io.TextIOBase):
+    """A stdout that counts the lines written to it and keeps only a short tail."""
+
+    def __init__(self):
+        self.lines, self.tail = 0, ""
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        self.tail = (self.tail + text)[-100:]
+        return len(text)
+
+
+def test_pages_streams_its_lines(monkeypatch, tmp_path):
+    # both tables of a 10**6 span hold 2 runs where cells() would list
+    # 2 * (10**6 + 2); the CLI writes the lines as it makes them, so its
+    # traced peak stays flat (5 * 10**4 here, to keep the traced run short)
+    span = 10**6
+    c = two_bars(span)
+    for t in (pages_direct(c, span + 1), pages_from_barcode(decompose(c)[1], span + 1)):
+        assert sum(len(t.steps(n, s)) for n, s in t.support()) == 2
+    span = 5 * 10**4
+    path = tmp_path / "span.fcc"
+    path.write_text(f"gen a 0 0\ngen b 0 {span}\n")
+    sink = LineCounter()
+    monkeypatch.setattr("sys.stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["pages", str(path), "--engine", "both"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.tail.endswith(f"\ninf 0 {span} 1\nDIFF: none\n")
+    assert sink.lines == 2 * (1 + 2 * (span + 1) + 2) + 3
+    assert peak < 2_000_000
