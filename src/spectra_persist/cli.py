@@ -85,6 +85,34 @@ def _emit(lines) -> None:
         sys.stdout.write("\n".join(batch) + "\n")
 
 
+class _Streamed(list):
+    """A JSON array made by ``make()`` while it is encoded.  The pure-Python
+    encoder, which ``indent`` selects, tests a list for truth and iterates it,
+    so this one holds nothing (the C encoder would read its empty storage)."""
+
+    def __init__(self, make):
+        self._make = make
+
+    def __iter__(self):
+        return iter(self._make())
+
+    def __bool__(self) -> bool:
+        return any(True for _ in self._make())
+
+
+def _emit_json(obj) -> None:
+    """Write ``json.dumps(obj, indent=2)`` and a newline, in batches as it is encoded."""
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    while batch := "".join(islice(chunks, 4096)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
+
+
+def _table_json(p: PageTable) -> dict:
+    """:meth:`PageTable.to_json_obj`, with the cells made as they are written."""
+    return {"r_max": p.r_max, "dims": _Streamed(p.json_dims)}
+
+
 def _barcode_lines(b: Barcode, sep: str = " ") -> list[str]:
     out = []
     for entry, mult in b.entries():
@@ -105,15 +133,11 @@ def _barcode_json(b: Barcode) -> dict:
     }
 
 
-def _pages_json(p: PageTable) -> dict:
-    return {"format": JSON_FORMAT, "kind": "pages", **p.to_json_obj()}
-
-
 def cmd_barcode(args) -> int:
     c = _load_complex(args)
     _, b = decompose(c)
     if args.format == "json":
-        print(json.dumps(_barcode_json(b), indent=2))
+        _emit_json(_barcode_json(b))
     else:
         _emit(_barcode_lines(b, "\t" if args.format == "tsv" else " "))
     return 0
@@ -131,7 +155,7 @@ def cmd_pages(args) -> int:
     if args.engine != "both":
         table = tables[args.engine]
         if args.format == "json":
-            print(json.dumps(_pages_json(table), indent=2))
+            _emit_json({"format": JSON_FORMAT, "kind": "pages", **_table_json(table)})
         else:
             _emit(table.to_lines("\t" if args.format == "tsv" else " "))
         return 0
@@ -140,15 +164,15 @@ def cmd_pages(args) -> int:
         obj = {
             "format": JSON_FORMAT,
             "kind": "pages-both",
-            "barcode_engine": tables["barcode"].to_json_obj(),
-            "direct_engine": tables["direct"].to_json_obj(),
+            "barcode_engine": _table_json(tables["barcode"]),
+            "direct_engine": _table_json(tables["direct"]),
             "diff": [
                 {"r": "inf" if r == INF else r, "n": n, "s": s,
                  "barcode": a, "direct": b}
                 for r, n, s, a, b in diff
             ],
         }
-        print(json.dumps(obj, indent=2))
+        _emit_json(obj)
     else:
         sep = "\t" if args.format == "tsv" else " "
         print("# engine: barcode")
@@ -178,7 +202,7 @@ def cmd_verify(args) -> int:
                 for ch in report.checks
             ],
         }
-        print(json.dumps(obj, indent=2))
+        _emit_json(obj)
     else:
         _emit(report.lines())
     return 0 if report.all_passed else 1
@@ -223,7 +247,7 @@ def cmd_recover(args) -> int:
         s_min = min((s for _, s in support), default=0)
     b = recover_barcode(table, s_min)
     if args.format == "json":
-        print(json.dumps(_barcode_json(b), indent=2))
+        _emit_json(_barcode_json(b))
     else:
         _emit(_barcode_lines(b, "\t" if args.format == "tsv" else " "))
     return 0

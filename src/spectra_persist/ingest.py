@@ -20,7 +20,7 @@ Simplicial format:
 Vertices omitted from the file are inserted at the smallest value of any
 simplex containing them; missing faces of dimension >= 1 are an error.
 
-Point clouds are either ``pt <x1> ... <xd>`` lines (equal dimension) or a
+Point clouds are either ``pt <x1> ... <xd>`` lines (equal dimension) or one
 ``dist <n>`` header followed by an n-by-n symmetric matrix, one row per
 line.
 """
@@ -33,8 +33,7 @@ from typing import Optional, Sequence
 
 from .complexes import FilteredChainComplex, Generator
 from .errors import ClosureError, ParseError, UsageError
-from .fields import FieldSpec, field_from_text, parse_int
-from .linalg import column_from_entries
+from .fields import FieldSpec, Scalar, field_from_text, parse_int
 
 
 def _data_lines(text: str):
@@ -97,7 +96,9 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
             raise ParseError(f"unknown directive {kind!r}", line_no)
 
     boundary: dict[int, list[list]] = {n: [[] for _ in gs] for n, gs in by_degree.items()}
-    accum: dict[tuple[int, int], list] = {}
+    # each distinct coefficient token is parsed once; a bad one raises where first met
+    coeffs: dict[str, Scalar] = {}
+    accum: dict[tuple[int, int], dict[int, Scalar]] = {}
     for line_no, toks in pending:
         if len(toks) < 4 or len(toks) % 2 != 0:
             raise ParseError(
@@ -106,23 +107,27 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
         if source not in gens:
             raise ParseError(f"boundary for unknown generator {source!r}", line_no)
         src = gens[source]
+        col = accum.setdefault((src.degree, src.gid), {})
         for k in range(2, len(toks), 2):
-            try:
-                coeff = field.parse(toks[k])
-            except UsageError as exc:
-                raise ParseError(str(exc), line_no) from None
+            coeff = coeffs.get(toks[k])
+            if coeff is None:
+                try:
+                    coeff = coeffs[toks[k]] = field.parse(toks[k])
+                except UsageError as exc:
+                    raise ParseError(str(exc), line_no) from None
             target = toks[k + 1]
-            if target not in gens:
+            tgt = gens.get(target)
+            if tgt is None:
                 raise ParseError(f"boundary references unknown generator {target!r}",
                                  line_no)
-            tgt = gens[target]
             if tgt.degree != src.degree - 1:
                 raise ParseError(
                     f"boundary of {source!r} (degree {src.degree}) cannot hit "
                     f"{target!r} (degree {tgt.degree})", line_no)
-            accum.setdefault((src.degree, src.gid), []).append((tgt.gid, coeff))
-    for (degree, gid), entries in accum.items():
-        boundary[degree][gid] = column_from_entries(field, entries)
+            col[tgt.gid] = field.add(col[tgt.gid], coeff) if tgt.gid in col else coeff
+    for (degree, gid), col in accum.items():
+        boundary[degree][gid] = [(r, v) for r, v in sorted(col.items())
+                                 if not field.is_zero(v)]
 
     c = FilteredChainComplex(field, by_degree, boundary)
     c.ensure_valid()
@@ -137,6 +142,7 @@ def serialize_complex(c: FilteredChainComplex, comments: Sequence[str] = ()) -> 
     ordered = sorted(c.all_generators(), key=lambda g: (g.degree, g.filtration, g.gid))
     for g in ordered:
         lines.append(f"gen {g.label()} {g.degree} {g.filtration}")
+    texts: dict = {}  # each distinct coefficient is formatted once
     for g in ordered:
         col = c.column(g.degree, g.gid)
         if not col:
@@ -145,7 +151,10 @@ def serialize_complex(c: FilteredChainComplex, comments: Sequence[str] = ()) -> 
         parts = [f"bnd {g.label()}"]
         # entry order must survive the gid reassignment a reparse performs
         for r, v in sorted(col, key=lambda rv: (below[rv[0]].filtration, rv[0])):
-            parts.append(c.field.format(v))
+            text = texts.get(v)
+            if text is None:
+                text = texts[v] = c.field.format(v)
+            parts.append(text)
             parts.append(below[r].label())
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
@@ -162,18 +171,6 @@ class FilteredSimplicialComplex:
     """
     simplices: tuple  # tuple[(verts tuple, value float)], canonical order
     levels: tuple     # tuple[float]
-
-    def level_of(self, value: float) -> int:
-        lo, hi = 0, len(self.levels)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.levels[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo >= len(self.levels) or self.levels[lo] != value:
-            raise UsageError(f"value {value!r} is not a filtration value")
-        return lo
 
 
 def make_simplicial(simplices) -> FilteredSimplicialComplex:
@@ -231,29 +228,24 @@ def parse_simplicial(text: str) -> FilteredSimplicialComplex:
 
 def simplicial_to_chain(fsc: FilteredSimplicialComplex, field: FieldSpec) -> FilteredChainComplex:
     """One generator per simplex; the usual alternating-sign boundary."""
+    # faces come before their simplex; a column's faces are distinct and its
+    # signs +-1 nonzero in every field, so sorting its entries makes it canonical
+    level = {value: k for k, value in enumerate(fsc.levels)}
+    signs = (field.one, field.normalize(-1))
     by_degree: dict[int, list[Generator]] = {}
-    index: dict[tuple, Generator] = {}
+    boundary: dict[int, list[list]] = {}
+    gid_of: dict[tuple, int] = {}
     for verts, value in fsc.simplices:
         n = len(verts) - 1
-        name = "s" + "_".join(str(v) for v in verts)
-        g = Generator(len(by_degree.setdefault(n, [])), n, fsc.level_of(value), name)
-        by_degree[n].append(g)
-        index[verts] = g
-    boundary: dict[int, list[list]] = {n: [[] for _ in gs] for n, gs in by_degree.items()}
-    minus_one = field.normalize(-1)
-    for verts, _ in fsc.simplices:
-        if len(verts) == 1:
-            continue
-        g = index[verts]
-        entries = []
-        sign = field.one
-        for i in range(len(verts)):
-            face = verts[:i] + verts[i + 1:]
-            if face not in index:
-                raise ClosureError(f"missing face {face!r} of {verts!r}")
-            entries.append((index[face].gid, sign))
-            sign = field.mul(sign, minus_one)
-        boundary[g.degree][g.gid] = column_from_entries(field, entries)
+        gens = by_degree.setdefault(n, [])
+        gid_of[verts] = gid = len(gens)
+        gens.append(Generator(gid, n, level[value], "s" + "_".join(map(str, verts))))
+        if n:
+            try:
+                col = [(gid_of[verts[:i] + verts[i + 1:]], signs[i & 1]) for i in range(n + 1)]
+            except KeyError as exc:
+                raise ClosureError(f"missing face {exc.args[0]!r} of {verts!r}") from None
+            boundary.setdefault(n, []).append(sorted(col))
     c = FilteredChainComplex(field, by_degree, boundary)
     c.ensure_valid()
     return c
@@ -311,6 +303,10 @@ def parse_point_cloud(text: str) -> PointCloud:
         elif toks[0] == "dist":
             if len(toks) != 2:
                 raise ParseError("expected 'dist <n>'", line_no)
+            if expected is not None:
+                raise ParseError("second dist header", line_no)
+            if points:
+                raise ParseError("cannot mix pt lines with a dist matrix", line_no)
             try:
                 expected = parse_int(toks[1])
             except ValueError:
@@ -349,6 +345,8 @@ def rips(pc: PointCloud, max_dim: int, threshold: Optional[float] = None) -> Fil
     simplices: list[tuple[tuple, float]] = [((i,), 0.0) for i in range(n)]
     frontier: list[tuple[tuple, float]] = list(simplices)
     for _ in range(max_dim):
+        if not frontier:  # no simplex of this dimension, so none above it
+            break
         nxt: list[tuple[tuple, float]] = []
         for verts, diam in frontier:
             for v in range(verts[-1] + 1, n):

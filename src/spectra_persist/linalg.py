@@ -19,9 +19,8 @@ in lowest terms, then divided by their content, so no ``Fraction`` is made
 while reducing.  Because the elimination is exhaustive, every reduced
 column is the Fraction one up to a nonzero scalar; :meth:`ColumnReducer.
 scalars` turns a column back into field scalars with a unit lead where a
-caller reads it.  The d∘d check in ``complexes`` accumulates over Q in the
-same integer columns, through :func:`integral` and
-:func:`integer_combination`.
+caller reads it.  The d∘d check in ``complexes`` sums over Q in the same
+integer columns, made by :func:`integral`.
 """
 from __future__ import annotations
 
@@ -100,21 +99,6 @@ def _primitive(col: list) -> list:
         return col
     g = gcd(*[v for _, v in col])
     return col if g == 1 else [(r, v // g) for r, v in col]
-
-
-def integer_combination(coeffs: SparseColumn, cols: list) -> list:
-    """``sum c * col[r]`` over ``(r, c)`` in ``coeffs``, scaled to an integer column.
-
-    ``cols`` holds :func:`integral` of each column; the result is the rational
-    combination times a positive integer, so it is empty exactly when the
-    combination vanishes.
-    """
-    dens = [c.denominator * cols[r][0] for r, c in coeffs]
-    common = lcm(*dens)
-    acc: list = []
-    for (r, c), d in zip(coeffs, dens):
-        acc = _int_axpy(acc, c.numerator * (common // d), cols[r][1])
-    return acc
 
 
 def scale(field: FieldSpec, col: SparseColumn, c: Scalar) -> SparseColumn:

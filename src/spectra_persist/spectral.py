@@ -198,14 +198,13 @@ class PageTable:
         for r, n, s, d in self._cells():
             yield sep.join(("inf" if r == INF else str(r), str(n), str(s), str(d)))
 
+    def json_dims(self) -> Iterator[dict]:
+        """The ``dims`` entries of :meth:`to_json_obj`, made as they are read."""
+        for r, n, s, d in self._cells():
+            yield {"r": "inf" if r == INF else r, "n": n, "s": s, "dim": d}
+
     def to_json_obj(self) -> dict:
-        return {
-            "r_max": self.r_max,
-            "dims": [
-                {"r": "inf" if r == INF else r, "n": n, "s": s, "dim": d}
-                for r, n, s, d in self._cells()
-            ],
-        }
+        return {"r_max": self.r_max, "dims": list(self.json_dims())}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PageTable":

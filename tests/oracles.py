@@ -10,10 +10,12 @@ literal subquotient construction.
 """
 from __future__ import annotations
 
-from spectra_persist.complexes import FilteredChainComplex
-from spectra_persist.errors import InconsistentTableError, InsufficientRMaxError, UsageError
+from spectra_persist.complexes import FilteredChainComplex, Generator, Violation
+from spectra_persist.errors import (ClosureError, InconsistentTableError,
+                                    InsufficientRMaxError, UsageError)
 from spectra_persist.fields import FieldSpec
-from spectra_persist.linalg import SparseMatrix, axpy, kernel, rank
+from spectra_persist.ingest import FilteredSimplicialComplex
+from spectra_persist.linalg import SparseMatrix, axpy, column_from_entries, kernel, rank
 from spectra_persist.persistence import INF, Barcode, BarEntry
 from spectra_persist.spectral import _KernelDims
 
@@ -377,3 +379,64 @@ def dense_pages_direct(c: FilteredChainComplex, r_max: int) -> DensePageTable:
             dims[(r, n, s)] = value(r, n, s)
         dims[(INF, n, s)] = value(c.filtration_span + 1, n, s)
     return DensePageTable(r_max, dims)
+
+
+# -- ingest and validation, one field operation per entry -----------------------
+
+def violations_by_axpy(c: FilteredChainComplex) -> list:
+    """What ``c.validate()`` returns, with d∘d summed by one field ``axpy`` per entry.
+
+    Works in the field's own scalars (``Fraction`` over Q), so it shares
+    neither the integer sums nor the final reduction mod p with ``validate``.
+    """
+    out = []
+    for n in c.degrees():
+        below = c.gens(n - 1)
+        for g in c.gens(n):
+            for r, _ in c.column(n, g.gid):
+                tgt = below[r]
+                if tgt.filtration > g.filtration:
+                    out.append(Violation(
+                        n, g.gid,
+                        f"boundary target {tgt.label()} at level {tgt.filtration} "
+                        f"exceeds source level {g.filtration}"))
+    for n in c.degrees():
+        if n - 1 not in c.generators:
+            continue
+        for g in c.gens(n):
+            acc = []
+            for r, v in c.column(n, g.gid):
+                acc = axpy(c.field, acc, v, c.column(n - 1, r))
+            if acc:
+                out.append(Violation(n, g.gid, f"d∘d ≠ 0 at generator {g.label()}"))
+    return out
+
+
+def simplicial_to_chain_by_entries(fsc: FilteredSimplicialComplex,
+                                   field: FieldSpec) -> FilteredChainComplex:
+    """The chain complex of ``fsc``: every generator first, then each column
+    from its signed faces through ``column_from_entries``, the sign flipped
+    by a field multiplication per face."""
+    by_degree: dict = {}
+    index: dict = {}
+    for verts, value in fsc.simplices:
+        n = len(verts) - 1
+        name = "s" + "_".join(str(v) for v in verts)
+        g = Generator(len(by_degree.setdefault(n, [])), n, fsc.levels.index(value), name)
+        by_degree[n].append(g)
+        index[verts] = g
+    boundary = {n: [[] for _ in gs] for n, gs in by_degree.items()}
+    minus_one = field.normalize(-1)
+    for verts, _ in fsc.simplices:
+        if len(verts) == 1:
+            continue
+        entries, sign = [], field.one
+        for i in range(len(verts)):
+            face = verts[:i] + verts[i + 1:]
+            if face not in index:
+                raise ClosureError(f"missing face {face!r} of {verts!r}")
+            entries.append((index[face].gid, sign))
+            sign = field.mul(sign, minus_one)
+        g = index[verts]
+        boundary[g.degree][g.gid] = column_from_entries(field, entries)
+    return FilteredChainComplex(field, by_degree, boundary)

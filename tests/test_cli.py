@@ -94,6 +94,20 @@ def test_rips_two_points(capsys):
     assert len(gens) == 3
 
 
+def test_rips_max_dim_beyond_the_complex_stops_at_once():
+    # a subprocess with a timeout, so a loop over an empty frontier fails here
+    def rips(max_dim):
+        return subprocess.run(
+            [sys.executable, "-m", "spectra_persist.cli", "rips",
+             str(FIXTURES / "two_points.pts"), "--max-dim", str(max_dim)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+    one, huge = rips(1), rips(10**18)
+    assert one.returncode == huge.returncode == 0 and huge.stderr == ""
+    # only the comment naming max_dim differs
+    assert huge.stdout == one.stdout.replace("max_dim=1,", f"max_dim={10**18},", 1)
+
+
 def test_rips_pipe_to_barcode(capsys, monkeypatch):
     code, out, _ = run(capsys, "rips", FIXTURES / "circle8.pts",
                        "--max-dim", "2", "--threshold", "1.6", "--field", "2")

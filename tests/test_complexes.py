@@ -2,14 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectra_persist.complexes import FilteredChainComplex, homology_dims_by_level
 from spectra_persist.errors import InvalidComplexError, UsageError
 from spectra_persist.fields import PrimeField, RationalField
-from spectra_persist.randomgen import permute_generators, random_complex
+from spectra_persist.randomgen import permute_generators, random_complex, random_nonzero_scalar
 
 from helpers import full_triangle, model_pair, triangle
-from oracles import dense_rank
+from oracles import dense_rank, violations_by_axpy
 
 Q = RationalField()
 GF2 = PrimeField(2)
@@ -62,6 +63,41 @@ def test_dd_over_q_is_exact_in_fractional_parts(eps, broken):
                (-(Fraction(1, 2) + eps), "e3")]})
     reasons = [v.reason for v in c.validate()]
     assert reasons == (["d∘d ≠ 0 at generator t"] if broken else [])
+    assert c.validate() == violations_by_axpy(c)
+
+
+@pytest.mark.parametrize("last, broken", [(4, False), (3, True)])
+def test_dd_over_gf5_reduces_each_row_mod_p(last, broken):
+    # d∘d(t) = (2*3 + last*1) a: 10 a is zero in GF(5) though the integer sum is not
+    gf5 = PrimeField(5)
+    c = FilteredChainComplex.from_named(
+        gf5, [("a", 0, 0), ("e1", 1, 0), ("e2", 1, 0), ("t", 2, 0)],
+        {"e1": [(3, "a")], "e2": [(1, "a")], "t": [(2, "e1"), (last, "e2")]})
+    reasons = [v.reason for v in c.validate()]
+    assert reasons == (["d∘d ≠ 0 at generator t"] if broken else [])
+    assert c.validate() == violations_by_axpy(c)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 40),
+       field=st.sampled_from([GF2, PrimeField(5), PrimeField(32003), Q]))
+def test_validate_matches_the_axpy_oracle(seed, size, field):
+    # a random complex passes; a copy with one coefficient moved by a nonzero
+    # amount (dropped when it reaches zero) fails where the oracle says
+    rng = random.Random(seed)
+    c = random_complex(rng, size, field)
+    assert c.validate() == violations_by_axpy(c) == []
+    entries = [(n, j, k) for n in c.degrees() for j, col in enumerate(c.boundary[n])
+               for k in range(len(col))]
+    if not entries:
+        return
+    n, j, k = rng.choice(entries)
+    boundary = {m: [list(col) for col in cols] for m, cols in c.boundary.items()}
+    r, v = boundary[n][j][k]
+    w = field.add(v, random_nonzero_scalar(rng, field))
+    boundary[n][j][k:k + 1] = [] if field.is_zero(w) else [(r, w)]
+    changed = FilteredChainComplex(field, c.generators, boundary)
+    assert changed.validate() == violations_by_axpy(changed)
 
 
 def test_associated_graded_drops_level_jumps():

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from spectra_persist.persistence import INF, Barcode, BarEntry, decompose
 from spectra_persist.randomgen import corpus_fields, random_complex
 from spectra_persist.spectral import pages_direct
 
-from oracles import barcode_by_rank
+from oracles import barcode_by_rank, simplicial_to_chain_by_entries
 
 FIXTURES = Path(__file__).parent / "fixtures"
 Q = RationalField()
@@ -59,6 +60,21 @@ def test_boundary_lines_accumulate():
     text = "gen a 1 1\ngen b 0 0\ngen c 0 0\nbnd a 1 b\nbnd a 2/1 c -1 b\n"
     c = parse_complex(text, Q)
     assert c.column(1, 0) == [(1, Q.normalize(2))]  # b cancels to zero
+
+
+@pytest.mark.parametrize("field, good, bad, message", [
+    (Q, ("1", "-1", "2/3"), "1/0", "'1/0' is not a rational scalar"),
+    (PrimeField(5), ("1", "4", "-1"), "1_0", "'1_0' is not a GF(5) scalar"),
+])
+def test_bad_coefficient_names_its_line_after_good_repeats(field, good, bad, message):
+    gens = "gen a 0 0\ngen b 0 0\n" + "".join(f"gen e{k} 1 0\n" for k in range(5))
+    lines = [f"bnd e{k} {good[k % len(good)]} a {good[(k + 1) % len(good)]} b"
+             for k in range(4)]
+    lines.append(f"bnd e4 {good[0]} a {bad} b")
+    text = gens + "\n".join(lines) + "\n" + f"bnd e0 {bad} a\n"
+    with pytest.raises(ParseError) as err:
+        parse_complex(text, field)
+    assert err.value.line_no == 7 + 5 and str(err.value) == f"line 12: {message}"
 
 
 def test_serialize_parse_round_trip():
@@ -159,6 +175,41 @@ def test_triangle_with_face_has_dsq_zero():
     assert c.homology_dim(1) == 0
 
 
+def random_simplicial_text(rng: random.Random) -> str:
+    """simp lines of a random face-closed complex, vertices sometimes left implicit."""
+    values = {}
+    for _ in range(rng.randint(1, 8)):
+        top = tuple(sorted(rng.sample(range(7), rng.randint(1, 4))))
+        for k in range(1, len(top) + 1):
+            for face in combinations(top, k):
+                values.setdefault(face, rng.choice([0.0, 0.5, 1.0, 2.5]))
+    for verts in sorted(values, key=len):  # no face after its cofaces
+        for face in combinations(verts, len(verts) - 1):
+            values[verts] = max(values[verts], values.get(face, 0.0))
+    lines = [f"simp {value} {' '.join(map(str, verts))}" for verts, value in values.items()
+             if len(verts) > 1 or rng.random() < 0.5]
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), source=st.sampled_from(["rips", "simp"]),
+       field=st.sampled_from([GF2, PrimeField(3), Q]))
+def test_simplicial_to_chain_matches_the_entry_oracle(seed, source, field):
+    rng = random.Random(seed)
+    if source == "rips":
+        pts = [(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(rng.randint(1, 9))]
+        fsc = rips(PointCloud.from_points(pts), max_dim=rng.randint(0, 3),
+                   threshold=rng.choice([None, 0.8, 1.5]))
+    else:
+        fsc = parse_simplicial(random_simplicial_text(rng))
+    c = simplicial_to_chain(fsc, field)
+    expected = simplicial_to_chain_by_entries(fsc, field)
+    assert c.generators == expected.generators
+    assert c.boundary == expected.boundary
+    assert c.validate() == []
+
+
 def test_rips_two_points():
     pc = parse_point_cloud((FIXTURES / "two_points.pts").read_text())
     fsc = rips(pc, max_dim=1, threshold=2.0)
@@ -231,3 +282,14 @@ def test_point_cloud_validation():
         parse_point_cloud("dist 2\n0 1\n")  # short matrix
     with pytest.raises(ParseError):
         parse_point_cloud("")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dist 2\n0 1\n1 0\ndist 2\n", "line 4: second dist header"),
+    ("dist 2\n0 1\ndist 1\n1 0\n", "line 3: second dist header"),
+    ("pt 0 0\npt 5 5\ndist 2\n0 1\n1 0\n", "line 3: cannot mix pt lines with a dist matrix"),
+])
+def test_point_cloud_takes_one_dist_header_and_no_points_with_it(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_point_cloud(text)
+    assert str(err.value) == message

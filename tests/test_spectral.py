@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -566,4 +567,47 @@ def test_pages_streams_its_lines(monkeypatch, tmp_path):
         tracemalloc.stop()
     assert code == 0 and sink.tail.endswith(f"\ninf 0 {span} 1\nDIFF: none\n")
     assert sink.lines == 2 * (1 + 2 * (span + 1) + 2) + 3
+    assert peak < 2_000_000
+
+
+class HashSink(io.TextIOBase):
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        return len(text)
+
+
+def test_pages_json_is_written_as_it_is_encoded(monkeypatch, tmp_path):
+    # the same bytes as json.dumps of the whole envelope, which for this
+    # 5 * 10**4 span held 2 * (5 * 10**4 + 2) cell dicts per table; the
+    # traced peak is taken for one engine, as tracing makes the run 10x slower
+    span = 5 * 10**4
+    path = tmp_path / "span.fcc"
+    path.write_text(f"gen a 0 0\ngen b 0 {span}\n")
+    c = two_bars(span)
+    tables = {"barcode_engine": pages_from_barcode(decompose(c)[1], span + 1),
+              "direct_engine": pages_direct(c, span + 1)}
+    envelopes = {
+        "barcode": {"format": "spectra-persist/1", "kind": "pages",
+                    **tables["barcode_engine"].to_json_obj()},
+        "both": {"format": "spectra-persist/1", "kind": "pages-both",
+                 **{key: t.to_json_obj() for key, t in tables.items()}, "diff": []}}
+    expected = {engine: hashlib.sha256((json.dumps(obj, indent=2) + "\n").encode()).hexdigest()
+                for engine, obj in envelopes.items()}
+    del envelopes, tables
+    for engine, traced in (("both", False), ("barcode", True)):
+        sink = HashSink()
+        monkeypatch.setattr("sys.stdout", sink)
+        if traced:
+            tracemalloc.start()
+        try:
+            code = main(["pages", str(path), "--engine", engine, "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.sha.hexdigest() == expected[engine]
     assert peak < 2_000_000
