@@ -3,34 +3,41 @@
 Exact coefficients (GF(p) or the rationals), a column-reduction interval
 decomposition, two independent page engines, and the identities that let
 either structure be recovered from the other.
+
+The names below load their module on first use (PEP 562), so a process
+pays only for the modules it touches.
 """
-from .complexes import FilteredChainComplex, Generator, Violation, homology_dims_by_level
-from .errors import (ClosureError, InconsistentTableError, InsufficientRMaxError,
-                     InvalidComplexError, PageTableError, ParseError, UsageError)
-from .fields import FieldSpec, PrimeField, RationalField, Scalar, field_from_text
-from .ingest import (FilteredSimplicialComplex, PointCloud, make_simplicial,
-                     parse_complex, parse_point_cloud, parse_simplicial, rips,
-                     serialize_complex, simplicial_to_chain)
-from .linalg import SparseMatrix, axpy, kernel, rank
-from .persistence import (INF, Barcode, BarEntry, Pair, Pairing, betti, decompose,
-                          multiplicity)
-from .randomgen import permute_generators, random_complex
-from .spectral import (CheckResult, PageTable, VerifyReport, collapse_page,
-                       pages_direct, pages_from_barcode, parse_page_table,
-                       recover_barcode, verify)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Barcode", "BarEntry", "CheckResult", "ClosureError", "FieldSpec",
-    "FilteredChainComplex", "FilteredSimplicialComplex", "Generator", "INF",
-    "InconsistentTableError", "InsufficientRMaxError", "InvalidComplexError",
-    "PageTable", "PageTableError", "Pair", "Pairing", "ParseError", "PointCloud",
-    "PrimeField", "RationalField", "Scalar", "SparseMatrix", "UsageError",
-    "VerifyReport", "Violation", "axpy", "betti", "collapse_page",
-    "decompose", "field_from_text", "homology_dims_by_level", "kernel",
-    "make_simplicial", "multiplicity", "pages_direct", "pages_from_barcode",
-    "parse_complex", "parse_page_table", "parse_point_cloud", "parse_simplicial",
-    "permute_generators", "random_complex", "rank", "recover_barcode", "rips",
-    "serialize_complex", "simplicial_to_chain", "verify",
-]
+_HOMES = {
+    "complexes": ("FilteredChainComplex", "Generator", "Violation", "homology_dims_by_level"),
+    "errors": ("ClosureError", "InconsistentTableError", "InsufficientRMaxError",
+               "InvalidComplexError", "PageTableError", "ParseError", "UsageError"),
+    "fields": ("FieldSpec", "PrimeField", "RationalField", "Scalar", "field_from_text"),
+    "ingest": ("FilteredSimplicialComplex", "PointCloud", "make_simplicial", "parse_complex",
+               "parse_point_cloud", "parse_simplicial", "rips", "serialize_complex",
+               "simplicial_to_chain"),
+    "linalg": ("SparseMatrix", "axpy", "kernel", "rank"),
+    "persistence": ("INF", "Barcode", "BarEntry", "Pair", "Pairing", "betti", "decompose",
+                    "multiplicity"),
+    "randomgen": ("permute_generators", "random_complex"),
+    "spectral": ("CheckResult", "PageTable", "VerifyReport", "collapse_page", "pages_direct",
+                 "pages_from_barcode", "parse_page_table", "recover_barcode", "verify"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name: str):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

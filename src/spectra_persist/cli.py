@@ -7,11 +7,13 @@ error (parse or validation failures, failed verification), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
-import random
 import sys
 from itertools import islice
+from math import inf as INF
+from typing import TYPE_CHECKING
 
 from .complexes import FilteredChainComplex
 from .errors import (ClosureError, InvalidComplexError, PageTableError,
@@ -19,10 +21,12 @@ from .errors import (ClosureError, InvalidComplexError, PageTableError,
 from .fields import field_from_text, parse_int
 from .ingest import (_data_lines, _real, parse_complex, parse_point_cloud,
                      parse_simplicial, rips, serialize_complex, simplicial_to_chain)
-from .persistence import INF, Barcode, betti, decompose
-from .randomgen import random_complex
-from .spectral import (PageTable, pages_direct, pages_from_barcode,
-                       parse_page_table, recover_barcode, verify)
+
+# persistence, spectral and randomgen are imported by the commands that run
+# them, so a process loads only what its command needs
+if TYPE_CHECKING:
+    from .persistence import Barcode
+    from .spectral import PageTable
 
 JSON_FORMAT = "spectra-persist/1"
 
@@ -42,8 +46,10 @@ def _read_text(path: str) -> str:
 def _load_complex(args) -> FilteredChainComplex:
     field = field_from_text(args.field)
     if getattr(args, "random", None) is not None:
-        rng = random.Random(args.seed)
-        return random_complex(rng, args.random, field)
+        from random import Random
+
+        from .randomgen import random_complex
+        return random_complex(Random(args.seed), args.random, field)
     if args.input is None:
         raise UsageError("an input path (or '-') is required unless --random is given")
     text = _read_text(args.input)
@@ -109,7 +115,7 @@ def _emit_json(obj) -> None:
 
 
 def _table_json(p: PageTable) -> dict:
-    """:meth:`PageTable.to_json_obj`, with the cells made as they are written."""
+    """The JSON object of a page table, with the cells made as they are written."""
     return {"r_max": p.r_max, "dims": _Streamed(p.json_dims)}
 
 
@@ -134,6 +140,7 @@ def _barcode_json(b: Barcode) -> dict:
 
 
 def cmd_barcode(args) -> int:
+    from .persistence import decompose
     c = _load_complex(args)
     _, b = decompose(c)
     if args.format == "json":
@@ -144,6 +151,8 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_pages(args) -> int:
+    from .persistence import decompose
+    from .spectral import pages_direct, pages_from_barcode
     c = _load_complex(args)
     r_max = _default_r_max(args, c)
     tables = {}
@@ -189,6 +198,7 @@ def cmd_pages(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .spectral import verify
     c = _load_complex(args)
     r_max = _default_r_max(args, c)
     report = verify(c, r_max)
@@ -231,6 +241,7 @@ def cmd_rips(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    from .spectral import PageTable, parse_page_table, recover_barcode
     text = _read_text(args.input)
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -254,6 +265,7 @@ def cmd_recover(args) -> int:
 
 
 def cmd_betti(args) -> int:
+    from .persistence import betti, decompose
     c = _load_complex(args)
     _, b = decompose(c)
     print(betti(b, args.n, args.i, args.j))
@@ -342,6 +354,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # One command, then exit: the library builds no reference cycles, so the
+    # cyclic collector would only rescan the generators, columns and tuples
+    # ingest keeps alive.  main() called in-process leaves the collector on.
+    gc.disable()
     sys.exit(main())
 
 

@@ -20,9 +20,8 @@ lower bound on the filtration hold automatically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InvalidComplexError, UsageError
 from .fields import FieldSpec, RationalField
@@ -31,8 +30,7 @@ from .linalg import (SparseColumn, SparseMatrix, axpy, column_from_entries,
                      integral, rank)
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     gid: int
     degree: int
     filtration: int
@@ -42,8 +40,7 @@ class Generator:
         return self.name if self.name is not None else f"g{self.degree}_{self.gid}"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     degree: int
     gid: int
     reason: str

@@ -7,7 +7,6 @@ coerced between fields, a mismatch is a :class:`UsageError`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -59,9 +58,46 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class FieldSpec:
+class Record:
+    """Base of the package's validated value classes.
+
+    A subclass lists its fields in ``__slots__`` and sets them once, in
+    ``__init__``, through ``object.__setattr__``; after that an assignment
+    raises AttributeError.  Equality and hash go by the field values (only
+    between instances of one class), and the repr is ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FieldSpec(Record):
     """Interface shared by :class:`PrimeField` and :class:`RationalField`."""
 
+    __slots__ = ()
     zero: Scalar
     one: Scalar
 
@@ -101,15 +137,15 @@ class FieldSpec:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class PrimeField(FieldSpec):
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p >= _MR_BOUND:
-            raise UsageError(f"modulus {self.p} is too large (at most {_MR_BOUND - 1})")
-        if not _is_prime(self.p):
-            raise UsageError(f"modulus {self.p} is not prime")
+    def __init__(self, p: int):
+        if p >= _MR_BOUND:
+            raise UsageError(f"modulus {p} is too large (at most {_MR_BOUND - 1})")
+        if not _is_prime(p):
+            raise UsageError(f"modulus {p} is not prime")
+        object.__setattr__(self, "p", p)
 
     @property
     def zero(self) -> int:
@@ -165,8 +201,8 @@ class PrimeField(FieldSpec):
         return f"GF({self.p})"
 
 
-@dataclass(frozen=True)
 class RationalField(FieldSpec):
+    __slots__ = ()
     # Fraction keeps lowest terms and a positive denominator, which is
     # exactly the canonical form; ints are accepted and promoted.
 

@@ -27,9 +27,8 @@ line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .complexes import FilteredChainComplex, Generator
 from .errors import ClosureError, ParseError, UsageError
@@ -162,8 +161,7 @@ def serialize_complex(c: FilteredChainComplex, comments: Sequence[str] = ()) -> 
 
 # -- simplicial complexes ------------------------------------------------------
 
-@dataclass(frozen=True)
-class FilteredSimplicialComplex:
+class FilteredSimplicialComplex(NamedTuple):
     """Simplices with real filtration values, closed under faces.
 
     ``levels`` lists the distinct values in increasing order; a simplex's

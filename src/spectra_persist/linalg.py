@@ -24,12 +24,11 @@ integer columns, made by :func:`integral`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import UsageError
-from .fields import FieldSpec, RationalField, Scalar
+from .fields import FieldSpec, RationalField, Record, Scalar
 
 SparseColumn = list  # list[tuple[int, Scalar]], rows strictly increasing
 
@@ -119,20 +118,20 @@ def column_from_entries(field: FieldSpec, entries) -> SparseColumn:
     return [(r, acc[r]) for r in sorted(acc) if not field.is_zero(acc[r])]
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    n_rows: int
-    columns: list  # list[SparseColumn]
+class SparseMatrix(Record):
+    __slots__ = ("n_rows", "columns")  # columns: list[SparseColumn]
 
-    def __post_init__(self):
-        for col in self.columns:
+    def __init__(self, n_rows: int, columns: list):
+        for col in columns:
             prev = -1
             for r, _ in col:
-                if not 0 <= r < self.n_rows:
-                    raise UsageError(f"row {r} out of range for {self.n_rows} rows")
+                if not 0 <= r < n_rows:
+                    raise UsageError(f"row {r} out of range for {n_rows} rows")
                 if r <= prev:
                     raise UsageError("column rows must be strictly increasing")
                 prev = r
+        object.__setattr__(self, "n_rows", n_rows)
+        object.__setattr__(self, "columns", columns)
 
     @property
     def n_cols(self) -> int:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .complexes import FilteredChainComplex, Generator
 from .errors import UsageError
+from .fields import Record
 from .linalg import ColumnReducer, SparseColumn
 
 INF = math.inf
@@ -28,16 +28,25 @@ INF = math.inf
 Lifetime = Union[int, float]  # positive int, or math.inf
 
 
-@dataclass(frozen=True)
-class BarEntry:
-    degree: int
-    birth: int
-    lifetime: Lifetime
+class BarEntry(Record):
+    __slots__ = ("degree", "birth", "lifetime")
 
-    def __post_init__(self):
-        ok = self.lifetime == INF or (isinstance(self.lifetime, int) and self.lifetime >= 1)
-        if not ok:
-            raise UsageError(f"lifetime must be a positive integer or inf, got {self.lifetime!r}")
+    def __init__(self, degree: int, birth: int, lifetime: Lifetime):
+        if not (lifetime == INF or (isinstance(lifetime, int) and lifetime >= 1)):
+            raise UsageError(f"lifetime must be a positive integer or inf, got {lifetime!r}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "birth", birth)
+        object.__setattr__(self, "lifetime", lifetime)
+
+    # bars are dict keys in every barcode, so these two skip Record's generic ones
+    def __eq__(self, other):
+        if other.__class__ is not BarEntry:
+            return NotImplemented
+        return ((self.degree, self.birth, self.lifetime)
+                == (other.degree, other.birth, other.lifetime))
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.birth, self.lifetime))
 
     @property
     def is_essential(self) -> bool:
@@ -71,10 +80,6 @@ class Barcode:
     def degrees(self) -> list[int]:
         return sorted({e.degree for e in self._counts})
 
-    def essential_count(self, degree: int) -> int:
-        return sum(m for e, m in self._counts.items()
-                   if e.degree == degree and e.is_essential)
-
     def __len__(self) -> int:
         return sum(self._counts.values())
 
@@ -92,8 +97,7 @@ class Barcode:
         return f"Barcode[{inner}]"
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(NamedTuple):
     """A reduction pair: d(death) hits `birth` after a lifetime-level gap.
 
     `cycle` is the reduced boundary of `death` (unit coefficient at the
@@ -110,8 +114,7 @@ class Pair:
         return self.lifetime == 0
 
 
-@dataclass
-class Pairing:
+class Pairing(NamedTuple):
     essentials: list  # list[Generator]
     pairs: list       # list[Pair]
 

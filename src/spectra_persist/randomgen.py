@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .complexes import FilteredChainComplex, Generator
-from .fields import FieldSpec, PrimeField, RationalField, Scalar
+from .fields import FieldSpec, PrimeField, Scalar
 from .linalg import SparseMatrix, axpy, kernel
 
 DEGREES = (-1, 3)          # inclusive range of generator degrees
@@ -88,8 +88,3 @@ def permute_generators(rng: random.Random, c: FilteredChainComplex) -> FilteredC
                 (remap[r], v) for r, v in c.column(n, g.gid))
         new_boundary[n] = cols
     return FilteredChainComplex(c.field, new_gens, new_boundary)
-
-
-def corpus_fields() -> list[FieldSpec]:
-    """The coefficient fields exercised by the randomized test corpora."""
-    return [PrimeField(2), PrimeField(5), PrimeField(32003), RationalField()]

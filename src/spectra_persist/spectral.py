@@ -43,10 +43,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .complexes import FilteredChainComplex, homology_dims_by_level
 from .errors import (InconsistentTableError, InsufficientRMaxError, ParseError,
@@ -199,27 +198,34 @@ class PageTable:
             yield sep.join(("inf" if r == INF else str(r), str(n), str(s), str(d)))
 
     def json_dims(self) -> Iterator[dict]:
-        """The ``dims`` entries of :meth:`to_json_obj`, made as they are read."""
+        """The ``dims`` entries of the JSON object ``{"r_max": ..., "dims": [...]}``
+        that ``pages --format json`` writes, made as they are read."""
         for r, n, s, d in self._cells():
             yield {"r": "inf" if r == INF else r, "n": n, "s": s, "dim": d}
 
-    def to_json_obj(self) -> dict:
-        return {"r_max": self.r_max, "dims": list(self.json_dims())}
-
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "PageTable":
-        """Inverse of :meth:`to_json_obj`; a malformed object is a ParseError.
+    def from_json_obj(cls, obj) -> "PageTable":
+        """The table of a decoded JSON object ``{"r_max": ..., "dims": [...]}``
+        with :meth:`json_dims` entries; a malformed object is a ParseError.
 
         Numbers must be JSON integers (not booleans, floats or strings),
         except that ``r`` may be ``"inf"``.
         """
+        if not isinstance(obj, dict):
+            raise ParseError("bad page table JSON: the top level is not an object")
+        cells = obj.get("dims", [])
+        if not isinstance(cells, list):
+            raise ParseError("bad page table JSON: dims is not a list")
+        for k, c in enumerate(cells):
+            if not isinstance(c, dict):
+                raise ParseError(f"bad page table JSON: dims[{k}] is not an object")
         try:  # the constructor checks the rest; _check_int keeps out JSON's Infinity
             dims = {(INF if c["r"] == "inf" else _check_int(c["r"]), c["n"], c["s"]): c["dim"]
-                    for c in obj.get("dims", ())}
+                    for c in cells}
             return cls(obj["r_max"], dims)
         except KeyError as exc:
             raise ParseError(f"page table JSON lacks key {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"bad page table JSON: {exc}") from None
 
 
@@ -293,8 +299,7 @@ def pages_from_barcode(b: Barcode, r_max: int) -> PageTable:
 
 # -- engine 2: pages straight from the complex -------------------------------
 
-@dataclass
-class _Degree:
+class _Degree(NamedTuple):
     """One degree's boundary matrix, reduced once for the zeta counts."""
     col_levels: list  # filtration of each column, nondecreasing
     row_levels: list  # filtration of each row one degree below, nondecreasing
@@ -480,15 +485,13 @@ def recover_barcode(p: PageTable, s_min: int) -> Barcode:
     return Barcode(counts)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     checks: list  # list[CheckResult]
 
     @property

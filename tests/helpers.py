@@ -1,10 +1,27 @@
-"""Model complexes shared across test modules."""
+"""Model complexes and small readers shared across test modules."""
 from __future__ import annotations
 
 from spectra_persist.complexes import FilteredChainComplex
-from spectra_persist.fields import RationalField
+from spectra_persist.fields import PrimeField, RationalField
+from spectra_persist.persistence import Barcode
+from spectra_persist.spectral import PageTable
 
 Q = RationalField()
+
+
+def corpus_fields() -> list:
+    """The coefficient fields exercised by the randomized test corpora."""
+    return [PrimeField(2), PrimeField(5), PrimeField(32003), RationalField()]
+
+
+def essential_count(b: Barcode, degree: int) -> int:
+    """Essential bars of one degree, counted with multiplicity."""
+    return sum(m for e, m in b.entries() if e.degree == degree and e.is_essential)
+
+
+def to_json_obj(table: PageTable) -> dict:
+    """The JSON object ``pages --format json`` writes for one table."""
+    return {"r_max": table.r_max, "dims": list(table.json_dims())}
 
 
 def model_pair(field, n=0, s=2, m=3) -> FilteredChainComplex:

@@ -1,12 +1,18 @@
+import gc
+import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import spectra_persist
 from spectra_persist.cli import main
+from spectra_persist.errors import ParseError
+from spectra_persist.spectral import PageTable
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -246,6 +252,23 @@ def test_recover_malformed_json_is_a_data_error(capsys, tmp_path, text):
     assert_one_line_data_error(*run(capsys, "recover", table))
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"r_max": 2, "dims": [[1, 0, 0, 1]]}', "dims[0] is not an object"),
+    ('{"r_max": 2, "dims": [{"r": 1, "n": 0, "s": 0, "dim": 1}, 7]}', "dims[1] is not an object"),
+    ('{"r_max": 2, "dims": {"a": 1}}', "dims is not a list"),
+], ids=["entry-is-a-list", "second-entry-is-a-number", "dims-is-an-object"])
+def test_recover_json_of_the_wrong_shape_names_the_bad_item(capsys, tmp_path, text, message):
+    table = tmp_path / "pages.json"
+    table.write_text(text)
+    code, out, err = run(capsys, "recover", table)
+    assert_one_line_data_error(code, out, err)
+    assert err == f"error: bad page table JSON: {message}\n"
+    # a top level other than an object never reaches the JSON reader from the
+    # CLI (it is read as the line format), but the library call names it
+    with pytest.raises(ParseError, match="the top level is not an object"):
+        PageTable.from_json_obj([json.loads(text)])
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
 def test_rips_non_finite_threshold_is_a_usage_error(capsys, threshold):
     code, out, err = run(capsys, "rips", FIXTURES / "circle8.pts",
@@ -349,3 +372,104 @@ def test_simplicial_input_autodetected(capsys, tmp_path):
     lines = out.splitlines()
     assert "0 0 inf 1" in lines
     assert "1 1 1 1" in lines  # loop born at level 1 dies at level 2
+
+
+def garbage_per_command(capsys, tmp_path, points, complex_text) -> list:
+    """Run every command in-process with the cyclic collector off, as the
+    console entry point does; list what ``gc.collect()`` finds after each."""
+    cx, pages = tmp_path / "complex.fcc", tmp_path / "pages.json"
+    cx.write_text(complex_text)
+    pages.write_text(run(capsys, "pages", cx, "--format", "json")[1])
+    commands = [["rips", points, "--max-dim", "2"],
+                ["barcode", cx], ["barcode", cx, "--format", "json"],
+                ["verify", cx], ["verify", cx, "--format", "json"],
+                ["pages", cx, "--engine", "both"],
+                ["pages", cx, "--engine", "both", "--format", "json"],
+                ["recover", pages], ["betti", cx, "--n", "0", "--i", "0", "--j", "1"],
+                ["barcode", FIXTURES / "broken_dsq.fcc"]]
+    gc.collect()
+    gc.disable()
+    try:
+        found = []
+        for argv in commands:
+            code = run(capsys, *argv)[0]
+            found.append((argv[0], code, gc.collect()))
+        return found
+    finally:
+        gc.enable()
+
+
+def test_commands_leave_no_garbage_that_grows_with_the_input(capsys, tmp_path):
+    rng = random.Random(7)
+    cloud = tmp_path / "cloud.pts"
+    cloud.write_text("".join(f"pt {(i % 6 + rng.random()) / 6} {(i // 6 + rng.random()) / 5}\n"
+                             for i in range(30)))
+    code, rips_text, _ = run(capsys, "rips", cloud, "--max-dim", "2", "--threshold", "0.45")
+    assert code == 0 and rips_text.count("\ngen ") > 500
+    small = tmp_path / "small"
+    large = tmp_path / "large"
+    small.mkdir()
+    large.mkdir()
+    triangle = (FIXTURES / "triangle.fcc").read_text()
+    garbage_per_command(capsys, small, FIXTURES / "two_points.pts", triangle)  # warm-up
+    found = garbage_per_command(capsys, small, FIXTURES / "two_points.pts", triangle)
+    assert [code for _, code, _ in found] == [0] * 9 + [1]
+    # argparse's parser holds cycles: a few hundred objects per command, whatever the input
+    assert found == garbage_per_command(capsys, large, cloud, rips_text)
+
+
+# loads the CLI as ``python -m spectra_persist.cli`` does, runs one command and
+# lists every module then loaded on the last line of stderr
+LIST_MODULES = ("import sys\n"
+                "from spectra_persist.cli import main\n"
+                "code = main(sys.argv[1:])\n"
+                "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+                "sys.exit(code)\n")
+
+
+@pytest.mark.parametrize("argv, needed, absent", [
+    (["rips", FIXTURES / "circle8.pts"], ["ingest"], ["spectral", "persistence", "randomgen"]),
+    (["barcode", FIXTURES / "triangle.fcc"], ["persistence"], ["spectral", "randomgen"]),
+    (["betti", FIXTURES / "triangle.fcc", "--n", "0", "--i", "0", "--j", "1"], ["persistence"],
+     ["spectral", "randomgen"]),
+    (["verify", FIXTURES / "triangle.fcc"], ["spectral"], ["randomgen"]),
+], ids=["rips", "barcode", "betti", "verify"])
+def test_a_command_loads_only_the_modules_it_runs(argv, needed, absent):
+    proc = subprocess.run([sys.executable, "-c", LIST_MODULES, *map(str, argv)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert {f"spectra_persist.{m}" for m in needed} <= loaded
+    assert not {f"spectra_persist.{m}" for m in absent} & loaded
+    assert "dataclasses" not in loaded
+
+
+PUBLIC = {
+    "complexes": ["FilteredChainComplex", "Generator", "Violation", "homology_dims_by_level"],
+    "errors": ["ClosureError", "InconsistentTableError", "InsufficientRMaxError",
+               "InvalidComplexError", "PageTableError", "ParseError", "UsageError"],
+    "fields": ["FieldSpec", "PrimeField", "RationalField", "Scalar", "field_from_text"],
+    "ingest": ["FilteredSimplicialComplex", "PointCloud", "make_simplicial", "parse_complex",
+               "parse_point_cloud", "parse_simplicial", "rips", "serialize_complex",
+               "simplicial_to_chain"],
+    "linalg": ["SparseMatrix", "axpy", "kernel", "rank"],
+    "persistence": ["INF", "Barcode", "BarEntry", "Pair", "Pairing", "betti", "decompose",
+                    "multiplicity"],
+    "randomgen": ["permute_generators", "random_complex"],
+    "spectral": ["CheckResult", "PageTable", "VerifyReport", "collapse_page", "pages_direct",
+                 "pages_from_barcode", "parse_page_table", "recover_barcode", "verify"],
+}
+
+
+def test_every_public_name_resolves_to_its_home_module():
+    assert sorted(spectra_persist.__all__) == sorted(n for ns in PUBLIC.values() for n in ns)
+    star: dict = {}
+    exec("from spectra_persist import *", star)
+    for module, names in PUBLIC.items():
+        home = importlib.import_module(f"spectra_persist.{module}")
+        for name in names:
+            assert getattr(spectra_persist, name) is getattr(home, name), name
+            assert star[name] is getattr(home, name), name
+    with pytest.raises(AttributeError):
+        spectra_persist.no_such_name

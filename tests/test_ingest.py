@@ -12,9 +12,10 @@ from spectra_persist.ingest import (PointCloud, make_simplicial, parse_complex,
                                     parse_point_cloud, parse_simplicial, rips,
                                     serialize_complex, simplicial_to_chain)
 from spectra_persist.persistence import INF, Barcode, BarEntry, decompose
-from spectra_persist.randomgen import corpus_fields, random_complex
+from spectra_persist.randomgen import random_complex
 from spectra_persist.spectral import pages_direct
 
+from helpers import corpus_fields
 from oracles import barcode_by_rank, simplicial_to_chain_by_entries
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -2,7 +2,9 @@ import hashlib
 import random
 
 from spectra_persist.fields import PrimeField
-from spectra_persist.randomgen import corpus_fields, permute_generators, random_complex
+from spectra_persist.randomgen import permute_generators, random_complex
+
+from helpers import corpus_fields
 
 
 def test_generated_complexes_are_valid():

@@ -16,12 +16,12 @@ from spectra_persist.fields import PrimeField, RationalField
 from spectra_persist.ingest import PointCloud, parse_complex, rips, simplicial_to_chain
 from spectra_persist.linalg import ColumnReducer, rank
 from spectra_persist.persistence import INF, Barcode, BarEntry, decompose
-from spectra_persist.randomgen import corpus_fields, random_complex
+from spectra_persist.randomgen import random_complex
 from spectra_persist.spectral import (PageTable, _KernelDims, collapse_page,
                                       pages_direct, pages_from_barcode,
                                       parse_page_table, recover_barcode, verify)
 
-from helpers import model_essential, model_pair, triangle
+from helpers import corpus_fields, model_essential, model_pair, to_json_obj, triangle
 from oracles import (DensePageTable, collapse_page_dense, dense_pages_direct,
                      dense_pages_from_barcode, pages_direct_spans, persistent_betti,
                      recover_barcode_dense)
@@ -400,7 +400,7 @@ def test_page_table_serialization_round_trip():
     for table in (model_table(), pages_from_barcode(TRIANGLE_BAR, 2), PageTable(3, {})):
         text = "\n".join(table.to_lines())
         assert parse_page_table(text) == table
-        assert PageTable.from_json_obj(table.to_json_obj()) == table
+        assert PageTable.from_json_obj(to_json_obj(table)) == table
 
 
 def test_page_table_parse_errors():
@@ -423,7 +423,7 @@ def page_tables(draw):
 def test_page_table_text_and_json_round_trips(table):
     assert parse_page_table("\n".join(table.to_lines())) == table
     assert parse_page_table("\n".join(table.to_lines("\t"))) == table
-    obj = json.loads(json.dumps(table.to_json_obj()))
+    obj = json.loads(json.dumps(to_json_obj(table)))
     assert PageTable.from_json_obj(obj) == table
 
 
@@ -483,7 +483,7 @@ def test_run_table_reads_like_the_dense_oracle(pair, data):
                 == [dense.row_total(r, n) for r in pages])
     assert runs.cells() == dense.cells()
     assert list(runs.to_lines("\t")) == dense.to_lines("\t")
-    assert runs.to_json_obj()["dims"] == [
+    assert to_json_obj(runs)["dims"] == [
         {"r": "inf" if r == INF else r, "n": n, "s": s, "dim": d}
         for r, n, s, d in dense.cells()]
     # a nearby table: a few cells bumped, r_max moved by at most one
@@ -593,9 +593,9 @@ def test_pages_json_is_written_as_it_is_encoded(monkeypatch, tmp_path):
               "direct_engine": pages_direct(c, span + 1)}
     envelopes = {
         "barcode": {"format": "spectra-persist/1", "kind": "pages",
-                    **tables["barcode_engine"].to_json_obj()},
+                    **to_json_obj(tables["barcode_engine"])},
         "both": {"format": "spectra-persist/1", "kind": "pages-both",
-                 **{key: t.to_json_obj() for key, t in tables.items()}, "diff": []}}
+                 **{key: to_json_obj(t) for key, t in tables.items()}, "diff": []}}
     expected = {engine: hashlib.sha256((json.dumps(obj, indent=2) + "\n").encode()).hexdigest()
                 for engine, obj in envelopes.items()}
     del envelopes, tables
