@@ -119,34 +119,28 @@ def _table_json(p: PageTable) -> dict:
     return {"r_max": p.r_max, "dims": _Streamed(p.json_dims)}
 
 
-def _barcode_lines(b: Barcode, sep: str = " ") -> list[str]:
-    out = []
-    for entry, mult in b.entries():
-        m = "inf" if entry.is_essential else str(entry.lifetime)
-        out.append(sep.join((str(entry.degree), str(entry.birth), m, str(mult))))
-    return out
-
-
-def _barcode_json(b: Barcode) -> dict:
-    return {
-        "format": JSON_FORMAT,
-        "kind": "barcode",
-        "entries": [
-            {"n": e.degree, "s": e.birth,
-             "m": "inf" if e.is_essential else e.lifetime, "multiplicity": mult}
-            for e, mult in b.entries()
-        ],
-    }
+def _emit_barcode(b: Barcode, fmt: str) -> None:
+    """Write a barcode in the ``--format`` of ``barcode`` and ``recover``."""
+    if fmt == "json":
+        _emit_json({
+            "format": JSON_FORMAT,
+            "kind": "barcode",
+            "entries": [
+                {"n": e.degree, "s": e.birth,
+                 "m": "inf" if e.is_essential else e.lifetime, "multiplicity": mult}
+                for e, mult in b.entries()
+            ],
+        })
+        return
+    sep = "\t" if fmt == "tsv" else " "
+    _emit(sep.join(map(str, (e.degree, e.birth, "inf" if e.is_essential else e.lifetime, mult)))
+          for e, mult in b.entries())
 
 
 def cmd_barcode(args) -> int:
     from .persistence import decompose
     c = _load_complex(args)
-    _, b = decompose(c)
-    if args.format == "json":
-        _emit_json(_barcode_json(b))
-    else:
-        _emit(_barcode_lines(b, "\t" if args.format == "tsv" else " "))
+    _emit_barcode(decompose(c)[1], args.format)
     return 0
 
 
@@ -256,11 +250,7 @@ def cmd_recover(args) -> int:
     if s_min is None:
         support = table.support()
         s_min = min((s for _, s in support), default=0)
-    b = recover_barcode(table, s_min)
-    if args.format == "json":
-        _emit_json(_barcode_json(b))
-    else:
-        _emit(_barcode_lines(b, "\t" if args.format == "tsv" else " "))
+    _emit_barcode(recover_barcode(table, s_min), args.format)
     return 0
 
 

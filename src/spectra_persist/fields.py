@@ -4,11 +4,15 @@ Scalars are plain Python values: canonical residues (``int`` in ``[0, p)``)
 for a prime field and ``fractions.Fraction`` for the rationals.  A field
 object supplies the arithmetic and the canonical form; values are never
 coerced between fields, a mismatch is a :class:`UsageError`.
+
+The fields, like every record type of the package, are ``NamedTuple``
+subclasses, immutable and equal by value.  One with checks runs them in
+``__new__``; :func:`checked` sends ``_make``, copy and pickle through it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import UsageError
 
@@ -58,43 +62,20 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class Record:
-    """Base of the package's validated value classes.
-
-    A subclass lists its fields in ``__slots__`` and sets them once, in
-    ``__init__``, through ``object.__setattr__``; after that an assignment
-    raises AttributeError.  Equality and hash go by the field values (only
-    between instances of one class), and the repr is ``Name(field=value, ...)``.
-    """
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({args})"
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return type(self), self._fields()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+def is_int(a) -> bool:
+    """True for an ``int`` that is not a ``bool``."""
+    return isinstance(a, int) and not isinstance(a, bool)
 
 
-class FieldSpec(Record):
+def checked(record: type) -> type:
+    """Class decorator for a NamedTuple subclass that checks its values in
+    ``__new__``: ``_make`` (so ``_replace``), copy and pickle build through it."""
+    record._make = classmethod(lambda cls, values: cls(*values))
+    record.__reduce__ = lambda self: (type(self), tuple(self))
+    return record
+
+
+class FieldSpec:
     """Interface shared by :class:`PrimeField` and :class:`RationalField`."""
 
     __slots__ = ()
@@ -137,31 +118,26 @@ class FieldSpec(Record):
         raise NotImplementedError
 
 
-class PrimeField(FieldSpec):
-    __slots__ = ("p",)
+@checked
+class PrimeField(NamedTuple("PrimeField", [("p", int)]), FieldSpec):
+    __slots__ = ()
+    zero = 0
+    one = 1
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
         if p >= _MR_BOUND:
             raise UsageError(f"modulus {p} is too large (at most {_MR_BOUND - 1})")
         if not _is_prime(p):
             raise UsageError(f"modulus {p} is not prime")
-        object.__setattr__(self, "p", p)
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
+        return super().__new__(cls, p)
 
     def normalize(self, a) -> int:
-        if isinstance(a, bool) or not isinstance(a, int):
+        if not is_int(a):
             raise UsageError(f"{a!r} is not a GF({self.p}) scalar")
         return a % self.p
 
     def check(self, a) -> int:
-        if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < self.p:
+        if not is_int(a) or not 0 <= a < self.p:
             raise UsageError(f"{a!r} is not a canonical GF({self.p}) residue")
         return a
 
@@ -201,23 +177,20 @@ class PrimeField(FieldSpec):
         return f"GF({self.p})"
 
 
-class RationalField(FieldSpec):
-    __slots__ = ()
+class RationalField(NamedTuple("RationalField", []), FieldSpec):
     # Fraction keeps lowest terms and a positive denominator, which is
     # exactly the canonical form; ints are accepted and promoted.
+    __slots__ = ()
+    zero = Fraction(0)
+    one = Fraction(1)
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def __bool__(self) -> bool:  # a field is true, though it has no fields
+        return True
 
     def normalize(self, a) -> Fraction:
         if type(a) is Fraction:  # immutable and already in lowest terms
             return a
-        if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
+        if not (is_int(a) or isinstance(a, Fraction)):
             raise UsageError(f"{a!r} is not a rational scalar")
         return Fraction(a)
 

@@ -262,6 +262,8 @@ class PointCloud:
             if dists[i][i] != 0.0:
                 raise UsageError(f"nonzero diagonal at {i}")
             for j in range(i + 1, n):
+                if not math.isfinite(dists[i][j]):  # finite points can be too far apart
+                    raise UsageError(f"non-finite distance at ({i}, {j})")
                 if dists[i][j] != dists[j][i]:
                     raise UsageError(f"asymmetric distances at ({i}, {j})")
                 if dists[i][j] < 0:

@@ -10,25 +10,30 @@ needed to track them.  The same reducer drives the persistence pairing and
 the direct page engine, so a bug in it cannot hide behind a second
 implementation.
 
-The reducer picks its column kernel once, from the field.  Over GF(p) it
-eliminates with :func:`axpy` on canonical residues: they are already small
-ints, so there is no ``Fraction`` cost to remove, and ``perfbench`` traces
-and counts the field calls made there.  Over Q it holds columns as primitive integer vectors,
-``col <- a*col - b*pivot`` with ``a/b`` the pivot's lead over the hit entry
-in lowest terms, then divided by their content, so no ``Fraction`` is made
-while reducing.  Because the elimination is exhaustive, every reduced
-column is the Fraction one up to a nonzero scalar; :meth:`ColumnReducer.
-scalars` turns a column back into field scalars with a unit lead where a
-caller reads it.  The d∘d check in ``complexes`` sums over Q in the same
-integer columns, made by :func:`integral`.
+One loop, :meth:`ColumnReducer.reduce`, does every elimination, for every
+field: it scans the column from the top for its highest entry on a pivot
+row and clears it, until there is none.  The field decides only that
+clearing step, through a flag the reducer sets once, from the field.  Over
+GF(p) the step is :func:`axpy` on canonical residues: they are already
+small ints, so there is no ``Fraction`` cost to remove, and ``perfbench``
+traces and counts the field calls made there.  Over Q columns are primitive
+integer vectors and the step is :func:`_int_eliminate`, ``col <- a*col -
+b*pivot`` with ``a/b`` the pivot's lead over the hit entry in lowest terms,
+then divided by their content, so no ``Fraction`` is made while reducing.
+Because the elimination is exhaustive, every reduced column is the
+Fraction one up to a nonzero scalar; :meth:`ColumnReducer.scalars` turns a
+column back into field scalars with a unit lead where a caller reads it.
+The d∘d check in ``complexes`` sums over Q in the same integer columns,
+made by :func:`integral`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import UsageError
-from .fields import FieldSpec, RationalField, Record, Scalar
+from .fields import FieldSpec, RationalField, Scalar, checked
 
 SparseColumn = list  # list[tuple[int, Scalar]], rows strictly increasing
 
@@ -100,10 +105,14 @@ def _primitive(col: list) -> list:
     return col if g == 1 else [(r, v // g) for r, v in col]
 
 
-def scale(field: FieldSpec, col: SparseColumn, c: Scalar) -> SparseColumn:
-    if field.is_zero(c):
-        return []
-    return [(r, field.mul(c, v)) for r, v in col]
+def _int_eliminate(col: list, v: int, pivot: list) -> list:
+    """Clear the entry ``v`` of a primitive ``col`` on ``pivot``'s lead row."""
+    lead = pivot[-1][1]
+    g = gcd(lead, v)
+    a = lead // g
+    if a != 1:
+        col = [(r, a * x) for r, x in col]
+    return _primitive(_int_axpy(col, -(v // g), pivot))
 
 
 def column_from_entries(field: FieldSpec, entries) -> SparseColumn:
@@ -118,10 +127,11 @@ def column_from_entries(field: FieldSpec, entries) -> SparseColumn:
     return [(r, acc[r]) for r in sorted(acc) if not field.is_zero(acc[r])]
 
 
-class SparseMatrix(Record):
-    __slots__ = ("n_rows", "columns")  # columns: list[SparseColumn]
+@checked
+class SparseMatrix(NamedTuple("SparseMatrix", [("n_rows", int), ("columns", list)])):
+    __slots__ = ()  # columns: list[SparseColumn]
 
-    def __init__(self, n_rows: int, columns: list):
+    def __new__(cls, n_rows: int, columns: list):
         for col in columns:
             prev = -1
             for r, _ in col:
@@ -130,8 +140,7 @@ class SparseMatrix(Record):
                 if r <= prev:
                     raise UsageError("column rows must be strictly increasing")
                 prev = r
-        object.__setattr__(self, "n_rows", n_rows)
-        object.__setattr__(self, "columns", columns)
+        return super().__new__(cls, n_rows, columns)
 
     @property
     def n_cols(self) -> int:
@@ -159,25 +168,9 @@ class ColumnReducer:
 
     def reduce(self, col: SparseColumn) -> SparseColumn:
         """Eliminate every entry of ``col`` on a pivot row (over Q, as integers)."""
-        if self._integral:
-            return self._reduce_integral(col)
-        field = self.field
-        pivots = self.pivots
-        while col:
-            hit = None
-            for idx in range(len(col) - 1, -1, -1):
-                r, v = col[idx]
-                if r in pivots:
-                    hit = (r, v)
-                    break
-            if hit is None:
-                return col
-            col = axpy(field, col, field.neg(hit[1]), pivots[hit[0]])
-        return col
-
-    def _reduce_integral(self, col: SparseColumn) -> list:
-        col = _primitive(integral(col)[1])
-        pivots = self.pivots
+        field, pivots, over_q = self.field, self.pivots, self._integral
+        if over_q:
+            col = _primitive(integral(col)[1])
         while col:
             for idx in range(len(col) - 1, -1, -1):
                 r, v = col[idx]
@@ -185,13 +178,10 @@ class ColumnReducer:
                     break
             else:
                 return col
-            pivot = pivots[r]
-            lead = pivot[-1][1]
-            g = gcd(lead, v)
-            a = lead // g
-            if a != 1:
-                col = [(r, a * x) for r, x in col]
-            col = _primitive(_int_axpy(col, -(v // g), pivot))
+            if over_q:
+                col = _int_eliminate(col, v, pivots[r])
+            else:
+                col = axpy(field, col, field.neg(v), pivots[r])
         return col
 
     def add_pivot(self, col: SparseColumn) -> int:
@@ -201,8 +191,10 @@ class ColumnReducer:
             # a positive lead makes a = 1 whenever it divides the hit entry
             if lead < 0:
                 col = [(r, -v) for r, v in col]
-        elif not self.field.is_zero(self.field.sub(lead, self.field.one)):
-            col = scale(self.field, col, self.field.inv(lead))
+        elif lead != 1:
+            field = self.field
+            c = field.inv(lead)
+            col = [(r, field.mul(c, v)) for r, v in col]
         self.pivots[row] = col
         return row
 

@@ -11,6 +11,9 @@ as diagnostics.
 
 The resulting barcode is independent of input order and of the tie-break;
 the pairing and its cycle witnesses are not.
+
+``BarEntry``, ``Pair`` and ``Pairing`` are ``NamedTuple`` records; a
+``BarEntry`` checks its lifetime however it is made.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from typing import NamedTuple, Union
 
 from .complexes import FilteredChainComplex, Generator
 from .errors import UsageError
-from .fields import Record
+from .fields import checked
 from .linalg import ColumnReducer, SparseColumn
 
 INF = math.inf
@@ -28,33 +31,24 @@ INF = math.inf
 Lifetime = Union[int, float]  # positive int, or math.inf
 
 
-class BarEntry(Record):
-    __slots__ = ("degree", "birth", "lifetime")
+@checked
+class BarEntry(NamedTuple("BarEntry", [("degree", int), ("birth", int),
+                                       ("lifetime", Lifetime)])):
+    """A bar: born at level ``birth`` in ``degree``, alive for ``lifetime`` levels.
 
-    def __init__(self, degree: int, birth: int, lifetime: Lifetime):
+    Tuple order is the barcode's order: by degree, then birth, then
+    lifetime, with ``inf`` after every finite lifetime.
+    """
+    __slots__ = ()
+
+    def __new__(cls, degree: int, birth: int, lifetime: Lifetime):
         if not (lifetime == INF or (isinstance(lifetime, int) and lifetime >= 1)):
             raise UsageError(f"lifetime must be a positive integer or inf, got {lifetime!r}")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "birth", birth)
-        object.__setattr__(self, "lifetime", lifetime)
-
-    # bars are dict keys in every barcode, so these two skip Record's generic ones
-    def __eq__(self, other):
-        if other.__class__ is not BarEntry:
-            return NotImplemented
-        return ((self.degree, self.birth, self.lifetime)
-                == (other.degree, other.birth, other.lifetime))
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.birth, self.lifetime))
+        return super().__new__(cls, degree, birth, lifetime)
 
     @property
     def is_essential(self) -> bool:
         return self.lifetime == INF
-
-    def sort_key(self):
-        return (self.degree, self.birth, self.lifetime == INF,
-                0 if self.lifetime == INF else self.lifetime)
 
 
 class Barcode:
@@ -72,16 +66,10 @@ class Barcode:
                     self._counts[entry] = mult
 
     def entries(self) -> list[tuple[BarEntry, int]]:
-        return sorted(self._counts.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self._counts.items())
 
     def count(self, entry: BarEntry) -> int:
         return self._counts.get(entry, 0)
-
-    def degrees(self) -> list[int]:
-        return sorted({e.degree for e in self._counts})
-
-    def __len__(self) -> int:
-        return sum(self._counts.values())
 
     def __bool__(self) -> bool:
         return bool(self._counts)

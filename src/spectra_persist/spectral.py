@@ -50,15 +50,11 @@ from typing import Iterator, Mapping, NamedTuple, Optional
 from .complexes import FilteredChainComplex, homology_dims_by_level
 from .errors import (InconsistentTableError, InsufficientRMaxError, ParseError,
                      UsageError)
-from .fields import parse_int
+from .fields import is_int, parse_int
 from .linalg import ColumnReducer
 from .persistence import INF, Barcode, BarEntry, betti, decompose, multiplicity
 
 PageIndex = float  # int >= 1, or math.inf
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _at(runs: list, r: PageIndex) -> int:
@@ -80,7 +76,7 @@ class PageTable:
 
     def __init__(self, r_max: int, dims: Mapping = ()):
         """A table from a dense mapping {(r, n, s): dim}; absent keys are zero."""
-        if not _is_int(r_max) or r_max < 1:
+        if not is_int(r_max) or r_max < 1:
             raise UsageError(f"r_max must be a positive integer, got {r_max!r}")
         self.r_max = r_max
         cells: dict = {}
@@ -97,11 +93,11 @@ class PageTable:
         self._runs: dict[tuple[int, int], list] = {}
         deltas: dict[int, dict] = {}  # degree -> page -> change of the row total
         for (n, s), points in steps.items():
-            if not (_is_int(n) and _is_int(s)):
+            if not (is_int(n) and is_int(s)):
                 raise UsageError(f"cell (n={n!r}, s={s!r}) is not indexed by integers")
             runs, delta = [], deltas.setdefault(n, {})
             for r, d in points:
-                if not _is_int(d):
+                if not is_int(d):
                     raise UsageError(f"dimension {d!r} at (r={r}, n={n}, s={s}) "
                                      "is not an integer")
                 if d < 0:
@@ -121,7 +117,7 @@ class PageTable:
     def _check_r(self, r: PageIndex) -> None:
         if r == INF:
             return
-        if not _is_int(r) or not 1 <= r <= self.r_max:
+        if not is_int(r) or not 1 <= r <= self.r_max:
             raise UsageError(f"page index {r!r} outside 1..{self.r_max} and inf")
 
     def dim(self, r: PageIndex, n: int, s: int) -> int:
@@ -220,8 +216,10 @@ class PageTable:
             if not isinstance(c, dict):
                 raise ParseError(f"bad page table JSON: dims[{k}] is not an object")
         try:  # the constructor checks the rest; _check_int keeps out JSON's Infinity
-            dims = {(INF if c["r"] == "inf" else _check_int(c["r"]), c["n"], c["s"]): c["dim"]
-                    for c in cells}
+            dims: dict = {}
+            for c in cells:
+                r = INF if c["r"] == "inf" else _check_int(c["r"])
+                _put_cell(dims, (r, c["n"], c["s"]), c["dim"])
             return cls(obj["r_max"], dims)
         except KeyError as exc:
             raise ParseError(f"page table JSON lacks key {exc}") from None
@@ -229,8 +227,17 @@ class PageTable:
             raise ParseError(f"bad page table JSON: {exc}") from None
 
 
+def _put_cell(dims: dict, key: tuple, dim, line_no: Optional[int] = None) -> None:
+    """Add a parsed cell (r, n, s) to ``dims``; a second one is a ParseError."""
+    if key in dims:
+        r, n, s = key
+        raise ParseError(f"repeated page cell (r={'inf' if r == INF else r}, n={n}, s={s})",
+                         line_no)
+    dims[key] = dim
+
+
 def _check_int(value) -> int:
-    if not _is_int(value):
+    if not is_int(value):
         raise ValueError(f"{value!r} is not an integer")
     return value
 
@@ -249,6 +256,8 @@ def parse_page_table(text: str) -> PageTable:
         if line.startswith("#"):
             parts = line[1:].split()
             if len(parts) == 2 and parts[0] == "r_max":
+                if r_max is not None:
+                    raise ParseError("second r_max comment", line_no)
                 try:
                     r_max = parse_int(parts[1])
                 except ValueError:
@@ -264,7 +273,7 @@ def parse_page_table(text: str) -> PageTable:
             n, s, d = map(parse_int, parts[1:])
         except ValueError:
             raise ParseError(f"bad page cell {line!r}", line_no) from None
-        dims[(r, n, s)] = d
+        _put_cell(dims, (r, n, s), d, line_no)
     if r_max is None:
         finite = [r for (r, _, _) in dims if r != INF]
         r_max = max(finite) if finite else 1

@@ -269,6 +269,24 @@ def test_recover_json_of_the_wrong_shape_names_the_bad_item(capsys, tmp_path, te
         PageTable.from_json_obj([json.loads(text)])
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("recover", "# r_max 3\n1 0 0 1\n1 0 0 2\n", "line 3: repeated page cell (r=1, n=0, s=0)"),
+    ("recover", "# r_max 3\n1 0 0 2\n1 0 0 1\n", "line 3: repeated page cell (r=1, n=0, s=0)"),
+    ("recover", '{"r_max": 2, "dims": [{"r": "inf", "n": 0, "s": 0, "dim": 1},'
+                ' {"r": "inf", "n": 0, "s": 0, "dim": 1}]}',
+     "bad page table JSON: repeated page cell (r=inf, n=0, s=0)"),
+    ("recover", "# r_max 5\n# r_max 1\n", "line 2: second r_max comment"),
+    ("rips", "pt -1e308 0\npt 1e308 0\npt 1.7e308 0\n", "non-finite distance at (0, 1)"),
+], ids=["cell-then-larger", "cell-then-smaller", "json-cell", "r_max", "overflowing-distance"])
+def test_repeated_page_data_and_overflowing_distances_are_data_errors(capsys, tmp_path,
+                                                                      command, text, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out, err = run(capsys, command, path)
+    assert_one_line_data_error(code, out, err)
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
 def test_rips_non_finite_threshold_is_a_usage_error(capsys, threshold):
     code, out, err = run(capsys, "rips", FIXTURES / "circle8.pts",

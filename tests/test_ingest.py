@@ -285,6 +285,15 @@ def test_point_cloud_validation():
         parse_point_cloud("")
 
 
+def test_a_distance_that_overflows_is_a_data_error():
+    # each coordinate is finite, but two distances are beyond the largest float
+    with pytest.raises(ParseError, match=r"^non-finite distance at \(0, 1\)$"):
+        parse_point_cloud("pt -1e308 0\npt 1e308 0\npt 1.7e308 0\n")
+    for bad in (math.inf, math.nan):  # NaN used to read as an asymmetry
+        with pytest.raises(UsageError, match=r"^non-finite distance at \(0, 1\)$"):
+            PointCloud.from_distances([[0, bad], [bad, 0]])
+
+
 @pytest.mark.parametrize("text, message", [
     ("dist 2\n0 1\n1 0\ndist 2\n", "line 4: second dist header"),
     ("dist 2\n0 1\ndist 1\n1 0\n", "line 3: second dist header"),

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from spectra_persist import linalg
 from spectra_persist.errors import UsageError
 from spectra_persist.fields import PrimeField, RationalField
 from spectra_persist.linalg import SparseMatrix, axpy, kernel, rank
@@ -170,3 +171,35 @@ def test_q_rank_and_kernel_match_dense_oracles_under_column_scaling():
         assert rank(scaled, Q) == dense_rank(dense, Q), trial
         want = [[(j, v) for j, v in enumerate(vec) if v] for vec in dense_kernel(dense, Q)]
         assert kernel(scaled, Q).columns == want, trial
+
+
+@pytest.mark.parametrize("field", [GF2, PrimeField(5), PrimeField(32003), Q], ids=str)
+def test_rank_and_kernel_match_dense_oracles(field, monkeypatch):
+    # some columns are combinations of earlier ones, so the reducer has to
+    # eliminate down to zero and the kernels are not all trivial; each
+    # elimination clears the column's highest pivot row and adds rows only
+    # below it, so a column takes at most n_rows of them
+    rng = random.Random(str(field))
+    step = "_int_axpy" if field == Q else "axpy"
+    eliminate, budget = getattr(linalg, step), [0]
+
+    def counted(*args):
+        budget[0] -= 1
+        assert budget[0] >= 0, "the elimination loop does not clear its pivot rows"
+        return eliminate(*args)
+    monkeypatch.setattr(linalg, step, counted)
+    for trial in range(60):
+        m = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 8), field)
+        cols = []
+        for col in m.columns:
+            if len(cols) >= 2 and rng.random() < 0.4:
+                a, b = rng.sample(cols, 2)
+                col = axpy(field, a, field.normalize(rng.randint(1, 3)) or field.one, b)
+            cols.append(col)
+        dense = [[dict(col).get(r, field.zero) for col in cols] for r in range(m.n_rows)]
+        m = SparseMatrix(m.n_rows, cols)
+        budget[0] = m.n_cols * m.n_rows
+        assert rank(m, field) == dense_rank(dense, field), trial
+        want = [[(j, v) for j, v in enumerate(vec) if v] for vec in dense_kernel(dense, field)]
+        budget[0] = m.n_cols * m.n_rows
+        assert kernel(m, field).columns == want, trial

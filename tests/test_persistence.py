@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectra_persist.complexes import FilteredChainComplex
 from spectra_persist.errors import InvalidComplexError, UsageError
@@ -229,3 +230,15 @@ def test_barcode_matches_inclusion_exclusion_oracle():
         c = random_complex(rng, rng.randint(3, 16), field)
         _, b = decompose(c)
         assert b == barcode_by_rank(c), trial
+
+
+def _bar_order(e):  # birth order, finite lifetimes ascending, essentials last
+    return (e.degree, e.birth, e.lifetime == INF, 0 if e.lifetime == INF else e.lifetime)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.builds(BarEntry, st.integers(0, 3), st.integers(-3, 3),
+                          st.one_of(st.integers(1, 10 ** 20), st.just(INF))), max_size=30))
+def test_barcode_entries_sort_bars_with_essentials_last(bars):
+    b = Barcode({e: bars.count(e) for e in bars})
+    assert [e for e, _ in b.entries()] == sorted(set(bars), key=_bar_order)

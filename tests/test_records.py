@@ -67,3 +67,32 @@ def test_field_equality_does_not_cross_field_types():
 def test_records_keep_their_construction_checks(make, message):
     with pytest.raises(UsageError, match=message.replace("(", r"\(")):
         make()
+
+
+@pytest.mark.parametrize("record, name, bad, message", [
+    (PrimeField(5), "p", 4, "modulus 4 is not prime"),
+    (BarEntry(0, 0, 1), "lifetime", 0, "lifetime must be a positive integer or inf, got 0"),
+    (SparseMatrix(2, [[(1, 1)]]), "n_rows", 1, "row 1 out of range for 1 rows"),
+    (SparseMatrix(2, [[(1, 1)]]), "columns", [[(1, 1), (0, 1)]],
+     "column rows must be strictly increasing"),
+], ids=["PrimeField", "BarEntry", "SparseMatrix-rows", "SparseMatrix-columns"])
+def test_make_replace_copy_and_pickle_keep_the_construction_checks(record, name, bad,
+                                                                    message):
+    values = [bad if field == name else value for field, value in zip(record._fields, record)]
+    match = message.replace("(", r"\(")
+    with pytest.raises(UsageError, match=match):
+        type(record)._make(values)
+    with pytest.raises(UsageError, match=match):
+        record._replace(**{name: bad})
+    assert type(record)._make(record) == record and record._replace() == record
+    forged = tuple.__new__(type(record), values)  # what no constructor lets through
+    for rebuild in [copy.copy, copy.deepcopy] + [
+            lambda r, proto=proto: pickle.loads(pickle.dumps(r, proto))
+            for proto in range(pickle.HIGHEST_PROTOCOL + 1)]:
+        with pytest.raises(UsageError, match=match):
+            rebuild(forged)
+        assert rebuild(record) == record
+
+
+def test_fields_are_true():
+    assert bool(RationalField()) and bool(PrimeField(2))

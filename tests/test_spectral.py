@@ -410,6 +410,29 @@ def test_page_table_parse_errors():
         parse_page_table("one 2 3 4")
 
 
+@pytest.mark.parametrize("first, second", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("r", [1, "inf"])
+def test_a_repeated_page_cell_is_a_parse_error(first, second, r):
+    # whichever value comes last, the table is refused, in either format
+    text = f"# r_max 3\n{r} 0 0 {first}\n2 1 0 1\n{r} 0 0 {second}\n"
+    with pytest.raises(ParseError) as err:
+        parse_page_table(text)
+    assert str(err.value) == f"line 4: repeated page cell (r={r}, n=0, s=0)"
+    obj = {"r_max": 3, "dims": [{"r": r, "n": 0, "s": 0, "dim": first},
+                                {"r": 2, "n": 1, "s": 0, "dim": 1},
+                                {"r": r, "n": 0, "s": 0, "dim": second}]}
+    with pytest.raises(ParseError) as err:
+        PageTable.from_json_obj(obj)
+    assert str(err.value) == f"bad page table JSON: repeated page cell (r={r}, n=0, s=0)"
+
+
+@pytest.mark.parametrize("first, second", [(5, 1), (1, 5)])
+def test_a_second_r_max_comment_is_a_parse_error(first, second):
+    with pytest.raises(ParseError) as err:
+        parse_page_table(f"# r_max {first}\n1 0 0 1\n# r_max {second}\n")
+    assert str(err.value) == "line 3: second r_max comment"
+
+
 @st.composite
 def page_tables(draw):
     r_max = draw(st.integers(1, 6))
