@@ -234,13 +234,25 @@ def cmd_rips(args) -> int:
     return 0
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` for ``json.loads``: a repeated key is a ParseError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"bad page table JSON: repeated key {key[:40]!r}")
+            seen.add(key)
+    return obj
+
+
 def cmd_recover(args) -> int:
     from .spectral import PageTable, parse_page_table, recover_barcode
     text = _read_text(args.input)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            obj = json.loads(stripped)
+            obj = json.loads(stripped, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ParseError("page table JSON is nested too deeply") from None
         table = PageTable.from_json_obj(obj)

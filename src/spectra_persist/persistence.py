@@ -12,6 +12,19 @@ as diagnostics.
 The resulting barcode is independent of input order and of the tie-break;
 the pairing and its cycle witnesses are not.
 
+Most columns of the top degree reduce to zero, and a bound skips many of
+them unreduced.  A reduced column of d_n is a boundary, so a cycle, and
+the rows of d_n are in the order the columns of d_(n-1) were reduced,
+(filtration, id).  So the pivot row of a nonzero reduced column is an
+open positive row: a generator whose own column of d_(n-1) reduced to
+zero and that no earlier column of d_n has paired, i.e. one still among
+the essential candidates.  This is the lemma behind clearing (Chen &
+Kerber, "Persistent homology computation with a twist", EuroCG 2011;
+Bauer, Kerber & Reininghaus, "Clear and Compress", 2014).  A column whose
+last row comes before the first open row therefore reduces to zero and is
+skipped; the first open row only moves forward.  The bound needs d∘d = 0,
+which ``ensure_valid`` checks first, and that shared order of rows.
+
 ``BarEntry``, ``Pair`` and ``Pairing`` are ``NamedTuple`` records; a
 ``BarEntry`` checks its lifetime however it is made.
 """
@@ -126,8 +139,13 @@ def decompose(c: FilteredChainComplex) -> tuple[Pairing, Barcode]:
         order = sorted(range(len(targets)), key=lambda i: (targets[i].filtration, i))
         pos_of = {gid: k for k, gid in enumerate(order)}
         reducer = ColumnReducer(field)
+        open_row = 0  # first row still an essential candidate (module docstring)
         for w in sorted(c.gens(n), key=lambda g: (g.filtration, g.gid)):
             col = sorted(((pos_of[r], v) for r, v in c.column(n, w.gid)))
+            while open_row < len(order) and (n - 1, order[open_row]) not in survivors:
+                open_row += 1
+            if not col or col[-1][0] < open_row:
+                continue  # reduces to zero: w stays an essential candidate
             col = reducer.reduce(col)
             if not col:
                 continue  # w stays an essential candidate

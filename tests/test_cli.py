@@ -277,7 +277,15 @@ def test_recover_json_of_the_wrong_shape_names_the_bad_item(capsys, tmp_path, te
      "bad page table JSON: repeated page cell (r=inf, n=0, s=0)"),
     ("recover", "# r_max 5\n# r_max 1\n", "line 2: second r_max comment"),
     ("rips", "pt -1e308 0\npt 1e308 0\npt 1.7e308 0\n", "non-finite distance at (0, 1)"),
-], ids=["cell-then-larger", "cell-then-smaller", "json-cell", "r_max", "overflowing-distance"])
+    # json.loads alone keeps the last of two equal keys: an empty barcode, r_max 1
+    ("recover", '{"r_max": 3, "dims": [{"r": 1, "n": 0, "s": 0, "dim": 1},'
+                ' {"r": "inf", "n": 0, "s": 0, "dim": 1}], "dims": []}',
+     "bad page table JSON: repeated key 'dims'"),
+    ("recover", '{"r_max": 5, "r_max": 1, "dims": []}', "bad page table JSON: repeated key 'r_max'"),
+    ("recover", '{"r_max": 2, "dims": [{"r": 1, "n": 0, "s": 0, "dim": 1, "dim": 2}]}',
+     "bad page table JSON: repeated key 'dim'"),
+], ids=["cell-then-larger", "cell-then-smaller", "json-cell", "r_max", "overflowing-distance",
+        "json-dims-key", "json-r_max-key", "json-dim-key"])
 def test_repeated_page_data_and_overflowing_distances_are_data_errors(capsys, tmp_path,
                                                                       command, text, message):
     path = tmp_path / "input"

@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 from spectra_persist.complexes import FilteredChainComplex
 from spectra_persist.errors import InvalidComplexError, UsageError
 from spectra_persist.fields import PrimeField, RationalField
+from spectra_persist.ingest import PointCloud, rips, simplicial_to_chain
+from spectra_persist.linalg import ColumnReducer, rank
 from spectra_persist.persistence import (INF, Barcode, BarEntry, betti,
                                          decompose, multiplicity)
 from spectra_persist.randomgen import permute_generators, random_complex
+from spectra_persist.spectral import verify
 
 from helpers import corpus_fields, essential_count, model_essential, model_pair, triangle
 from oracles import barcode_by_rank, persistent_betti
@@ -242,3 +245,68 @@ def _bar_order(e):  # birth order, finite lifetimes ascending, essentials last
 def test_barcode_entries_sort_bars_with_essentials_last(bars):
     b = Barcode({e: bars.count(e) for e in bars})
     assert [e for e, _ in b.entries()] == sorted(set(bars), key=_bar_order)
+
+
+# -- the open-row bound: columns skipped because they must reduce to zero -----
+
+def _grid_rips(rows: int, cols: int, field):
+    """Rips complex (max_dim 2, threshold 2) on a rows x cols integer grid: 4 levels."""
+    pts = [(x, y) for x in range(rows) for y in range(cols)]
+    return simplicial_to_chain(rips(PointCloud.from_points(pts), 2, 2.0), field)
+
+
+def _count_reduce_calls(monkeypatch) -> list:
+    calls = []
+    reduce = ColumnReducer.reduce
+
+    def counted(self, col):
+        calls.append(col)
+        return reduce(self, col)
+
+    monkeypatch.setattr(ColumnReducer, "reduce", counted)
+    return calls
+
+
+def test_decompose_skips_columns_below_the_first_open_row(monkeypatch):
+    c = _grid_rips(5, 6, GF2)
+    calls = _count_reduce_calls(monkeypatch)
+    pairing, _ = decompose(c)
+    assert len(calls) < sum(1 for n in c.degrees() for g in c.gens(n) if c.column(n, g.gid))
+    # a skipped column is never a pair: there is still one pair per unit of rank
+    assert len(pairing.pairs) == sum(rank(c.boundary_matrix(n), GF2) for n in c.degrees())
+
+
+@pytest.mark.parametrize("field", corpus_fields(), ids=str)
+def test_bounded_decompose_matches_rank_oracle_on_a_rips_complex(field):
+    c = _grid_rips(3, 4, field)
+    _, b = decompose(c)
+    assert b == barcode_by_rank(c)
+    assert verify(c, c.filtration_span + 1).all_passed
+
+
+@pytest.mark.parametrize("gens, bnd, bars, reduced", [
+    # an essential loop on the first row of degree 1 keeps every column open
+    ([("loop", 1, 0), ("e", 1, 0), ("f", 2, 1), ("g", 2, 2)],
+     {"f": [(1, "e")], "g": [(1, "e")]},
+     {(1, 0, INF): 1, (1, 0, 1): 1, (2, 2, INF): 1}, 2),
+    # without it, f closes the only row and g is skipped
+    ([("e", 1, 0), ("f", 2, 1), ("g", 2, 2)],
+     {"f": [(1, "e")], "g": [(1, "e")]},
+     {(1, 0, 1): 1, (2, 2, INF): 1}, 1),
+    # no degree 1: degree 2 has no rows, every degree-2 row is positive for d_3
+    ([("a", 0, 0), ("b", 0, 1), ("t", 2, 1), ("u", 2, 3), ("w", 3, 4)],
+     {"w": [(1, "u")]},
+     {(0, 0, INF): 1, (0, 1, INF): 1, (2, 1, INF): 1, (2, 3, 1): 1}, 1),
+    # an empty column among nonempty ones stays essential, unreduced
+    ([("a", 0, 0), ("b", 0, 0), ("e", 1, 1), ("z", 1, 2), ("y", 1, 3)],
+     {"e": [(-1, "a"), (1, "b")], "y": [(-1, "a"), (1, "b")]},
+     {(0, 0, INF): 1, (0, 0, 1): 1, (1, 2, INF): 1, (1, 3, INF): 1}, 2),
+], ids=["essential-first-row", "first-row-closed", "degree-gap", "empty-column"])
+@pytest.mark.parametrize("field", corpus_fields(), ids=str)
+def test_open_row_bound_edge_cases(monkeypatch, field, gens, bnd, bars, reduced):
+    c = FilteredChainComplex.from_named(field, gens, bnd)
+    calls = _count_reduce_calls(monkeypatch)
+    _, b = decompose(c)
+    assert len(calls) == reduced
+    assert b == Barcode({BarEntry(*bar): m for bar, m in bars.items()})
+    assert b == barcode_by_rank(c)
