@@ -5,7 +5,7 @@ contributions: an essential bar (n, s, inf) puts one dimension at (n, s)
 on every page; a finite bar (n, s, m) puts one dimension at (n, s) and one
 at (n+1, s+m) on pages 1..m and nothing afterwards.
 
-``pages_direct`` never looks at a barcode.  It evaluates the classical
+``pages_direct`` never looks at a barcode.  It counts the classical
 subquotient description of the pages: with
 
     Z[r, n, s] = { x in F^s C_n : d(x) in F^(s-r) C_(n-1) }    (F^q = 0 below
@@ -22,19 +22,20 @@ cell into pure kernel dimensions:
 where zeta(r,n,s) = dim Z[r,n,s] = #cols(level <= s) - rank of the boundary
 submatrix with those columns and the rows above level s-r.  With columns and
 rows ordered by level that submatrix is a lower-left block, and by the
-pairing lemma its rank is the number of pivot pairs inside it.  One
-reduction per degree, of the anti-transposed (coboundary) matrix, gives the
-pairs, so every zeta is a count.  Since d_r leaves the filtration once
-r > filtration span, the infinity row is the same expression at
-r = span + 1.
-
-Counting pairs also says where a cell can change with r.  Write a pair as
-(b, t): its row sits at level b, its column at level t, and b <= t.  The
+pairing lemma its rank is the number of pivot pairs inside it.  Write a pair
+as (b, t): its row sits at level b, its column at level t, and b <= t.  The
 first two terms differ by the columns at level s minus the pairs of d_n with
 t = s and b > s - r; the last two differ by minus the pairs of d_(n+1) with
-b = s and t <= s + r - 1.  Both counts move only at r = t - b + 1 of such a
-pair, so the cell is constant between those breakpoints, and the engine
-evaluates it at r = 1, at each breakpoint up to r_max, and at the limit.
+b = s and t <= s + r - 1.  So
+
+    dim E[r,n,s] = #gens(n,s) - #{pairs of d_n with t = s, t - b + 1 <= r}
+                              - #{pairs of d_(n+1) with b = s, t - b + 1 <= r}
+
+that is, a pair of d_n leaves the cells (n, t) and (n-1, b) from page
+t - b + 1 on (a zero-length pair from page 1).  Since d_r leaves the
+filtration once r > filtration span, the infinity row subtracts every pair.
+One reduction per degree, of the anti-transposed (coboundary) matrix, gives
+the pairs.
 
 Both engines hand their values to a ``PageTable``, which keeps each cell as
 runs over r, so neither their work nor their memory grows with r_max.
@@ -308,116 +309,55 @@ def pages_from_barcode(b: Barcode, r_max: int) -> PageTable:
 
 # -- engine 2: pages straight from the complex -------------------------------
 
-class _Degree(NamedTuple):
-    """One degree's boundary matrix, reduced once for the zeta counts."""
-    col_levels: list  # filtration of each column, nondecreasing
-    row_levels: list  # filtration of each row one degree below, nondecreasing
-    low: list         # row position paired with each column, -1 if none
-    ranks: dict       # row cut K -> rank after each column prefix
+def _coboundary_pairs(c: FilteredChainComplex) -> Iterator[tuple[int, int, int]]:
+    """(n, row gid, column gid) for every pair of every d_n.
 
-
-class _KernelDims:
-    """zeta(r, n, s) lookups counted off one pairing per degree.
-
-    Per degree, columns are ordered by (filtration, gid) and their rows are
-    reindexed by the same order one degree below.  By the pairing lemma the
-    rank of the block with rows at position >= K and the first k columns is
-    the number of pairs (low[j], j) inside it.  The pairs come from a
-    reduction of the anti-transposed (coboundary) matrix, bottom row first:
-    row p becomes column n_rows-1-p and column j becomes row n_cols-1-j,
-    which maps lower-left blocks to lower-left blocks and so pairs to pairs.
-    It is not the reduction ``decompose`` runs, so the engines stay
-    independent.
-
-    As a count, zeta(r, n, s) is the columns at level <= s minus the pairs
-    with column level t <= s and row level b > s - r.  So a pair of d_n
-    changes the cells (n, t) and (n-1, b) at r = t - b + 1 and no other
-    cell at any other r: ``breakpoints`` lists them.
+    Per degree, columns are ordered by (filtration, gid) and rows by the same
+    order one degree below.  The pairs come from one reduction of the
+    anti-transposed (coboundary) matrix, bottom row first: row p becomes
+    column n_rows-1-p and column j becomes row n_cols-1-j, which maps
+    lower-left blocks to lower-left blocks and so pairs to pairs.  It is not
+    the reduction ``decompose`` runs, so the engines stay independent.
     """
-
-    def __init__(self, c: FilteredChainComplex):
-        orders = {}
-        for n in c.degrees():
-            gens = c.gens(n)
-            orders[n] = sorted(range(len(gens)), key=lambda i: (gens[i].filtration, i))
-        self.deg: dict[int, _Degree] = {}
-        for n, order in orders.items():
-            gens = c.gens(n)
-            below = c.gens(n - 1)
-            row_order = orders.get(n - 1, [])
-            n_rows, n_cols = len(row_order), len(order)
-            flip = {gid: n_rows - 1 - k for k, gid in enumerate(row_order)}
-            cocols: list = [[] for _ in row_order]
-            for i, gid in enumerate(reversed(order)):
-                for r, v in c.column(n, gid):
-                    cocols[flip[r]].append((i, v))
-            low = [-1] * n_cols
-            reducer = ColumnReducer(c.field)
-            for q, col in enumerate(cocols):
-                col = reducer.reduce(col)
-                if col:
-                    low[n_cols - 1 - reducer.add_pivot(col)] = n_rows - 1 - q
-            self.deg[n] = _Degree(
-                col_levels=[gens[i].filtration for i in order],
-                row_levels=[below[g].filtration for g in row_order],
-                low=low,
-                ranks={},
-            )
-
-    def _prefix_ranks(self, deg: _Degree, cut_pos: int) -> list[int]:
-        ranks = deg.ranks.get(cut_pos)
-        if ranks is None:
-            ranks = deg.ranks[cut_pos] = [0, *accumulate(p >= cut_pos for p in deg.low)]
-        return ranks
-
-    def zeta(self, r: int, n: int, s: int) -> int:
-        """dim { x in F^s C_n : d(x) in F^(s-r) C_(n-1) }."""
-        deg = self.deg.get(n)
-        if deg is None:
-            return 0
-        ncols = bisect_right(deg.col_levels, s)
-        if ncols == 0:
-            return 0
-        cut_pos = bisect_right(deg.row_levels, s - r)
-        return ncols - self._prefix_ranks(deg, cut_pos)[ncols]
-
-    def breakpoints(self):
-        """(n, s, r) for every pair: the cells it changes and from which page."""
-        for n, deg in self.deg.items():
-            for t, p in zip(deg.col_levels, deg.low):
-                if p >= 0:
-                    b = deg.row_levels[p]
-                    yield n, t, t - b + 1
-                    yield n - 1, b, t - b + 1
+    orders = {n: sorted(range(len(gens)), key=lambda i: (gens[i].filtration, i))
+              for n, gens in c.generators.items()}
+    for n, order in orders.items():
+        row_order = orders.get(n - 1, [])
+        flip = {gid: len(row_order) - 1 - k for k, gid in enumerate(row_order)}
+        cocols: list = [[] for _ in row_order]
+        for i, gid in enumerate(reversed(order)):
+            for r, v in c.column(n, gid):
+                cocols[flip[r]].append((i, v))
+        reducer = ColumnReducer(c.field)
+        for q, col in enumerate(cocols):
+            col = reducer.reduce(col)
+            if col:
+                yield n, row_order[-1 - q], order[-1 - reducer.add_pivot(col)]
 
 
 def pages_direct(c: FilteredChainComplex, r_max: int) -> PageTable:
-    """Page dimensions from kernel counts, never from a barcode.
+    """Page dimensions counted off the engine's own pairing, never a barcode.
 
-    Each cell is evaluated with the four-term formula only at r = 1, at the
-    breakpoints r = t - b + 1 <= r_max of the pairs that touch it (see the
-    module docstring), and at the limit; between breakpoints the value is
-    constant, so each value is a run of the table.
+    A pair (b, t) of d_n leaves its cells (n, t) and (n-1, b) from page
+    t - b + 1 on (see the module docstring), so each cell is its generators
+    minus the pairs that have left it: a run at page 1, one at each leave
+    page up to r_max, and the limit, which every pair has left.
     """
     table = PageTable(r_max)
     c.ensure_valid()
-    if not c.degrees():
-        return table
-    kd = _KernelDims(c)
-    limit = c.filtration_span + 1  # d_r leaves the filtration once r > span
-    starts = {(g.degree, g.filtration): {1} for g in c.all_generators()}
-    for n, s, k in kd.breakpoints():
-        if k <= r_max:
-            starts[(n, s)].add(k)
-
-    def value(k, n, s):
-        return (kd.zeta(k, n, s) - kd.zeta(k - 1, n, s - 1)
-                - kd.zeta(k - 1, n + 1, s + k - 1)
-                + kd.zeta(k, n + 1, s + k - 1))
-
-    return table._store({
-        (n, s): [*((k, value(k, n, s)) for k in sorted(ks)), (INF, value(limit, n, s))]
-        for (n, s), ks in starts.items()})
+    gens = Counter((g.degree, g.filtration) for g in c.all_generators())
+    leaves: dict = {key: [] for key in gens}
+    for n, row, col in _coboundary_pairs(c):
+        b, t = c.gens(n - 1)[row].filtration, c.gens(n)[col].filtration
+        leaves[(n, t)].append(t - b + 1)
+        leaves[(n - 1, b)].append(t - b + 1)
+    steps = {}
+    for key, count in gens.items():
+        pages = sorted(leaves[key])
+        steps[key] = [*((k, count - bisect_right(pages, k))
+                        for k in sorted({1, *pages}) if k <= r_max),
+                      (INF, count - len(pages))]
+    return table._store(steps)
 
 
 # -- collapse, recovery, verification ----------------------------------------
@@ -451,7 +391,11 @@ def recover_barcode(p: PageTable, s_min: int) -> Barcode:
     levels off a heap, so the first negative value is the same one the full
     walk meets.  A negative value means the table is not the page table of
     any complex; a cell whose r_max dimension has not yet reached the limit
-    means r_max was too small to see every bar die.
+    means r_max was too small to see every bar die.  The recursion reads the
+    birth cells only, so the result must also give back the whole table:
+    the pages of a barcode are the pages of a complex (a sum of interval
+    complexes), so a table passes iff some complex has it.  The comparison
+    is run by run, so it does not grow with the span.
     """
     support = p.support()
     if not support:
@@ -491,7 +435,13 @@ def recover_barcode(p: PageTable, s_min: int) -> Barcode:
                     if s + m not in todo:
                         heappush(levels, s + m)
                     todo.setdefault(s + m, []).append((n + 1, m))
-    return Barcode(counts)
+    result = Barcode(counts)
+    back = pages_from_barcode(result, p.r_max)
+    if back != p:
+        n, s = min(key for key in support | back.support() if p.steps(*key) != back.steps(*key))
+        raise InconsistentTableError(
+            f"no complex has this table: its bars give other pages at (n={n}, s={s})")
+    return result
 
 
 class CheckResult(NamedTuple):

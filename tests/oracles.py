@@ -5,7 +5,7 @@ deliberately separate from the library's sparse column kernels: an oracle
 must not share the code path it is checking.  The page oracle below is the
 one exception in style (it spans subquotients with library kernels and
 measures them with library ranks, dim((A + B) / B) = rank([A | B]) -
-rank(B)), kept to pin the optimized rank-identity engine against the
+rank(B)), kept to pin the pair-counting direct engine against the
 literal subquotient construction.
 """
 from __future__ import annotations
@@ -17,7 +17,6 @@ from spectra_persist.fields import FieldSpec
 from spectra_persist.ingest import FilteredSimplicialComplex
 from spectra_persist.linalg import SparseMatrix, axpy, column_from_entries, kernel, rank
 from spectra_persist.persistence import INF, Barcode, BarEntry
-from spectra_persist.spectral import _KernelDims
 
 
 def dense_rank(rows: list, field: FieldSpec) -> int:
@@ -239,7 +238,8 @@ def recover_barcode_dense(p, s_min: int) -> Barcode:
 
     walked for every birth level s_min..(top of the support), every degree
     from the lowest in the support to one above the highest, and every
-    1 <= m < r_max; the same errors, with the same messages, in the same
+    1 <= m < r_max, then checked page by page against the closed form of
+    the bars it found; the same errors, with the same messages, in the same
     order as the library's sparse walk.
     """
     support = p.support()
@@ -275,7 +275,14 @@ def recover_barcode_dense(p, s_min: int) -> Barcode:
                 if val:
                     nu[(n, s, m)] = val
                     counts[BarEntry(n, s, m)] = val
-    return Barcode(counts)
+    result = Barcode(counts)
+    back = dense_pages_from_barcode(result, p.r_max)
+    pages = [*range(1, p.r_max + 1), INF]
+    for n, s in sorted(support | back.support()):
+        if any(p.dim(r, n, s) != back.dim(r, n, s) for r in pages):
+            raise InconsistentTableError(
+                f"no complex has this table: its bars give other pages at (n={n}, s={s})")
+    return result
 
 
 # -- dense page tables -----------------------------------------------------------
@@ -364,16 +371,24 @@ def dense_pages_from_barcode(b: Barcode, r_max: int) -> DensePageTable:
 
 
 def dense_pages_direct(c: FilteredChainComplex, r_max: int) -> DensePageTable:
-    """The four-term zeta formula evaluated at every page of every cell."""
-    dims: dict = {}
-    if not c.degrees():
-        return DensePageTable(r_max, dims)
-    kd = _KernelDims(c)
+    """The four-term formula at every page of every cell, each zeta a rank.
+
+        dim E[r,n,s] = zeta(r,n,s) - zeta(r-1,n,s-1)
+                       - zeta(r-1,n+1,s+r-1) + zeta(r,n+1,s+r-1)
+
+    with zeta(r, n, s) = #cols(level <= s) - the dense rank of d_n on those
+    columns and the rows above level s - r; the limit row is r = span + 1.
+    """
+    def zeta(r, n, s):
+        rows = _dense_boundary(c, n, lambda g: g.filtration <= s)
+        block = [row for row, g in zip(rows, c.gens(n - 1)) if g.filtration > s - r]
+        return sum(g.filtration <= s for g in c.gens(n)) - dense_rank(block, c.field)
 
     def value(k, n, s):
-        return (kd.zeta(k, n, s) - kd.zeta(k - 1, n, s - 1)
-                - kd.zeta(k - 1, n + 1, s + k - 1) + kd.zeta(k, n + 1, s + k - 1))
+        return (zeta(k, n, s) - zeta(k - 1, n, s - 1)
+                - zeta(k - 1, n + 1, s + k - 1) + zeta(k, n + 1, s + k - 1))
 
+    dims: dict = {}
     for n, s in {(g.degree, g.filtration) for g in c.all_generators()}:
         for r in range(1, r_max + 1):
             dims[(r, n, s)] = value(r, n, s)

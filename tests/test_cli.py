@@ -252,6 +252,19 @@ def test_recover_malformed_json_is_a_data_error(capsys, tmp_path, text):
     assert_one_line_data_error(*run(capsys, "recover", table))
 
 
+@pytest.mark.parametrize("text", ["# r_max 4\n1 0 1 2\n",
+                                  "# r_max 1000000\n1 0 0 1\n2 0 0 1\n"],
+                         ids=["birth-without-death", "two-pages-at-a-large-r_max"])
+def test_recover_refuses_a_table_no_complex_has(capsys, tmp_path, text):
+    # the bars the recursion reads off the birth cells would also fill the
+    # death cell (n=1, s=2), which the table leaves empty
+    table = tmp_path / "pages.txt"
+    table.write_text(text)
+    code, out, err = run(capsys, "recover", table)
+    assert_one_line_data_error(code, out, err)
+    assert err == "error: no complex has this table: its bars give other pages at (n=1, s=2)\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"r_max": 2, "dims": [[1, 0, 0, 1]]}', "dims[0] is not an object"),
     ('{"r_max": 2, "dims": [{"r": 1, "n": 0, "s": 0, "dim": 1}, 7]}', "dims[1] is not an object"),

@@ -2,7 +2,9 @@ import hashlib
 import io
 import json
 import random
+import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from spectra_persist.ingest import PointCloud, parse_complex, rips, simplicial_t
 from spectra_persist.linalg import ColumnReducer, rank
 from spectra_persist.persistence import INF, Barcode, BarEntry, decompose
 from spectra_persist.randomgen import random_complex
-from spectra_persist.spectral import (PageTable, _KernelDims, collapse_page,
+from spectra_persist.spectral import (PageTable, _coboundary_pairs, collapse_page,
                                       pages_direct, pages_from_barcode,
                                       parse_page_table, recover_barcode, verify)
 
@@ -231,7 +233,7 @@ def test_local_collapse_on_random_complexes():
 
 
 def test_direct_engine_matches_literal_subquotients():
-    # the rank-identity engine against spans + subquotient dims, cell by cell
+    # the pair-counting engine against spans + subquotient dims, cell by cell
     rng = random.Random(19)
     for trial in range(15):
         field = corpus_fields()[trial % 4]
@@ -274,10 +276,6 @@ def test_limit_row_does_not_depend_on_r_max():
     assert_limit_row_matches_oracle(22, lambda c: 1)
 
 
-def by_level(gens):
-    return sorted(range(len(gens)), key=lambda i: (gens[i].filtration, i))
-
-
 def test_anti_transposed_pairs_match_decompose():
     # the duality the direct engine relies on: reducing the coboundary
     # matrix bottom row first pairs exactly the generators decompose pairs,
@@ -288,11 +286,8 @@ def test_anti_transposed_pairs_match_decompose():
         c = random_complex(rng, rng.randint(3, 30), field)
         pairing, _ = decompose(c)
         want = sorted((p.death.degree, p.death.gid, p.birth.gid) for p in pairing.pairs)
-        got = []
-        for n, deg in _KernelDims(c).deg.items():
-            cols, rows = by_level(c.gens(n)), by_level(c.gens(n - 1))
-            got += [(n, cols[j], rows[p]) for j, p in enumerate(deg.low) if p >= 0]
-        assert sorted(got) == want, trial
+        got = sorted((n, col, row) for n, row, col in _coboundary_pairs(c))
+        assert got == want, trial
 
 
 def test_pages_direct_reduces_each_degree_once(monkeypatch):
@@ -310,29 +305,29 @@ def test_pages_direct_reduces_each_degree_once(monkeypatch):
 
 
 def test_pages_direct_work_is_bounded_by_pairs_not_pages(monkeypatch):
-    # each cell is evaluated at r = 1, at the limit, and once per pair that
-    # touches it; a per-page loop would call zeta 4 * cells * (r_max + 1) times
+    # each cell gets a run at page 1, one per pair that leaves it and one at
+    # the limit; a per-page loop would hand over cells * (r_max + 1) of them
     rng = random.Random(25)
     pc = PointCloud.from_points([(rng.random(), rng.random()) for _ in range(14)])
     c = simplicial_to_chain(rips(pc, 2, 0.45), PrimeField(2))
     r_max = c.filtration_span + 1
     cells = len({(g.degree, g.filtration) for g in c.all_generators()})
-    pairs = sum(p >= 0 for deg in _KernelDims(c).deg.values() for p in deg.low)
-    assert 2 * cells + 2 * pairs < cells * (r_max + 1)
-    calls = []
-    zeta = _KernelDims.zeta
+    pairs = len(decompose(c)[0].pairs)
+    assert 0 < 2 * cells + 2 * pairs < cells * (r_max + 1)
+    handed = []
+    store = PageTable._store
 
-    def counting_zeta(self, r, n, s):
-        calls.append((r, n, s))
-        return zeta(self, r, n, s)
+    def counting_store(self, steps):
+        handed.extend(point for points in steps.values() for point in points)
+        return store(self, steps)
 
-    monkeypatch.setattr(_KernelDims, "zeta", counting_zeta)
+    monkeypatch.setattr(PageTable, "_store", counting_store)
     pages_direct(c, r_max)
-    assert 0 < len(calls) <= 4 * (2 * cells + 2 * pairs)
+    assert 0 < len(handed) <= 2 * cells + 2 * pairs
 
 
 def test_pages_direct_truncates_to_smaller_r_max():
-    # breakpoints past r_max are clipped: a shallow table is the deep one
+    # leave pages past r_max are clipped: a shallow table is the deep one
     # cut at r_max, with the same limit row
     rng = random.Random(27)
     for trial in range(30):
@@ -450,6 +445,48 @@ def test_page_table_text_and_json_round_trips(table):
     assert PageTable.from_json_obj(obj) == table
 
 
+@st.composite
+def near_page_tables(draw):
+    """Page tables of small barcodes, some with a cell or two moved by one."""
+    bars = st.tuples(st.integers(0, 2), st.integers(0, 3), st.sampled_from([1, 2, 3, INF]))
+    b = Barcode(Counter(BarEntry(*e) for e in draw(st.lists(bars, max_size=4))))
+    r_max = draw(st.integers(2, 5))
+    dims = {(r, n, s): d for r, n, s, d in pages_from_barcode(b, r_max).cells()}
+    keys = st.tuples(st.sampled_from([*range(1, r_max + 1), INF]),
+                     st.integers(0, 3), st.integers(0, 6))
+    for key in draw(st.lists(keys, max_size=2)):
+        dims[key] = max(0, dims.get(key, 0) + draw(st.sampled_from([-1, 1])))
+    return PageTable(r_max, dims)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(table=near_page_tables())
+def test_recover_either_refuses_a_table_or_gives_it_back(table):
+    try:
+        b = recover_barcode(table, 0)
+    except (InconsistentTableError, InsufficientRMaxError):
+        return
+    assert pages_from_barcode(b, table.r_max) == table
+
+
+def test_an_inconsistent_table_over_a_large_span_fails_fast():
+    # the bar (0, 0, 10**12) read off the cell (0, 0) would also fill the
+    # cell (1, 10**12), which the table leaves empty; the check compares runs
+    span = 10**12
+    table = PageTable(span + 1)._store({(0, 0): [(1, 1), (span + 1, 0)]})
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(InconsistentTableError) as err:
+            recover_barcode(table, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == f"no complex has this table: its bars give other pages at (n=1, s={span})"
+    assert peak < 2_000_000
+
+
 def test_page_table_rejects_non_integer_cells():
     with pytest.raises(UsageError, match=r"not indexed by integers"):
         PageTable(3, {(1, 0.5, 0): 1})
@@ -554,6 +591,25 @@ def test_verify_is_independent_of_the_filtration_span():
     finally:
         tracemalloc.stop()
     assert report.all_passed, report.lines()
+    assert peak < 2_000_000
+
+
+def test_a_pair_across_a_large_span_leaves_both_cells_at_once():
+    # the pair (0, 10**12) of d_1 leaves (0, 0) and (1, 10**12) from page
+    # 10**12 + 1 on, in two runs per cell and bounded memory
+    span = 10**12
+    c = parse_complex(f"gen a 0 0\ngen e 1 {span}\nbnd e 1 a\n", PrimeField(2))
+    r_max = c.filtration_span + 1
+    tracemalloc.start()
+    try:
+        t = pages_direct(c, r_max)
+        report = verify(c, r_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.steps(0, 0) == t.steps(1, span) == [(1, 1), (span + 1, 0)]
+    assert t.support() == {(0, 0), (1, span)}
+    assert report.all_passed and len(report.checks) == 5, report.lines()
     assert peak < 2_000_000
 
 
