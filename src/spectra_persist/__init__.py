@@ -18,7 +18,7 @@ _HOMES = {
     "fields": ("FieldSpec", "PrimeField", "RationalField", "Scalar", "field_from_text"),
     "ingest": ("FilteredSimplicialComplex", "PointCloud", "make_simplicial", "parse_complex",
                "parse_point_cloud", "parse_simplicial", "rips", "serialize_complex",
-               "simplicial_to_chain"),
+               "serialize_simplicial", "simplicial_to_chain"),
     "linalg": ("SparseMatrix", "axpy", "kernel", "rank"),
     "persistence": ("INF", "Barcode", "BarEntry", "Pair", "Pairing", "betti", "decompose",
                     "multiplicity"),

@@ -15,16 +15,17 @@ from itertools import islice
 from math import inf as INF
 from typing import TYPE_CHECKING
 
-from .complexes import FilteredChainComplex
 from .errors import (ClosureError, InvalidComplexError, PageTableError,
                      ParseError, UsageError)
 from .fields import field_from_text, parse_int
 from .ingest import (_data_lines, _real, parse_complex, parse_point_cloud,
-                     parse_simplicial, rips, serialize_complex, simplicial_to_chain)
+                     parse_simplicial, rips, serialize_simplicial, simplicial_to_chain)
 
 # persistence, spectral and randomgen are imported by the commands that run
-# them, so a process loads only what its command needs
+# them, and complexes by the ingest functions that build one, so a process
+# loads only what its command needs
 if TYPE_CHECKING:
+    from .complexes import FilteredChainComplex
     from .persistence import Barcode
     from .spectral import PageTable
 
@@ -226,11 +227,11 @@ def cmd_rips(args) -> int:
     pc = parse_point_cloud(_read_text(path))
     fsc = rips(pc, args.max_dim, args.threshold)
     field = field_from_text(args.field)
-    c = simplicial_to_chain(fsc, field)
     comments = [f"rips: {len(pc)} points, max_dim={args.max_dim}, "
                 f"threshold={args.threshold}"]
     comments += [f"level {k} = {v}" for k, v in enumerate(fsc.levels)]
-    sys.stdout.write(serialize_complex(c, comments))
+    # the reading stage validates the text; this one only writes it
+    sys.stdout.write(serialize_simplicial(fsc, field, comments))
     return 0
 
 

@@ -96,6 +96,16 @@ class FilteredChainComplex:
         self._ranks: dict[int, int] = {}  # n -> rank of d_n, like _violations
 
     @classmethod
+    def _adopt(cls, field: FieldSpec, generators: dict[int, list[Generator]],
+               boundary: dict[int, list[SparseColumn]]) -> "FilteredChainComplex":
+        """The complex of these very dicts, with none of ``__init__``'s copies
+        and checks, for a reader whose construction guarantees them."""
+        c = cls.__new__(cls)
+        c.field, c.generators, c.boundary = field, generators, boundary
+        c._violations, c._ranks = None, {}
+        return c
+
+    @classmethod
     def empty(cls, field: FieldSpec) -> "FilteredChainComplex":
         return cls(field, {}, {})
 

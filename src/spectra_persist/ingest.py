@@ -28,11 +28,15 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .complexes import FilteredChainComplex, Generator
 from .errors import ClosureError, ParseError, UsageError
 from .fields import FieldSpec, Scalar, field_from_text, parse_int
+
+# complexes (and with it linalg) is imported by the functions that build a
+# complex, so the ``rips`` command, which only writes text, never loads it
+if TYPE_CHECKING:
+    from .complexes import FilteredChainComplex
 
 
 def _data_lines(text: str):
@@ -53,7 +57,15 @@ def _real(token: str) -> float:
 # -- chain complexes ----------------------------------------------------------
 
 def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
-    """Parse and validate a chain complex; errors carry line numbers."""
+    """Parse and validate a chain complex; errors carry line numbers.
+
+    The columns are built canonical: each coefficient comes from
+    ``field.parse`` or ``field.add``, each row is a generator one degree
+    below, and repeated rows are summed, zeros dropped and rows sorted.  So
+    the complex adopts them without the constructor's copy and entry check;
+    ``ensure_valid`` still runs, since this is where a pipe's text is trusted.
+    """
+    from .complexes import FilteredChainComplex, Generator
     gens: dict[str, Generator] = {}
     by_degree: dict[int, list[Generator]] = {}
     pending: list[tuple[int, list[str]]] = []
@@ -128,7 +140,7 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
         boundary[degree][gid] = [(r, v) for r, v in sorted(col.items())
                                  if not field.is_zero(v)]
 
-    c = FilteredChainComplex(field, by_degree, boundary)
+    c = FilteredChainComplex._adopt(field, by_degree, boundary)
     c.ensure_valid()
     return c
 
@@ -226,6 +238,7 @@ def parse_simplicial(text: str) -> FilteredSimplicialComplex:
 
 def simplicial_to_chain(fsc: FilteredSimplicialComplex, field: FieldSpec) -> FilteredChainComplex:
     """One generator per simplex; the usual alternating-sign boundary."""
+    from .complexes import FilteredChainComplex, Generator
     # faces come before their simplex; a column's faces are distinct and its
     # signs +-1 nonzero in every field, so sorting its entries makes it canonical
     level = {value: k for k, value in enumerate(fsc.levels)}
@@ -247,6 +260,41 @@ def simplicial_to_chain(fsc: FilteredSimplicialComplex, field: FieldSpec) -> Fil
     c = FilteredChainComplex(field, by_degree, boundary)
     c.ensure_valid()
     return c
+
+
+def serialize_simplicial(fsc: FilteredSimplicialComplex, field: FieldSpec,
+                         comments: Sequence[str] = ()) -> str:
+    """``serialize_complex(simplicial_to_chain(fsc, field), comments)``, written
+    straight from the simplices, with no complex built or checked.
+
+    ``fsc.simplices`` is already in (degree, level, id) order, and a simplex's
+    id within its degree is its position among them, so a face's position in
+    ``fsc.simplices`` orders the faces of a ``bnd`` line by (level, id).  The
+    text is checked where it is read: ``parse_complex`` validates it.
+    """
+    level = {value: k for k, value in enumerate(fsc.levels)}
+    signs = (field.format(field.one), field.format(field.normalize(-1)))
+    lines = [f"# {comment}" for comment in comments]
+    lines.append(f"field {field.token()}")
+    bnds: list[str] = []
+    labels: list[str] = []
+    position: dict[tuple, int] = {}
+    for k, (verts, value) in enumerate(fsc.simplices):
+        label = "s" + "_".join(map(str, verts))
+        labels.append(label)
+        position[verts] = k
+        n = len(verts) - 1
+        lines.append(f"gen {label} {n} {level[value]}")
+        if n:
+            try:
+                faces = sorted([(position[verts[:i] + verts[i + 1:]], i & 1)
+                                for i in range(n + 1)])
+            except KeyError as exc:
+                raise ClosureError(f"missing face {exc.args[0]!r} of {verts!r}") from None
+            bnds.append(f"bnd {label} " + " ".join(f"{signs[sign]} {labels[face]}"
+                                                   for face, sign in faces))
+    lines += bnds
+    return "\n".join(lines) + "\n"
 
 
 # -- point clouds and the Rips filtration -------------------------------------

@@ -103,11 +103,19 @@ class Pair(NamedTuple):
 
     `cycle` is the reduced boundary of `death` (unit coefficient at the
     birth generator's row), written over the generators one degree below.
+    No command reads it, so a pair keeps the reducer's stored column and
+    builds a new `cycle` list, in field scalars, each time it is read.
     """
     death: Generator
     birth: Generator
-    cycle: SparseColumn
     lifetime: int
+    pivot: SparseColumn      # as stored by `reducer`, over positions in `rows`
+    rows: list               # position -> gid, one degree below
+    reducer: ColumnReducer
+
+    @property
+    def cycle(self) -> SparseColumn:
+        return sorted((self.rows[p], v) for p, v in self.reducer.scalars(self.pivot))
 
     @property
     def cancelled(self) -> bool:
@@ -151,11 +159,10 @@ def decompose(c: FilteredChainComplex) -> tuple[Pairing, Barcode]:
                 continue  # w stays an essential candidate
             pivot_pos = reducer.add_pivot(col)
             birth = targets[order[pivot_pos]]
-            stored = reducer.scalars(reducer.pivots[pivot_pos])
-            cycle = sorted(((order[p], v) for p, v in stored))
             del survivors[(n, w.gid)]
             del survivors[(n - 1, birth.gid)]
-            pairs.append(Pair(w, birth, cycle, w.filtration - birth.filtration))
+            pairs.append(Pair(w, birth, w.filtration - birth.filtration,
+                              reducer.pivots[pivot_pos], order, reducer))
 
     counts: Counter = Counter()
     for g in survivors.values():

@@ -6,11 +6,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectra_persist.errors import ParseError, UsageError
+from spectra_persist.complexes import FilteredChainComplex
+from spectra_persist.errors import InvalidComplexError, ParseError, UsageError
 from spectra_persist.fields import PrimeField, RationalField
 from spectra_persist.ingest import (PointCloud, make_simplicial, parse_complex,
                                     parse_point_cloud, parse_simplicial, rips,
-                                    serialize_complex, simplicial_to_chain)
+                                    serialize_complex, serialize_simplicial,
+                                    simplicial_to_chain)
 from spectra_persist.persistence import INF, Barcode, BarEntry, decompose
 from spectra_persist.randomgen import random_complex
 from spectra_persist.spectral import pages_direct
@@ -193,22 +195,106 @@ def random_simplicial_text(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+def random_simplicial(rng: random.Random, source: str):
+    """A Rips complex of a random planar cloud, or a random ``simp`` file's complex."""
+    if source == "rips":
+        pts = [(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(rng.randint(1, 9))]
+        return rips(PointCloud.from_points(pts), max_dim=rng.randint(0, 3),
+                    threshold=rng.choice([None, 0.8, 1.5]))
+    return parse_simplicial(random_simplicial_text(rng))
+
+
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), source=st.sampled_from(["rips", "simp"]),
        field=st.sampled_from([GF2, PrimeField(3), Q]))
 def test_simplicial_to_chain_matches_the_entry_oracle(seed, source, field):
-    rng = random.Random(seed)
-    if source == "rips":
-        pts = [(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(rng.randint(1, 9))]
-        fsc = rips(PointCloud.from_points(pts), max_dim=rng.randint(0, 3),
-                   threshold=rng.choice([None, 0.8, 1.5]))
-    else:
-        fsc = parse_simplicial(random_simplicial_text(rng))
+    fsc = random_simplicial(random.Random(seed), source)
     c = simplicial_to_chain(fsc, field)
     expected = simplicial_to_chain_by_entries(fsc, field)
     assert c.generators == expected.generators
     assert c.boundary == expected.boundary
     assert c.validate() == []
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), source=st.sampled_from(["rips", "simp"]),
+       field=st.sampled_from([GF2, PrimeField(3), PrimeField(5), PrimeField(32003), Q]))
+def test_serialize_simplicial_writes_the_chain_complex_text(seed, source, field):
+    # ``rips`` writes its text straight from the simplices: the same bytes as
+    # building the chain complex and serializing it, and text the reader accepts
+    fsc = random_simplicial(random.Random(seed), source)
+    comments = ["rips: test", *(f"level {k} = {v}" for k, v in enumerate(fsc.levels))]
+    text = serialize_simplicial(fsc, field, comments)
+    assert text == serialize_complex(simplicial_to_chain(fsc, field), comments)
+    assert parse_complex(text, field).validate() == []
+
+
+def random_complex_text(rng: random.Random, field) -> tuple:
+    """``(text, expected)``: a random complex written with each column's entries
+    shuffled over several ``bnd`` lines, a row split in two, a pair that
+    cancels and sometimes a stray entry, and the same complex built with
+    ``from_named`` and the public constructor."""
+    c = random_complex(rng, rng.randint(0, 25), field)
+    gens = [(g.label(), g.degree, g.filtration) for g in c.all_generators()]
+    rng.shuffle(gens)  # the reader and from_named number them in this order
+
+    def scalar():
+        if field == Q:
+            return Q.normalize(rng.randint(-9, 9)) / rng.randint(1, 4)
+        return field.normalize(rng.randint(-9, 9))
+
+    named: dict = {}
+    for n in c.degrees():
+        below = c.gens(n - 1)
+        for g in c.gens(n):
+            entries = [(v, below[r].label()) for r, v in c.column(n, g.gid)]
+            if entries:
+                k = rng.randrange(len(entries))
+                v, target = entries[k]
+                a = scalar()
+                entries[k:k + 1] = [(a, target), (field.sub(v, a), target)]
+            if below:
+                b, target = scalar(), rng.choice(below).label()
+                entries += [(b, target), (field.neg(b), target)]
+            if entries:
+                named[g.label()] = entries
+    if named and rng.random() < 0.25:  # may break the filtration or d∘d
+        source = rng.choice(list(named))
+        named[source].append((scalar(), rng.choice(named[source])[1]))
+    lines = [f"gen {name} {n} {s}" for name, n, s in gens]
+    for source, entries in named.items():
+        entries = entries[:]
+        rng.shuffle(entries)
+        while entries:  # bnd lines may come before the gen lines they name
+            k = rng.randint(1, len(entries))
+            lines.insert(rng.randint(0, len(lines)), f"bnd {source} " + " ".join(
+                f"{field.format(v)} {t}" for v, t in entries[:k]))
+            entries = entries[k:]
+    text = "\n".join(lines) + "\n"
+    return text, FilteredChainComplex.from_named(field, gens, named)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), source=st.sampled_from(["random", "rips", "simp"]),
+       field=st.sampled_from(corpus_fields()))
+def test_the_reader_builds_the_columns_the_constructor_accepts(seed, source, field):
+    # parse_complex adopts its columns without the constructor's copy and
+    # check; they must be the ones the checked paths build
+    rng = random.Random(seed)
+    if source == "random":
+        text, expected = random_complex_text(rng, field)
+    else:
+        fsc = random_simplicial(rng, source)
+        text, expected = serialize_simplicial(fsc, field), simplicial_to_chain(fsc, field)
+    try:
+        c = parse_complex(text, field)
+    except InvalidComplexError as exc:
+        assert exc.violations == expected.validate() != []
+        return
+    checked = FilteredChainComplex(field, c.generators, c.boundary)
+    assert c.generators == checked.generators == expected.generators
+    assert c.boundary == checked.boundary == expected.boundary
+    assert c.validate() == checked.validate() == expected.validate() == []
 
 
 def test_rips_two_points():

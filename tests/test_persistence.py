@@ -184,6 +184,29 @@ def test_pairing_cycles_reproduce_boundaries():
             assert replay(g.degree, c.column(g.degree, g.gid), full) == {}
 
 
+def test_pair_cycle_is_a_new_list_on_every_read():
+    # cycles are built from the reducer's stored pivots when read: a caller
+    # that edits one changes neither the next read nor any pivot
+    rng = random.Random(8)
+    seen = 0
+    for trial in range(16):
+        field = corpus_fields()[trial % 4]
+        pairing, _ = decompose(random_complex(rng, rng.randint(5, 30), field))
+        pivots = [list(p.pivot) for p in pairing.pairs]
+        stored = {id(p.reducer): {r: list(col) for r, col in p.reducer.pivots.items()}
+                  for p in pairing.pairs}
+        for p in pairing.pairs:
+            first, second = p.cycle, p.cycle
+            assert first == second and first is not second
+            first.reverse()
+            first.append((-1, field.one))
+            assert p.cycle == second
+            seen += 1
+        assert [list(p.pivot) for p in pairing.pairs] == pivots
+        assert {id(p.reducer): p.reducer.pivots for p in pairing.pairs} == stored
+    assert seen > 20
+
+
 def test_q_decompose_is_invariant_under_rescaled_generators():
     # g -> lam_g * g multiplies d(g) by lam_g and row g by 1 / lam_g; the
     # barcode, the pairs and the unit-lead cycles read back in the old basis
