@@ -290,13 +290,8 @@ def homology_dims_by_level(c: FilteredChainComplex) -> dict[tuple[int, int], int
                 raise UsageError("complex is not level-graded")
             by_level.setdefault(g.filtration, []).append(col)
 
-    dims: dict[tuple[int, int], int] = {}
-    for n, by_level in blocks.items():
-        n_below = c.n_gens(n - 1)
-        n_here = c.n_gens(n)
-        in_blocks = blocks.get(n + 1, {})
-        for s, out_cols in by_level.items():
-            r_out = rank(SparseMatrix(n_below, out_cols), c.field)
-            r_in = rank(SparseMatrix(n_here, in_blocks.get(s, [])), c.field)
-            dims[(n, s)] = len(out_cols) - r_out - r_in
-    return dims
+    # each block is ranked once: its rank leaves homology at (n, s) and (n-1, s)
+    ranks = {(n, s): rank(SparseMatrix(c.n_gens(n - 1), cols), c.field)
+             for n, by_level in blocks.items() for s, cols in by_level.items()}
+    return {(n, s): len(cols) - ranks[(n, s)] - ranks.get((n + 1, s), 0)
+            for n, by_level in blocks.items() for s, cols in by_level.items()}

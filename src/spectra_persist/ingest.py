@@ -70,6 +70,7 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
     by_degree: dict[int, list[Generator]] = {}
     pending: list[tuple[int, list[str]]] = []
     written: Optional[FieldSpec] = None
+    ints: dict[str, int] = {}  # each distinct degree or filtration token is parsed once
     for line_no, toks in _data_lines(text):
         kind = toks[0]
         if kind == "field":
@@ -95,7 +96,12 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
             if name in gens:
                 raise ParseError(f"duplicate generator {name!r}", line_no)
             try:
-                degree, filtration = parse_int(toks[2]), parse_int(toks[3])
+                degree = ints.get(toks[2])
+                if degree is None:
+                    degree = ints[toks[2]] = parse_int(toks[2])
+                filtration = ints.get(toks[3])
+                if filtration is None:
+                    filtration = ints[toks[3]] = parse_int(toks[3])
             except ValueError:
                 raise ParseError("degree and filtration must be integers", line_no) from None
             g = Generator(len(by_degree.setdefault(degree, [])), degree, filtration, name)

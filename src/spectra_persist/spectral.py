@@ -37,8 +37,9 @@ filtration once r > filtration span, the infinity row subtracts every pair.
 One reduction per degree, of the anti-transposed (coboundary) matrix, gives
 the pairs.
 
-Both engines hand their values to a ``PageTable``, which keeps each cell as
-runs over r, so neither their work nor their memory grows with r_max.
+Each engine builds one ``PageTable``, which keeps each cell as runs over r,
+and ``verify`` compares the two run by run, so neither the work nor the
+memory of building or checking them grows with r_max.
 """
 from __future__ import annotations
 
@@ -77,9 +78,7 @@ class PageTable:
 
     def __init__(self, r_max: int, dims: Mapping = ()):
         """A table from a dense mapping {(r, n, s): dim}; absent keys are zero."""
-        if not is_int(r_max) or r_max < 1:
-            raise UsageError(f"r_max must be a positive integer, got {r_max!r}")
-        self.r_max = r_max
+        self.r_max = _check_depth(r_max)
         cells: dict = {}
         for (r, n, s), d in dict(dims).items():
             self._check_r(r)
@@ -89,16 +88,24 @@ class PageTable:
                 pages.setdefault(r + 1, 0)
         self._store({key: sorted(pages.items()) for key, pages in cells.items()})
 
+    @classmethod
+    def _of_depth(cls, r_max: int) -> "PageTable":
+        """An empty table, r_max checked as by the constructor, for an engine to ``_store``."""
+        table = cls.__new__(cls)
+        table.r_max = _check_depth(r_max)
+        return table
+
     def _store(self, steps: Mapping) -> "PageTable":
         """Keep {(n, s): [(page, dim), ...]}, pages rising over 1..r_max, inf."""
         self._runs: dict[tuple[int, int], list] = {}
         deltas: dict[int, dict] = {}  # degree -> page -> change of the row total
+        # ``type(x) is int`` spares the is_int call on plain ints; the rest go through it
         for (n, s), points in steps.items():
-            if not (is_int(n) and is_int(s)):
+            if type(n) is not int and not is_int(n) or type(s) is not int and not is_int(s):
                 raise UsageError(f"cell (n={n!r}, s={s!r}) is not indexed by integers")
             runs, delta = [], deltas.setdefault(n, {})
             for r, d in points:
-                if not is_int(d):
+                if type(d) is not int and not is_int(d):
                     raise UsageError(f"dimension {d!r} at (r={r}, n={n}, s={s}) "
                                      "is not an integer")
                 if d < 0:
@@ -170,11 +177,16 @@ class PageTable:
         return bool(self._runs)
 
     def diff(self, other: "PageTable") -> list[tuple[PageIndex, int, int, int, int]]:
-        """Cells where the two tables disagree, as (r, n, s, self_dim, other_dim)."""
+        """Cells where the tables disagree, one per page, as (r, n, s, self_dim, other_dim)."""
+        return sorted((q, n, s, a, b) for r, end, n, s, a, b in self._stretches(other)
+                      for q in ([r] if r == INF else range(r, end)))
+
+    def _stretches(self, other: "PageTable") -> Iterator[tuple]:
+        """Where the tables disagree, as (r, end, n, s, self_dim, other_dim): the
+        pages r..end-1 of the cell (n, s), or its limit when r (so end) is inf."""
         def value(table, runs, r):
             return 0 if r != INF and r > table.r_max else _at(runs, r)
 
-        out = []
         for n, s in self._runs.keys() | other._runs.keys():
             mine, theirs = self._runs.get((n, s), []), other._runs.get((n, s), [])
             pages = sorted({1, self.r_max + 1, other.r_max + 1, INF,
@@ -182,9 +194,7 @@ class PageTable:
             for r, end in zip(pages, [*pages[1:], INF]):
                 a, b = value(self, mine, r), value(other, theirs, r)
                 if a != b:  # both are zero past the larger r_max, so end is finite
-                    out.extend((q, n, s, a, b) for q in ([r] if r == INF else range(r, end)))
-        out.sort(key=lambda t: (t[0] == INF, t[0] if t[0] != INF else 0, t[1], t[2]))
-        return out
+                    yield r, end, n, s, a, b
 
     # -- serialization -------------------------------------------------------
 
@@ -235,6 +245,12 @@ def _put_cell(dims: dict, key: tuple, dim, line_no: Optional[int] = None) -> Non
         raise ParseError(f"repeated page cell (r={'inf' if r == INF else r}, n={n}, s={s})",
                          line_no)
     dims[key] = dim
+
+
+def _check_depth(r_max) -> int:
+    if not is_int(r_max) or r_max < 1:
+        raise UsageError(f"r_max must be a positive integer, got {r_max!r}")
+    return r_max
 
 
 def _check_int(value) -> int:
@@ -290,7 +306,7 @@ def pages_from_barcode(b: Barcode, r_max: int) -> PageTable:
     """Runs of the closed form: a bar adds its multiplicity to its birth cell
     from page 1 on and, when finite with lifetime m, to its death cell too,
     taking both away again after page m (at the limit, when m >= r_max)."""
-    table = PageTable(r_max)
+    table = PageTable._of_depth(r_max)
     delta: Counter = Counter()
     for entry, mult in b.entries():
         n, s, m = entry.degree, entry.birth, entry.lifetime
@@ -343,7 +359,7 @@ def pages_direct(c: FilteredChainComplex, r_max: int) -> PageTable:
     minus the pairs that have left it: a run at page 1, one at each leave
     page up to r_max, and the limit, which every pair has left.
     """
-    table = PageTable(r_max)
+    table = PageTable._of_depth(r_max)
     c.ensure_valid()
     gens = Counter((g.degree, g.filtration) for g in c.all_generators())
     leaves: dict = {key: [] for key in gens}
@@ -407,8 +423,7 @@ def recover_barcode(p: PageTable, s_min: int) -> Barcode:
         )
     counts: dict[BarEntry, int] = {}
     todo: dict[int, list] = {}  # level s -> [(n, m)] to visit there
-    for n, s in sorted(support):
-        runs = p.steps(n, s)
+    for (n, s), runs in sorted(p._runs.items()):
         if runs[-1][0] == INF:
             raise InsufficientRMaxError(
                 f"cell (n={n}, s={s}) still differs from its limit at r_max={p.r_max}"
@@ -423,7 +438,8 @@ def recover_barcode(p: PageTable, s_min: int) -> Barcode:
     while levels:
         s = heappop(levels)
         for n, m in sorted(set(todo.pop(s))):
-            val = p.dim(m, n, s) - p.dim(m + 1, n, s) - nu.get((n - 1, s - m, m), 0)
+            runs = p._runs.get((n, s), [])  # pages m and m + 1 lie in 1..r_max
+            val = _at(runs, m) - _at(runs, m + 1) - nu.get((n - 1, s - m, m), 0)
             if val < 0:
                 raise InconsistentTableError(
                     f"negative multiplicity {val} at (n={n}, s={s}, m={m})"
@@ -469,26 +485,31 @@ class VerifyReport(NamedTuple):
 
 
 def verify(c: FilteredChainComplex, r_max: int) -> VerifyReport:
-    """Cross-check the two page engines and the identities tying them together."""
+    """Cross-check the two page engines and the identities tying them together;
+    each engine's table is built once, and the two are compared by runs."""
     c.ensure_valid()
     _, barcode = decompose(c)
     from_bars = pages_from_barcode(barcode, r_max)
     direct = pages_direct(c, r_max)
+    start, top = (c.min_level, c.max_level) if c.generators else (0, 0)
     checks: list[CheckResult] = []
 
     def check(name, bad, detail):
         checks.append(CheckResult(name, not bad, detail if bad else ""))
 
-    mismatches = from_bars.diff(direct)
-    check("pages-equal", mismatches,
-          mismatches and f"{len(mismatches)} differing cells, first {mismatches[0]}")
+    # counted and located as diff() would list them, one cell per page
+    stretches = [] if from_bars == direct else list(from_bars._stretches(direct))
+    cells = sum(1 if r == INF else end - r for r, end, *_ in stretches)
+    first = min(stretches, key=lambda t: (t[0], t[2], t[3]), default=None)
+    check("pages-equal", stretches,
+          stretches and f"{cells} differing cells, first {(first[0], *first[2:])}")
 
     graded = homology_dims_by_level(c.associated_graded())
     bad = []
     for key in set(graded) | direct.support():
-        n, s = key
-        if direct.dim(1, n, s) != graded.get(key, 0):
-            bad.append((n, s, direct.dim(1, n, s), graded.get(key, 0)))
+        page, want = direct.dim(1, *key), graded.get(key, 0)
+        if page != want:
+            bad.append((*key, page, want))
     check("page-one-is-graded-homology", bad,
           bad and f"first mismatch (n,s,page,graded)={min(bad)}")
 
@@ -505,7 +526,6 @@ def verify(c: FilteredChainComplex, r_max: int) -> VerifyReport:
     # finite bars of degrees n and n-1 that last r levels or more.  Both are
     # step functions of r, so they are compared where either one steps.
     bad = []
-    top = c.max_level
     finite = [(e, multiplicity(barcode, e.degree, e.birth, e.birth + e.lifetime))
               for e, _ in barcode.entries() if not e.is_essential]
     for n in degrees:
@@ -523,10 +543,9 @@ def verify(c: FilteredChainComplex, r_max: int) -> VerifyReport:
           bad and f"first mismatch (r,n,pages,bars)={bad[0]}")
 
     try:
-        start = c.min_level if c.degrees() else 0
         # a table shallower than the longest bar cannot show every bar die,
         # so recover from one that can: with runs, its depth costs nothing
-        deep = direct if r_max > c.filtration_span else pages_direct(c, c.filtration_span + 1)
+        deep = direct if r_max > top - start else pages_direct(c, top - start + 1)
         recovered = recover_barcode(deep, start)
         ok = recovered == barcode
         detail = "" if ok else "recovered barcode differs"

@@ -1,15 +1,18 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spectra_persist import complexes
 from spectra_persist.complexes import FilteredChainComplex, homology_dims_by_level
 from spectra_persist.errors import InvalidComplexError, UsageError
 from spectra_persist.fields import PrimeField, RationalField
+from spectra_persist.linalg import rank
 from spectra_persist.randomgen import permute_generators, random_complex, random_nonzero_scalar
 
-from helpers import full_triangle, model_pair, triangle
+from helpers import corpus_fields, full_triangle, model_pair, triangle
 from oracles import dense_rank, violations_by_axpy
 
 Q = RationalField()
@@ -170,6 +173,37 @@ def test_graded_homology_by_level_blocks():
     assert dims[(0, 0)] == 3
     assert dims[(1, 1)] == 2
     assert dims[(1, 2)] == 1
+
+
+def test_graded_homology_ranks_each_level_block_once(monkeypatch):
+    c = random_complex(random.Random(33), 60, PrimeField(5)).associated_graded()
+    ranked = []
+
+    def counting_rank(m, field):
+        ranked.append(m)  # kept alive, so the column ids below stay unique
+        return rank(m, field)
+
+    monkeypatch.setattr(complexes, "rank", counting_rank)
+    homology_dims_by_level(c)
+    blocks = {(g.degree, g.filtration) for g in c.all_generators()}
+    keys = {tuple(map(id, m.columns)) for m in ranked}
+    assert len(ranked) == len(keys) == len(blocks)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32), size=st.integers(0, 30),
+       field=st.sampled_from(corpus_fields()))
+def test_graded_homology_by_level_matches_dense_block_ranks(seed, size, field):
+    c = random_complex(random.Random(seed), size, field).associated_graded()
+
+    def block_rank(n, s):  # d_n from the level-s generators to those one degree below
+        rows = [g.gid for g in c.gens(n - 1) if g.filtration == s]
+        cols = [dict(c.column(n, g.gid)) for g in c.gens(n) if g.filtration == s]
+        return dense_rank([[col.get(r, field.zero) for col in cols] for r in rows], field)
+
+    gens = Counter((g.degree, g.filtration) for g in c.all_generators())
+    assert homology_dims_by_level(c) == {
+        (n, s): k - block_rank(n, s) - block_rank(n + 1, s) for (n, s), k in gens.items()}
 
 
 def test_structural_errors():

@@ -1,14 +1,16 @@
 import math
 import random
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spectra_persist import ingest
 from spectra_persist.complexes import FilteredChainComplex
 from spectra_persist.errors import InvalidComplexError, ParseError, UsageError
-from spectra_persist.fields import PrimeField, RationalField
+from spectra_persist.fields import PrimeField, RationalField, parse_int
 from spectra_persist.ingest import (PointCloud, make_simplicial, parse_complex,
                                     parse_point_cloud, parse_simplicial, rips,
                                     serialize_complex, serialize_simplicial,
@@ -51,6 +53,31 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_complex("gen a 0 zero\n", Q)
     assert err.value.line_no == 1
+
+
+@pytest.mark.parametrize("bad", ["zero", "1_0", "\u0663"])
+def test_a_bad_integer_is_reported_at_its_first_line_once_cached_or_repeated(bad):
+    # good tokens are read from the cache, a bad one is never cached
+    text = f"gen a 0 1\ngen b 1 0\ngen c 0 {bad}\ngen d {bad} 1\ngen e 1 {bad}\n"
+    with pytest.raises(ParseError) as err:
+        parse_complex(text, Q)
+    assert str(err.value) == "line 3: degree and filtration must be integers"
+    with pytest.raises(ParseError) as err:
+        parse_complex(f"gen a 0 1\ngen b {bad} 1\ngen c {bad} 0\n", Q)
+    assert str(err.value) == "line 2: degree and filtration must be integers"
+
+
+def test_parse_complex_parses_each_integer_token_once(monkeypatch):
+    parsed = Counter()
+
+    def counting_parse_int(token):
+        parsed[token] += 1
+        return parse_int(token)
+
+    monkeypatch.setattr(ingest, "parse_int", counting_parse_int)
+    c = parse_complex("gen a 0 0\ngen b 0 1\ngen c 1 1\ngen d 1 0\nbnd d 1 a\n", Q)
+    assert [(g.degree, g.filtration) for g in c.all_generators()] == [(0, 0), (0, 1), (1, 1), (1, 0)]
+    assert parsed == Counter({"0": 1, "1": 1})
 
 
 def test_parse_rejects_cross_degree_boundary():

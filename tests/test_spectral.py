@@ -355,6 +355,33 @@ def test_verify_ranks_each_boundary_matrix_once(monkeypatch):
         assert keys.count(tuple(map(id, c.boundary[n]))) == 1, n
 
 
+def test_verify_stores_each_table_once(monkeypatch):
+    # the barcode engine, the direct engine and recover_barcode's round trip,
+    # plus the deep table recovery needs when r_max is below the longest bar
+    c = random_complex(random.Random(31), 40, PrimeField(5))
+    store = PageTable._store
+    stored = []
+
+    def counting_store(self, steps):
+        stored.append(len(steps))
+        return store(self, steps)
+
+    monkeypatch.setattr(PageTable, "_store", counting_store)
+    for r_max, tables in ((c.filtration_span + 1, 3), (1, 4)):
+        stored.clear()
+        assert verify(c, r_max).all_passed
+        assert len(stored) == tables and all(stored), (r_max, stored)
+
+
+@pytest.mark.parametrize("r_max", [0, -1, True, 1.5])
+def test_every_engine_table_checks_its_depth(r_max):
+    c = model_pair(Q, 0, 2, 3)
+    for build in (lambda: pages_direct(c, r_max), lambda: pages_from_barcode(MODEL_BAR, r_max),
+                  lambda: verify(c, r_max)):
+        with pytest.raises(UsageError, match=r"^r_max must be a positive integer, got "):
+            build()
+
+
 def test_verify_model_and_triangle_pass():
     for c in (model_pair(Q, 0, 2, 3), triangle()):
         report = verify(c, 4)
@@ -384,6 +411,30 @@ def test_verify_names_the_first_mismatch_of_a_wrong_table(monkeypatch, fake, fai
     lines = verify(model_pair(Q, 0, 2, 3), 4).lines()
     assert [line[len("[FAIL] "):] for line in lines if line.startswith("[FAIL]")] == [
         *failures, "barcode-round-trip (recovered barcode differs)"]
+
+
+@pytest.mark.parametrize("span", [10, 10**12])
+def test_pages_equal_counts_a_mismatch_without_expanding_it(monkeypatch, span):
+    # the wrong bar (0, 2, span) against the model's (0, 2, 3): the cells
+    # (0, 2), (1, 5) and (1, span + 2) differ on 2 * span pages in all,
+    # counted off three stretches whatever the span
+    fake = pages_from_barcode(Barcode({BarEntry(0, 2, span): 1}), span + 1)
+    monkeypatch.setattr(spectral, "pages_direct", lambda c, r_max: fake)
+    c = model_pair(Q, 0, 2, 3)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        report = verify(c, span + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2_000_000
+    assert report.checks[0] == spectral.CheckResult(
+        "pages-equal", False, f"{2 * span} differing cells, first (1, 1, 5, 1, 0)")
+    if span == 10:  # the count and the first cell are diff's, one per page
+        cells = pages_from_barcode(MODEL_BAR, span + 1).diff(fake)
+        assert len(cells) == 2 * span and cells[0] == (1, 1, 5, 1, 0)
 
 
 def test_verify_empty_passes_vacuously():
