@@ -221,9 +221,10 @@ def cmd_rips(args) -> int:
         raise UsageError("an input path (or '-') is required")
     if args.threshold is not None:
         try:
-            _real(args.threshold)
+            args.threshold = _real(args.threshold)
         except ValueError:
-            raise UsageError(f"--threshold must be finite, got {args.threshold}") from None
+            raise UsageError(
+                f"--threshold must be a finite number, got {args.threshold!r}") from None
     pc = parse_point_cloud(_read_text(path))
     fsc = rips(pc, args.max_dim, args.threshold)
     field = field_from_text(args.field)
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", default=None, metavar="PATH",
                    help="read a distance-matrix file instead")
     p.add_argument("--max-dim", default=1)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", default=None)  # text, read by _real like the data
     p.add_argument("--field", default="2")
     p.set_defaults(func=cmd_rips)
 

@@ -39,15 +39,32 @@ if TYPE_CHECKING:
     from .complexes import FilteredChainComplex
 
 
-def _data_lines(text: str):
+def _lines(text: str):
+    """(line number, text) of each line with its comment and blanks stripped,
+    empty lines skipped."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield line_no, line.split()
+            yield line_no, line
+
+
+def _data_lines(text: str):
+    for line_no, line in _lines(text):
+        yield line_no, line.split()
+
+
+_REAL_CHARS = frozenset("0123456789+-.eE")
 
 
 def _real(token: str) -> float:
-    """A finite float; NaN and infinities raise ValueError like bad text does."""
+    """A finite float written with ASCII digits, sign, point and exponent only;
+    anything else raises ValueError, as ``float`` does for bad text.
+
+    ``float`` alone also takes ``1_0``, non-ASCII digits, surrounding blanks,
+    NaN and infinities.
+    """
+    if not _REAL_CHARS.issuperset(token):
+        raise ValueError(f"invalid number {token!r}")
     value = float(token)
     if not math.isfinite(value):
         raise ValueError(f"{token!r} is not finite")
@@ -59,19 +76,26 @@ def _real(token: str) -> float:
 def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
     """Parse and validate a chain complex; errors carry line numbers.
 
+    Two passes: the first reads the ``field`` and ``gen`` lines, so every
+    error they hold is raised before any ``bnd`` error, and keeps of each
+    ``bnd`` line only its number and text; the second splits each kept line
+    again and drops its tokens once its entries are appended to the column.
+
     The columns are built canonical: each coefficient comes from
     ``field.parse`` or ``field.add``, each row is a generator one degree
-    below, and repeated rows are summed, zeros dropped and rows sorted.  So
-    the complex adopts them without the constructor's copy and entry check;
+    below, and each column's ``(row, coeff)`` list is sorted once, with
+    repeated rows summed and zeros dropped in the same step.  So the complex
+    adopts them without the constructor's copy and entry check;
     ``ensure_valid`` still runs, since this is where a pipe's text is trusted.
     """
     from .complexes import FilteredChainComplex, Generator
     gens: dict[str, Generator] = {}
     by_degree: dict[int, list[Generator]] = {}
-    pending: list[tuple[int, list[str]]] = []
+    pending: list[tuple[int, str]] = []  # (line number, text) of each bnd line
     written: Optional[FieldSpec] = None
     ints: dict[str, int] = {}  # each distinct degree or filtration token is parsed once
-    for line_no, toks in _data_lines(text):
+    for line_no, line in _lines(text):
+        toks = line.split()
         kind = toks[0]
         if kind == "field":
             if len(toks) != 2:
@@ -108,15 +132,16 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
             by_degree[degree].append(g)
             gens[name] = g
         elif kind == "bnd":
-            pending.append((line_no, toks))
+            pending.append((line_no, line))
         else:
             raise ParseError(f"unknown directive {kind!r}", line_no)
 
     boundary: dict[int, list[list]] = {n: [[] for _ in gs] for n, gs in by_degree.items()}
     # each distinct coefficient token is parsed once; a bad one raises where first met
     coeffs: dict[str, Scalar] = {}
-    accum: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for line_no, toks in pending:
+    zeros = False  # whether some coefficient token is zero
+    for line_no, line in pending:
+        toks = line.split()
         if len(toks) < 4 or len(toks) % 2 != 0:
             raise ParseError(
                 "expected 'bnd <source> <coeff> <target> [<coeff> <target> ...]'", line_no)
@@ -124,7 +149,7 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
         if source not in gens:
             raise ParseError(f"boundary for unknown generator {source!r}", line_no)
         src = gens[source]
-        col = accum.setdefault((src.degree, src.gid), {})
+        col = boundary[src.degree][src.gid]
         for k in range(2, len(toks), 2):
             coeff = coeffs.get(toks[k])
             if coeff is None:
@@ -132,6 +157,7 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
                     coeff = coeffs[toks[k]] = field.parse(toks[k])
                 except UsageError as exc:
                     raise ParseError(str(exc), line_no) from None
+                zeros = zeros or field.is_zero(coeff)
             target = toks[k + 1]
             tgt = gens.get(target)
             if tgt is None:
@@ -141,14 +167,36 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
                 raise ParseError(
                     f"boundary of {source!r} (degree {src.degree}) cannot hit "
                     f"{target!r} (degree {tgt.degree})", line_no)
-            col[tgt.gid] = field.add(col[tgt.gid], coeff) if tgt.gid in col else coeff
-    for (degree, gid), col in accum.items():
-        boundary[degree][gid] = [(r, v) for r, v in sorted(col.items())
-                                 if not field.is_zero(v)]
+            col.append((tgt.gid, coeff))
+    del pending  # the lines are read: free them before the check below runs
+    for cols in boundary.values():
+        for gid, col in enumerate(cols):
+            if col:
+                cols[gid] = _canonical(field, col, zeros)
 
     c = FilteredChainComplex._adopt(field, by_degree, boundary)
     c.ensure_valid()
     return c
+
+
+def _canonical(field: FieldSpec, col: list, zeros: bool) -> list:
+    """``col`` sorted by row, with repeated rows summed and zeros dropped;
+    ``zeros`` tells whether a coefficient in it may be zero."""
+    col.sort()
+    prev = -1
+    for r, _ in col:
+        if r == prev:
+            break
+        prev = r
+    else:
+        if not zeros:
+            return col  # distinct rows, no zero: sorting made it canonical
+    out: list = []
+    for r, v in col:
+        if out and out[-1][0] == r:
+            v = field.add(out.pop()[1], v)
+        out.append((r, v))
+    return [(r, v) for r, v in out if not field.is_zero(v)]
 
 
 def serialize_complex(c: FilteredChainComplex, comments: Sequence[str] = ()) -> str:

@@ -25,6 +25,15 @@ last row comes before the first open row therefore reduces to zero and is
 skipped; the first open row only moves forward.  The bound needs d∘d = 0,
 which ``ensure_valid`` checks first, and that shared order of rows.
 
+Each degree's generators are put in (filtration, id) order once, and that
+one order serves as the columns of d_n and the rows of d_(n+1).  Where the
+ids already run in it, as in every complex ``serialize_complex`` or the
+``rips`` command writes once read back, the stored columns are reduced as
+they are, with no reindexed copy; otherwise each column is reindexed
+through a position list.  Which generators are paired is one bytearray of
+flags per degree, and the barcode is counted on plain tuples, so one
+``BarEntry`` is made per distinct bar.
+
 ``BarEntry``, ``Pair`` and ``Pairing`` are ``NamedTuple`` records; a
 ``BarEntry`` checks its lifetime however it is made.
 """
@@ -32,7 +41,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import NamedTuple, Union
+from itertools import pairwise
+from typing import NamedTuple, Sequence, Union
 
 from .complexes import FilteredChainComplex, Generator
 from .errors import UsageError
@@ -110,7 +120,7 @@ class Pair(NamedTuple):
     birth: Generator
     lifetime: int
     pivot: SparseColumn      # as stored by `reducer`, over positions in `rows`
-    rows: list               # position -> gid, one degree below
+    rows: Sequence[int]      # position -> gid, one degree below
     reducer: ColumnReducer
 
     @property
@@ -128,50 +138,62 @@ class Pairing(NamedTuple):
     pairs: list       # list[Pair]
 
 
+def _level_order(gens: list) -> Sequence[int]:
+    """The ids of ``gens`` in (filtration, id) order; a range when that is their order."""
+    if all(a.filtration <= b.filtration for a, b in pairwise(gens)):
+        return range(len(gens))
+    return sorted(range(len(gens)), key=lambda i: gens[i].filtration)  # stable: ties by id
+
+
 def decompose(c: FilteredChainComplex) -> tuple[Pairing, Barcode]:
     """Reduce the complex into essential generators and pairs, plus its barcode."""
     c.ensure_valid()
     field = c.field
-    survivors: dict[tuple[int, int], Generator] = {}
-    for n in c.degrees():
-        for g in c.gens(n):
-            survivors[(n, g.gid)] = g
+    # one order per degree: the columns of d_n and the rows of d_(n+1)
+    orders = {n: _level_order(c.gens(n)) for n in c.degrees()}
+    # paired[n][gid] is 1 once generator gid of degree n is paired
+    paired = {n: bytearray(len(order)) for n, order in orders.items()}
 
     pairs: list[Pair] = []
-    for n in c.degrees():
-        targets = c.gens(n - 1)
-        if not targets:
+    for n, order in orders.items():
+        rows = orders.get(n - 1)
+        if not rows:
             continue
-        # rows reindexed by (filtration, gid) so the pivot is simply the
-        # last entry of a reduced column
-        order = sorted(range(len(targets)), key=lambda i: (targets[i].filtration, i))
-        pos_of = {gid: k for k, gid in enumerate(order)}
+        gens, targets, columns = c.gens(n), c.gens(n - 1), c.boundary[n]
+        done, closed = paired[n], paired[n - 1]
+        # the pivot of a column over rows in (filtration, id) order is simply
+        # its last entry; rows already in that order are used as stored
+        position = None
+        if type(rows) is not range:
+            position = [0] * len(rows)
+            for k, gid in enumerate(rows):
+                position[gid] = k
         reducer = ColumnReducer(field)
         open_row = 0  # first row still an essential candidate (module docstring)
-        for w in sorted(c.gens(n), key=lambda g: (g.filtration, g.gid)):
-            col = sorted(((pos_of[r], v) for r, v in c.column(n, w.gid)))
-            while open_row < len(order) and (n - 1, order[open_row]) not in survivors:
+        for gid in order:
+            col = columns[gid]
+            if position is not None:
+                col = sorted([(position[r], v) for r, v in col])
+            while open_row < len(rows) and closed[rows[open_row]]:
                 open_row += 1
             if not col or col[-1][0] < open_row:
-                continue  # reduces to zero: w stays an essential candidate
+                continue  # reduces to zero: the generator stays an essential candidate
             col = reducer.reduce(col)
             if not col:
-                continue  # w stays an essential candidate
+                continue  # the generator stays an essential candidate
             pivot_pos = reducer.add_pivot(col)
-            birth = targets[order[pivot_pos]]
-            del survivors[(n, w.gid)]
-            del survivors[(n - 1, birth.gid)]
+            w, birth = gens[gid], targets[rows[pivot_pos]]
+            done[gid] = closed[birth.gid] = 1
             pairs.append(Pair(w, birth, w.filtration - birth.filtration,
-                              reducer.pivots[pivot_pos], order, reducer))
+                              reducer.pivots[pivot_pos], rows, reducer))
 
-    counts: Counter = Counter()
-    for g in survivors.values():
-        counts[BarEntry(g.degree, g.filtration, INF)] += 1
-    for pair in pairs:
-        if not pair.cancelled:
-            counts[BarEntry(pair.birth.degree, pair.birth.filtration, pair.lifetime)] += 1
-    essentials = sorted(survivors.values(), key=lambda g: (g.degree, g.gid))
-    return Pairing(essentials, pairs), Barcode(counts)
+    essentials = [g for n in orders for g, f in zip(c.gens(n), paired[n]) if not f]
+    # one BarEntry per distinct bar
+    counts = Counter((g.degree, g.filtration, INF) for g in essentials)
+    counts.update((p.birth.degree, p.birth.filtration, p.lifetime)
+                  for p in pairs if not p.cancelled)
+    barcode = Barcode({BarEntry(*bar): mult for bar, mult in counts.items()})
+    return Pairing(essentials, pairs), barcode
 
 
 def betti(b: Barcode, n: int, i: int, j: int) -> int:

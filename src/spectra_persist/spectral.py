@@ -123,7 +123,8 @@ class PageTable:
         return self
 
     def _check_r(self, r: PageIndex) -> None:
-        if r == INF:
+        # as in ``_store``, a plain int in range is spared the is_int call
+        if type(r) is int and 1 <= r <= self.r_max or r == INF:
             return
         if not is_int(r) or not 1 <= r <= self.r_max:
             raise UsageError(f"page index {r!r} outside 1..{self.r_max} and inf")

@@ -359,6 +359,37 @@ def test_integer_tokens_are_ascii_digits(capsys, tmp_path, command, text, field,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, text, options, want", [
+    ("rips", "pt 1_0 0\n", [], 1),                                    # pt coordinate
+    ("rips", "pt ١ 0\n", [], 1),
+    ("rips", "pt 0 0\npt 0 １\n", [], 1),
+    ("rips", "dist 2\n0 1_0\n1_0 0\n", [], 1),                       # dist entry
+    ("rips", "dist 2\n0 ١\n١ 0\n", [], 1),
+    ("barcode", "simp 0 0\nsimp 0 1\nsimp 1_0 0 1\n", [], 1),        # simp value
+    ("barcode", "simp ٠ 0\n", [], 1),
+    ("rips", "pt 0 0\n", ["--threshold", "1_00"], 2),
+    ("rips", "pt 0 0\n", ["--threshold", "١"], 2),
+    ("rips", "pt 0 0\n", ["--threshold", " 1"], 2),
+    ("rips", "pt 0 0\n", ["--threshold", "1e999"], 2),
+    ("rips", "pt 0 0\n", ["--threshold", "0x1p0"], 2),
+])
+def test_real_tokens_are_ascii_decimals(capsys, tmp_path, command, text, options, want):
+    # float() alone reads '1_0' as 10.0 and '١' as 1.0
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command, path, *options)
+    assert code == want and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, shown", [("1.6", "1.6"), ("16e-1", "1.6"), ("+2", "2.0"),
+                                         (".5", "0.5"), ("1E2", "100.0")])
+def test_rips_threshold_comment_shows_the_float(capsys, text, shown):
+    code, out, _ = run(capsys, "rips", FIXTURES / "circle8.pts", "--threshold", text)
+    assert code == 0
+    assert out.splitlines()[0] == f"# rips: 8 points, max_dim=1, threshold={shown}"
+
+
 def test_closed_stdout_exits_one_without_a_traceback():
     # `pages ... | head -3`: here the reader is gone before the first write
     read_end, write_end = os.pipe()

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from spectra_persist.randomgen import permute_generators, random_complex
 from spectra_persist.spectral import verify
 
 from helpers import corpus_fields, essential_count, model_essential, model_pair, triangle
-from oracles import barcode_by_rank, persistent_betti
+from oracles import barcode_by_rank, dense_rank, persistent_betti
 
 Q = RationalField()
 GF2 = PrimeField(2)
@@ -333,3 +334,71 @@ def test_open_row_bound_edge_cases(monkeypatch, field, gens, bnd, bars, reduced)
     assert len(calls) == reduced
     assert b == Barcode({BarEntry(*bar): m for bar, m in bars.items()})
     assert b == barcode_by_rank(c)
+
+
+# -- columns over rows as stored, or reindexed into (filtration, id) order ----
+
+def _in_level_order(c):
+    """``c`` relabelled so that each degree's ids run in (filtration, id) order."""
+    order = {n: sorted(range(c.n_gens(n)), key=lambda i: (c.gens(n)[i].filtration, i))
+             for n in c.degrees()}
+    new_id = {n: {old: new for new, old in enumerate(ids)} for n, ids in order.items()}
+    gens = {n: [c.gens(n)[old]._replace(gid=new) for new, old in enumerate(ids)]
+            for n, ids in order.items()}
+    boundary = {n: [sorted((new_id[n - 1][r], v) for r, v in c.column(n, old)) for old in ids]
+                for n, ids in order.items()}
+    return FilteredChainComplex(c.field, gens, boundary)
+
+
+def _assert_valid_cycle(c, pair, earlier):
+    """``pair.cycle`` has a unit lead at the birth row, every other entry on an
+    earlier (filtration, id) row and no boundary, and it is d(death) plus a
+    combination of the earlier columns, up to a nonzero scalar (dense ranks)."""
+    field, n, birth = c.field, pair.death.degree, pair.birth
+    cycle = dict(pair.cycle)
+    assert cycle[birth.gid] == field.one
+    assert all((c.gens(n - 1)[r].filtration, r) <= (birth.filtration, birth.gid)
+               for r in cycle)
+    dd = {}
+    for r, v in cycle.items():
+        for q, u in c.column(n - 1, r):
+            dd[q] = field.add(dd.get(q, field.zero), field.mul(v, u))
+    assert all(field.is_zero(v) for v in dd.values())
+
+    def dense(col):
+        row = [field.zero] * c.n_gens(n - 1)
+        for r, v in col:
+            row[r] = v
+        return row
+    span = [dense(c.column(n, g.gid)) for g in earlier]
+    death, cycle = dense(c.column(n, pair.death.gid)), dense(pair.cycle)
+    base = dense_rank(span, field)
+    assert dense_rank(span + [cycle], field) == base + 1
+    assert dense_rank(span + [death], field) == dense_rank(span + [death, cycle], field) == base + 1
+
+
+@pytest.mark.parametrize("field", corpus_fields(), ids=str)
+def test_decompose_agrees_on_rows_as_stored_and_reindexed(field):
+    # the copy in (filtration, id) order reduces its columns as stored, the
+    # shuffled copy reindexes them; both must give one barcode and one
+    # multiset of pairs, each with a valid cycle
+    rng = random.Random(77)
+    paths = Counter()
+    for trial in range(12):
+        shuffled = permute_generators(rng, random_complex(rng, rng.randint(6, 30), field))
+        results = []
+        for c in (shuffled, _in_level_order(shuffled)):
+            pairing, barcode = decompose(c)
+            for p in pairing.pairs:
+                paths[c is shuffled, type(p.rows)] += 1
+                n = p.death.degree
+                earlier = [g for g in c.gens(n) if (g.filtration, g.gid)
+                           < (p.death.filtration, p.death.gid)]
+                _assert_valid_cycle(c, p, earlier)
+            results.append((barcode,
+                            Counter((p.birth.degree, p.birth.filtration, p.death.filtration)
+                                    for p in pairing.pairs),
+                            Counter((g.degree, g.filtration) for g in pairing.essentials)))
+        assert results[0] == results[1], trial
+    assert paths[False, range] > 20 and paths[True, list] > 20
+    assert not paths[False, list]

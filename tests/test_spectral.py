@@ -79,11 +79,14 @@ def test_pages_direct_single_essential():
 
 def test_page_index_validation():
     t = model_table()
-    with pytest.raises(UsageError):
-        t.dim(0, 0, 0)
-    with pytest.raises(UsageError):
-        t.dim(5, 0, 0)
+    for r in (True, 1.0, 0, -1, t.r_max + 1, "1", None):
+        with pytest.raises(UsageError, match=r"^page index .* outside 1\.\."):
+            t.dim(r, 0, 0)
+        with pytest.raises(UsageError, match=r"^page index .* outside 1\.\."):
+            t.row_total(r, 0)
     assert t.dim(INF, 0, 0) == 0
+    assert [t.dim(r, 0, 2) for r in (1, 2, 3, 4, INF)] == [1, 1, 1, 0, 0]
+    assert [t.row_total(r, 0) for r in (1, 2, 3, 4, INF)] == [1, 1, 1, 0, 0]
 
 
 def test_collapse_model():
