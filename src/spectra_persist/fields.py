@@ -11,12 +11,16 @@ subclasses, immutable and equal by value.  One with checks runs them in
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .errors import UsageError
 
-Scalar = Union[int, Fraction]
+# ``fractions`` loads ``decimal`` and ``numbers`` too: the first RationalField
+# made imports it, so a process that works over GF(p) never does
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
 
 
 def parse_int(token: str) -> int:
@@ -181,8 +185,13 @@ class RationalField(NamedTuple("RationalField", []), FieldSpec):
     # Fraction keeps lowest terms and a positive denominator, which is
     # exactly the canonical form; ints are accepted and promoted.
     __slots__ = ()
-    zero = Fraction(0)
-    one = Fraction(1)
+
+    def __new__(cls):
+        global Fraction
+        if "one" not in cls.__dict__:
+            from fractions import Fraction
+            cls.zero, cls.one = Fraction(0), Fraction(1)
+        return super().__new__(cls)
 
     def __bool__(self) -> bool:  # a field is true, though it has no fields
         return True

@@ -19,6 +19,11 @@ Simplicial format:
 
 Vertices omitted from the file are inserted at the smallest value of any
 simplex containing them; missing faces of dimension >= 1 are an error.
+A simplicial complex keeps each simplex's faces as positions
+(``FilteredSimplicialComplex.faces``), found where closure and face order
+are checked: by ``make_simplicial`` for a ``simp`` file, and by ``rips``
+as it makes each simplex.  The two writers, ``simplicial_to_chain`` and
+``serialize_simplicial``, read them and look no face up.
 
 Point clouds are either ``pt <x1> ... <xd>`` lines (equal dimension) or one
 ``dist <n>`` header followed by an n-by-n symmetric matrix, one row per
@@ -27,7 +32,7 @@ line.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import ClosureError, ParseError, UsageError
@@ -230,15 +235,30 @@ def serialize_complex(c: FilteredChainComplex, comments: Sequence[str] = ()) -> 
 class FilteredSimplicialComplex(NamedTuple):
     """Simplices with real filtration values, closed under faces.
 
-    ``levels`` lists the distinct values in increasing order; a simplex's
-    integer level is its value's index in that list.
+    ``simplices`` is in canonical order: by dimension, then value, then
+    vertices; a simplex's position is its index there.  ``levels`` lists the
+    distinct values in increasing order; a simplex's integer level is its
+    value's index in that list.  ``faces`` holds, for each simplex, the
+    positions of its faces in boundary-formula order: face i drops vertex i
+    and has sign (-1)^i (a vertex has none), so the last face is the
+    simplex less its last vertex.  ``make_simplicial`` and ``rips`` find the
+    faces where they check closure and face order; build the complex
+    through them, as the writers trust ``faces``.
     """
     simplices: tuple  # tuple[(verts tuple, value float)], canonical order
     levels: tuple     # tuple[float]
+    faces: tuple      # tuple[tuple[int]], one per simplex, boundary order
 
 
 def make_simplicial(simplices) -> FilteredSimplicialComplex:
-    """Canonicalize and validate (verts, value) pairs."""
+    """Canonicalize and validate (verts, value) pairs.
+
+    A repeated vertex or a duplicate simplex is a ``UsageError``, checked
+    first.  Then each simplex, in the order given, has its faces looked up
+    in lexicographic order: a missing one is a ``ClosureError``, one with a
+    larger value a ``UsageError``, and the first fault found is raised.  The
+    lookups give the positions ``faces`` records.
+    """
     seen: dict[tuple, float] = {}
     for verts, value in simplices:
         key = tuple(sorted(verts))
@@ -247,18 +267,25 @@ def make_simplicial(simplices) -> FilteredSimplicialComplex:
         if key in seen:
             raise UsageError(f"duplicate simplex {key!r}")
         seen[key] = float(value)
+    ordered = tuple(sorted(seen.items(), key=lambda kv: (len(kv[0]), kv[1], kv[0])))
+    position = {verts: k for k, (verts, _) in enumerate(ordered)}
+    faces: list = [()] * len(ordered)
     for verts, value in seen.items():
         if len(verts) == 1:
             continue
+        found = []
+        # combinations drops the last vertex first: the boundary order reversed
         for face in combinations(verts, len(verts) - 1):
-            if face not in seen:
+            k = position.get(face)
+            if k is None:
                 raise ClosureError(f"missing face {face!r} of {verts!r}")
-            if seen[face] > value:
+            if ordered[k][1] > value:
                 raise UsageError(
-                    f"face {face!r} at {seen[face]} appears after {verts!r} at {value}")
-    ordered = tuple(sorted(seen.items(), key=lambda kv: (len(kv[0]), kv[1], kv[0])))
+                    f"face {face!r} at {ordered[k][1]} appears after {verts!r} at {value}")
+            found.append(k)
+        faces[position[verts]] = tuple(reversed(found))
     levels = tuple(sorted(set(seen.values())))
-    return FilteredSimplicialComplex(ordered, levels)
+    return FilteredSimplicialComplex(ordered, levels, tuple(faces))
 
 
 def parse_simplicial(text: str) -> FilteredSimplicialComplex:
@@ -290,27 +317,45 @@ def parse_simplicial(text: str) -> FilteredSimplicialComplex:
         raise ParseError(str(exc)) from None
 
 
+def _labels(fsc: FilteredSimplicialComplex) -> list:
+    """Each simplex's generator name: ``s`` and its vertices joined by ``_``,
+    made from the name of its last face, which drops the last vertex."""
+    labels: list[str] = []
+    for (verts, _), faces in zip(fsc.simplices, fsc.faces):
+        labels.append(f"{labels[faces[-1]]}_{verts[-1]}" if faces else f"s{verts[0]}")
+    return labels
+
+
+def _signed_faces(faces: tuple) -> list:
+    """``(position, i & 1)`` of each face i, in position order: within a
+    degree positions follow (level, id), the order of a column's rows."""
+    return sorted(zip(faces, _PARITY))
+
+
+_PARITY = (0, 1) * 32  # a simplex with more vertices has over 2**64 faces
+
+
 def simplicial_to_chain(fsc: FilteredSimplicialComplex, field: FieldSpec) -> FilteredChainComplex:
     """One generator per simplex; the usual alternating-sign boundary."""
     from .complexes import FilteredChainComplex, Generator
-    # faces come before their simplex; a column's faces are distinct and its
-    # signs +-1 nonzero in every field, so sorting its entries makes it canonical
+    # a column's faces are distinct and its signs +-1 nonzero in every field,
+    # so its entries in position order make it canonical
     level = {value: k for k, value in enumerate(fsc.levels)}
     signs = (field.one, field.normalize(-1))
     by_degree: dict[int, list[Generator]] = {}
     boundary: dict[int, list[list]] = {}
-    gid_of: dict[tuple, int] = {}
-    for verts, value in fsc.simplices:
+    first: dict[int, int] = {}  # position of each degree's first simplex
+    for k, ((verts, value), faces, label) in enumerate(
+            zip(fsc.simplices, fsc.faces, _labels(fsc))):
         n = len(verts) - 1
         gens = by_degree.setdefault(n, [])
-        gid_of[verts] = gid = len(gens)
-        gens.append(Generator(gid, n, level[value], "s" + "_".join(map(str, verts))))
+        if not gens:
+            first[n] = k
+        gens.append(Generator(len(gens), n, level[value], label))
         if n:
-            try:
-                col = [(gid_of[verts[:i] + verts[i + 1:]], signs[i & 1]) for i in range(n + 1)]
-            except KeyError as exc:
-                raise ClosureError(f"missing face {exc.args[0]!r} of {verts!r}") from None
-            boundary.setdefault(n, []).append(sorted(col))
+            below = first[n - 1]
+            boundary.setdefault(n, []).append(
+                [(f - below, signs[sign]) for f, sign in _signed_faces(faces)])
     c = FilteredChainComplex(field, by_degree, boundary)
     c.ensure_valid()
     return c
@@ -330,25 +375,14 @@ def serialize_simplicial(fsc: FilteredSimplicialComplex, field: FieldSpec,
     signs = (field.format(field.one), field.format(field.normalize(-1)))
     lines = [f"# {comment}" for comment in comments]
     lines.append(f"field {field.token()}")
-    bnds: list[str] = []
-    labels: list[str] = []
-    position: dict[tuple, int] = {}
-    for k, (verts, value) in enumerate(fsc.simplices):
-        label = "s" + "_".join(map(str, verts))
-        labels.append(label)
-        position[verts] = k
-        n = len(verts) - 1
-        lines.append(f"gen {label} {n} {level[value]}")
-        if n:
-            try:
-                faces = sorted([(position[verts[:i] + verts[i + 1:]], i & 1)
-                                for i in range(n + 1)])
-            except KeyError as exc:
-                raise ClosureError(f"missing face {exc.args[0]!r} of {verts!r}") from None
-            bnds.append(f"bnd {label} " + " ".join(f"{signs[sign]} {labels[face]}"
-                                                   for face, sign in faces))
-    lines += bnds
-    return "\n".join(lines) + "\n"
+    labels = _labels(fsc)
+    lines += [f"gen {label} {len(verts) - 1} {level[value]}"
+              for label, (verts, value) in zip(labels, fsc.simplices)]
+    lines += [f"bnd {label} " + " ".join([f"{signs[sign]} {labels[f]}"
+                                          for f, sign in _signed_faces(faces)])
+              for label, faces in zip(labels, fsc.faces) if faces]
+    lines.append("")  # the final newline, without a copy of the text to add it
+    return "\n".join(lines)
 
 
 # -- point clouds and the Rips filtration -------------------------------------
@@ -411,6 +445,8 @@ def parse_point_cloud(text: str) -> PointCloud:
                 raise ParseError("cannot mix pt lines with a dist matrix", line_no)
             try:
                 expected = parse_int(toks[1])
+                if expected < 0:
+                    raise ValueError(f"negative size {expected}")
             except ValueError:
                 raise ParseError("bad matrix size", line_no) from None
         elif expected is not None:
@@ -440,29 +476,66 @@ def rips(pc: PointCloud, max_dim: int, threshold: Optional[float] = None) -> Fil
 
     The filtration value of a simplex is its diameter (vertices enter at 0).
     threshold None means no bound, which is only feasible for small clouds.
+
+    Each simplex is made once, from its parent (itself less its top vertex)
+    and one of the parent's candidates: the vertices above its top one
+    within the threshold of all its vertices, each kept with its largest
+    distance to them (neighbour-list expansion, Zomorodian 2010).  So
+    vertices strictly increase, no simplex is made twice, and every face of
+    a simplex is a simplex no wider: closure and face order hold by
+    construction, with nothing left to check.  A simplex's faces are found
+    through its parent's (as in the simplex tree, Boissonnat & Maria 2014):
+    dropping vertex i below the top one v gives the parent's face i plus v,
+    read from a ``{v: position}`` map of that face's cofaces, kept only for
+    the dimension being extended.  Each dimension is made in lexicographic
+    order and sorted once, stably by diameter.
     """
     if max_dim < 0:
         raise UsageError("max_dim must be >= 0")
-    n = len(pc)
-    simplices: list[tuple[tuple, float]] = [((i,), 0.0) for i in range(n)]
-    frontier: list[tuple[tuple, float]] = list(simplices)
-    for _ in range(max_dim):
-        if not frontier:  # no simplex of this dimension, so none above it
+    dist = pc._d
+    n = len(dist)
+    bound = math.inf if threshold is None else threshold
+    simplices = [((u,), 0.0) for u in range(n)]
+    faces: list = [()] * n
+    values = {0.0} if n else set()
+    # the simplices to extend, in lexicographic order, as (vertices, diameter,
+    # position, faces, candidates); a candidate is a (vertex, reach) pair,
+    # reach its largest distance to the simplex's vertices
+    layer = [((u,), 0.0, u, (), [(v, row[v]) for v in range(u + 1, n) if row[v] <= bound])
+             for u, row in enumerate(dist)]
+    cofaces: dict[int, dict[int, int]] = {}
+    for dim in range(1, max_dim + 1):
+        extend = dim < max_dim
+        # the new simplices, in lexicographic order: vertices, diameters,
+        # faces and, if they are to be extended, candidates
+        made, diams, made_faces, onward = [], [], [], []
+        for verts, diam, pos, below, cands in layer:
+            if not cands:
+                continue
+            tops = [v for v, _ in cands]
+            made += [verts + (v,) for v in tops]
+            diams += [reach if reach > diam else diam for _, reach in cands]
+            # a vertex's one face is the empty simplex, and vertex v is at position v
+            maps = [cofaces[f] for f in below] if below else [range(n)]
+            made_faces += zip(*[[m[v] for v in tops] for m in maps], repeat(pos))
+            if extend:
+                onward += [[(w, d if d > r else r) for w, r in cands[i + 1:]
+                            if (d := dist[v][w]) <= bound] for i, v in enumerate(tops)]
+        if not made:  # no simplex of this dimension, so none above it
             break
-        nxt: list[tuple[tuple, float]] = []
-        for verts, diam in frontier:
-            for v in range(verts[-1] + 1, n):
-                d = diam
-                ok = True
-                for u in verts:
-                    duv = pc.distance(u, v)
-                    if threshold is not None and duv > threshold:
-                        ok = False
-                        break
-                    if duv > d:
-                        d = duv
-                if ok:
-                    nxt.append((verts + (v,), d))
-        simplices.extend(nxt)
-        frontier = nxt
-    return make_simplicial(simplices)
+        # a stable sort by diameter keeps ties in lexicographic order
+        order = sorted(range(len(made)), key=diams.__getitem__)
+        start = len(simplices)
+        simplices += [(made[i], diams[i]) for i in order]
+        faces += [made_faces[i] for i in order]
+        values.update(diams)
+        if extend:
+            position = [0] * len(order)
+            for k, i in enumerate(order, start):
+                position[i] = k
+            # {v: position of it + v} of each simplex one dimension below the new ones
+            cofaces = {}
+            for verts, below, k in zip(made, made_faces, position):
+                cofaces.setdefault(below[-1], {})[verts[-1]] = k
+            layer = zip(made, diams, position, made_faces, onward)
+    return FilteredSimplicialComplex(tuple(simplices), tuple(sorted(values)), tuple(faces))

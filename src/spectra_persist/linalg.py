@@ -28,7 +28,6 @@ made by :func:`integral`.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -207,8 +206,8 @@ class ColumnReducer:
         """
         if not self._integral:
             return col
-        lead = col[-1][1]
-        return [(r, Fraction(v, lead)) for r, v in col]
+        lead, fraction = col[-1][1], type(self.field.one)  # Q's one is a Fraction
+        return [(r, fraction(v, lead)) for r, v in col]
 
 
 def rank(m: SparseMatrix, field: FieldSpec) -> int:

@@ -8,7 +8,6 @@ columns stay sparse.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .complexes import FilteredChainComplex, Generator
 from .fields import FieldSpec, PrimeField, Scalar
@@ -23,7 +22,7 @@ def random_nonzero_scalar(rng: random.Random, field: FieldSpec) -> Scalar:
     if isinstance(field, PrimeField):
         return rng.randrange(1, field.p)
     num = rng.choice([-3, -2, -1, 1, 2, 3])
-    return Fraction(num, rng.randint(1, 3))
+    return type(field.one)(num, rng.randint(1, 3))  # Q's one is a Fraction
 
 
 def random_complex(rng: random.Random, n_gens: int, field: FieldSpec) -> FilteredChainComplex:

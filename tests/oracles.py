@@ -10,6 +10,8 @@ literal subquotient construction.
 """
 from __future__ import annotations
 
+from itertools import combinations
+
 from spectra_persist.complexes import FilteredChainComplex, Generator, Violation
 from spectra_persist.errors import (ClosureError, InconsistentTableError,
                                     InsufficientRMaxError, UsageError)
@@ -455,3 +457,66 @@ def simplicial_to_chain_by_entries(fsc: FilteredSimplicialComplex,
         g = index[verts]
         boundary[g.degree][g.gid] = column_from_entries(field, entries)
     return FilteredChainComplex(field, by_degree, boundary)
+
+
+def make_simplicial_by_lookup(simplices) -> FilteredSimplicialComplex:
+    """``make_simplicial`` as a closure pass over vertex tuples: every face of
+    every simplex is sliced out and looked up, once to check it and once
+    more, after sorting, for its position."""
+    seen: dict = {}
+    for verts, value in simplices:
+        key = tuple(sorted(verts))
+        if len(set(key)) != len(key):
+            raise UsageError(f"repeated vertex in simplex {verts!r}")
+        if key in seen:
+            raise UsageError(f"duplicate simplex {key!r}")
+        seen[key] = float(value)
+    for verts, value in seen.items():
+        if len(verts) == 1:
+            continue
+        for face in combinations(verts, len(verts) - 1):
+            if face not in seen:
+                raise ClosureError(f"missing face {face!r} of {verts!r}")
+            if seen[face] > value:
+                raise UsageError(
+                    f"face {face!r} at {seen[face]} appears after {verts!r} at {value}")
+    ordered = tuple(sorted(seen.items(), key=lambda kv: (len(kv[0]), kv[1], kv[0])))
+    position = {verts: k for k, (verts, _) in enumerate(ordered)}
+    faces = tuple(tuple(position[verts[:i] + verts[i + 1:]] for i in range(len(verts)))
+                  if len(verts) > 1 else () for verts, _ in ordered)
+    return FilteredSimplicialComplex(ordered, tuple(sorted(set(seen.values()))), faces)
+
+
+def rips_by_cliques(dist: list, max_dim: int, threshold) -> list:
+    """(verts, diameter) of every clique of at most ``max_dim + 1`` vertices
+    whose distances are all within ``threshold`` (None: no bound), by brute
+    force over vertex subsets."""
+    out = []
+    for k in range(1, max_dim + 2):
+        for verts in combinations(range(len(dist)), k):
+            lengths = [dist[u][v] for u, v in combinations(verts, 2)]
+            if threshold is None or all(d <= threshold for d in lengths):
+                out.append((verts, max(lengths, default=0.0)))
+    return out
+
+
+def serialize_simplicial_by_lookup(fsc: FilteredSimplicialComplex, field: FieldSpec,
+                                   comments=()) -> str:
+    """The text ``serialize_simplicial`` writes, each face found by slicing
+    its vertex tuple and looking it up, ``fsc.faces`` unread."""
+    level = {value: k for k, value in enumerate(fsc.levels)}
+    signs = (field.format(field.one), field.format(field.normalize(-1)))
+    lines = [f"# {comment}" for comment in comments]
+    lines.append(f"field {field.token()}")
+    bnds, labels, position = [], [], {}
+    for k, (verts, value) in enumerate(fsc.simplices):
+        label = "s" + "_".join(map(str, verts))
+        labels.append(label)
+        position[verts] = k
+        n = len(verts) - 1
+        lines.append(f"gen {label} {n} {level[value]}")
+        if n:
+            faces = sorted((position[verts[:i] + verts[i + 1:]], i & 1) for i in range(n + 1))
+            bnds.append(f"bnd {label} " + " ".join(f"{signs[sign]} {labels[face]}"
+                                                   for face, sign in faces))
+    return "\n".join(lines + bnds) + "\n"

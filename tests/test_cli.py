@@ -298,6 +298,7 @@ def test_recover_json_of_the_wrong_shape_names_the_bad_item(capsys, tmp_path, te
      "bad page table JSON: repeated page cell (r=inf, n=0, s=0)"),
     ("recover", "# r_max 5\n# r_max 1\n", "line 2: second r_max comment"),
     ("rips", "pt -1e308 0\npt 1e308 0\npt 1.7e308 0\n", "non-finite distance at (0, 1)"),
+    ("rips", "dist -1\n", "line 1: bad matrix size"),  # not "expected a -1x-1 matrix"
     # json.loads alone keeps the last of two equal keys: an empty barcode, r_max 1
     ("recover", '{"r_max": 3, "dims": [{"r": 1, "n": 0, "s": 0, "dim": 1},'
                 ' {"r": "inf", "n": 0, "s": 0, "dim": 1}], "dims": []}',
@@ -306,7 +307,7 @@ def test_recover_json_of_the_wrong_shape_names_the_bad_item(capsys, tmp_path, te
     ("recover", '{"r_max": 2, "dims": [{"r": 1, "n": 0, "s": 0, "dim": 1, "dim": 2}]}',
      "bad page table JSON: repeated key 'dim'"),
 ], ids=["cell-then-larger", "cell-then-smaller", "json-cell", "r_max", "overflowing-distance",
-        "json-dims-key", "json-r_max-key", "json-dim-key"])
+        "negative-dist-size", "json-dims-key", "json-r_max-key", "json-dim-key"])
 def test_repeated_page_data_and_overflowing_distances_are_data_errors(capsys, tmp_path,
                                                                       command, text, message):
     path = tmp_path / "input"
@@ -522,6 +523,23 @@ def test_a_command_loads_only_the_modules_it_runs(argv, needed, absent):
     assert {f"spectra_persist.{m}" for m in needed} <= loaded
     assert not {f"spectra_persist.{m}" for m in absent} & loaded
     assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("field, rationals", [("2", False), ("q", True)])
+def test_only_a_process_over_q_imports_fractions(field, rationals):
+    # fractions loads decimal and numbers with it; GF(p) makes no Fraction
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    rips = subprocess.run([sys.executable, "-c", LIST_MODULES, "rips", str(FIXTURES / "circle8.pts"),
+                           "--max-dim", "2", "--field", field],
+                          capture_output=True, text=True, timeout=60, env=env)
+    barcode = subprocess.run([sys.executable, "-c", LIST_MODULES, "barcode", "-", "--field", field],
+                             input=rips.stdout, capture_output=True, text=True, timeout=60,
+                             env=env)
+    for proc in (rips, barcode):
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stderr.splitlines()[-1].split())
+        assert ("fractions" in loaded) == rationals
+        assert ("decimal" in loaded) == rationals
 
 
 PUBLIC = {

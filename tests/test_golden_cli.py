@@ -21,6 +21,7 @@ COMPLEXES = ("u_0_2_3.fcc", "triangle.fcc", "empty.fcc", "broken_dsq.fcc")
 FIELDS = ("2", "3", "q")
 FORMATS = ("text", "json", "tsv")
 GOLDEN = "2e89df815036effaed98ec865bb51776da0b76a76de25c0f54ea2765abf34e92"
+SIMPLICIAL_GOLDEN = "c0a849ccfcc978996e19b8e2944c07d7eee8958b3ba48c1af4c9dda95a562191"
 
 
 def _run(argv, stdin=""):
@@ -81,3 +82,71 @@ def test_cli_output_matches_golden_digest():
         stdin = "" if source is None else _run(source)[1]
         h.update(repr((source, argv, *_run(argv, stdin))).encode())
     assert h.hexdigest() == GOLDEN
+
+
+# ``simp`` files read from standard input: implicit vertices, tied values,
+# lines in no particular order, and a file with missing and late faces
+SIMP_TEXTS = (
+    "simp 0.5 0 1 2\nsimp 0.5 0 1\nsimp 0.25 1 2\nsimp 0.5 0 2\nsimp 1 0 3\n"
+    "simp 1 1 3\nsimp 1.5 2 3\nsimp 1.5 0 1 3\nsimp 2 0 2 3\nsimp 2 1 2 3\n",
+    "simp 0 4\nsimp 2 4 9\nsimp 2 9\nsimp 3 4 9 11\nsimp 3 9 11\nsimp 3 4 11\n",
+    "simp 1 0 1 2\nsimp 1 0 1\n",
+    "simp 0 0\nsimp 3 1\nsimp 2 0 1\n",
+)
+
+# make_simplicial inputs: several missing faces, several late ones, both
+MAKE_SIMPLICIAL = (
+    [((0, 1, 2, 3), 1.0)],
+    [((2, 1, 0), 1.0), ((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((1, 2), 1.0)],
+    [((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 2.0), ((0, 2), 3.0), ((1, 2), 1.0),
+     ((0, 1, 2), 1.5)],
+    [((0,), 5.0), ((1,), 6.0), ((0, 1), 1.0), ((2,), 0.0), ((0, 2), 0.0)],
+    [((3,), 0.0), ((1,), 0.0), ((1, 3), 0.5), ((1, 3, 5), 0.5), ((5,), 0.0), ((3, 5), 0.75)],
+    [((1,), 0.0), ((0,), 0.0), ((0, 1), 1.0), ((0, 0), 1.0)],
+    [((1,), 0.0), ((0,), 1), ((1, 0), 1.0), ((0, 1), 2.0)],
+    [((2,), 0.0), ((0,), 0.0), ((1,), 0.25), ((0, 2), 0.5), ((0, 1), 0.5), ((1, 2), 0.25)],
+)
+
+
+def _simplicial_cases():
+    clouds = (["@circle8.pts", "--max-dim", "3"],
+              ["@circle8.pts", "--max-dim", "4"],
+              ["@circle8.pts", "--max-dim", "4", "--threshold", "1.5"],
+              ["@circle8.pts", "--max-dim", "3", "--threshold", "0.5"],  # no edges
+              ["@circle8.pts", "--max-dim", "2", "--threshold", "0"],
+              ["--dist", "@d3.txt", "--max-dim", "3"],
+              ["--dist", "@d3.txt", "--max-dim", "2", "--threshold", "1"],
+              ["@two_points.pts", "--max-dim", "0"])
+    for cloud in clouds:
+        for field in FIELDS:
+            rips = ["rips", *cloud, "--field", field]
+            yield rips, None
+            for fmt in ("text", "json"):
+                yield ["barcode", "-", "--field", field, "--format", fmt], rips
+            yield ["verify", "-", "--field", field], rips
+    for text in SIMP_TEXTS:
+        for field in FIELDS:
+            yield ["barcode", "-", "--field", field], text
+            yield ["verify", "-", "--field", field], text
+
+
+def test_simplicial_output_matches_pinned_digest():
+    # pins the simplicial front end (rips, simp files, make_simplicial's
+    # errors) apart from GOLDEN; re-record it only when one of these outputs
+    # is meant to change
+    from spectra_persist.ingest import make_simplicial
+    h = hashlib.sha256()
+    for argv, source in _simplicial_cases():
+        if source is None or isinstance(source, str):
+            stdin = source or ""
+        else:
+            stdin = _run(source)[1]
+        h.update(repr((source, argv, *_run(argv, stdin))).encode())
+    for entries in MAKE_SIMPLICIAL:
+        try:
+            fsc = make_simplicial(entries)
+            outcome = (fsc.simplices, fsc.levels)
+        except Exception as exc:  # the class and message are what is pinned
+            outcome = (type(exc).__name__, str(exc))
+        h.update(repr((entries, outcome)).encode())
+    assert h.hexdigest() == SIMPLICIAL_GOLDEN

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from spectra_persist import ingest
 from spectra_persist.complexes import FilteredChainComplex
-from spectra_persist.errors import InvalidComplexError, ParseError, UsageError
+from spectra_persist.errors import ClosureError, InvalidComplexError, ParseError, UsageError
 from spectra_persist.fields import PrimeField, RationalField, parse_int
 from spectra_persist.ingest import (PointCloud, make_simplicial, parse_complex,
                                     parse_point_cloud, parse_simplicial, rips,
@@ -21,7 +21,8 @@ from spectra_persist.randomgen import random_complex
 from spectra_persist.spectral import pages_direct
 
 from helpers import corpus_fields
-from oracles import barcode_by_rank, simplicial_to_chain_by_entries
+from oracles import (barcode_by_rank, make_simplicial_by_lookup, rips_by_cliques,
+                     serialize_simplicial_by_lookup, simplicial_to_chain_by_entries)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 Q = RationalField()
@@ -306,8 +307,10 @@ def test_serialize_simplicial_writes_the_chain_complex_text(seed, source, field)
     # building the chain complex and serializing it, and text the reader accepts
     fsc = random_simplicial(random.Random(seed), source)
     comments = ["rips: test", *(f"level {k} = {v}" for k, v in enumerate(fsc.levels))]
+    assert fsc == make_simplicial_by_lookup(fsc.simplices)
     text = serialize_simplicial(fsc, field, comments)
     assert text == serialize_complex(simplicial_to_chain(fsc, field), comments)
+    assert text == serialize_simplicial_by_lookup(fsc, field, comments)
     assert parse_complex(text, field).validate() == []
 
 
@@ -377,6 +380,70 @@ def test_the_reader_builds_the_columns_the_constructor_accepts(seed, source, fie
     assert c.generators == checked.generators == expected.generators
     assert c.boundary == checked.boundary == expected.boundary
     assert c.validate() == checked.validate() == expected.validate() == []
+
+
+def tied_cloud(rng: random.Random) -> PointCloud:
+    """Up to 8 points on a 3x3 integer grid, repeats allowed, or a symmetric
+    matrix of small integer distances: either way many distances tie."""
+    n = rng.randint(0, 8)
+    if rng.random() < 0.5:
+        return PointCloud.from_points([(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(n)])
+    dist = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        dist[i][j] = dist[j][i] = rng.randint(0, 3)
+    return PointCloud.from_distances(dist)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_dim=st.integers(0, 4),
+       threshold=st.sampled_from([None, 0.0, 1.0, 1.5, 10.0]),
+       field=st.sampled_from([GF2, PrimeField(3), Q]))
+def test_rips_is_make_simplicial_of_the_brute_force_cliques(seed, max_dim, threshold, field):
+    # faces included: rips finds them through each simplex's parent,
+    # make_simplicial by position, the oracle by slicing vertex tuples
+    pc = tied_cloud(random.Random(seed))
+    dist = [[pc.distance(i, j) for j in range(len(pc))] for i in range(len(pc))]
+    cliques = rips_by_cliques(dist, max_dim, threshold)
+    fsc = rips(pc, max_dim, threshold)
+    assert fsc == make_simplicial(cliques) == make_simplicial_by_lookup(cliques)
+    comments = [f"level {k} = {v}" for k, v in enumerate(fsc.levels)]
+    text = serialize_simplicial(fsc, field, comments)
+    assert text == serialize_simplicial_by_lookup(fsc, field, comments)
+    assert text == serialize_complex(simplicial_to_chain(fsc, field), comments)
+
+
+def random_simplicial_entries(rng: random.Random) -> list:
+    """(verts, value) pairs over 5 vertices, shuffled, often with faces
+    missing or late, sometimes with a repeated vertex or simplex."""
+    entries = []
+    for _ in range(rng.randint(1, 12)):
+        verts = tuple(rng.sample(range(5), rng.randint(1, 4)))
+        if rng.random() < 0.02:
+            verts += verts[:1]
+        entries.append((verts, rng.choice([0, 0.5, 1.0, 2.5])))
+    if rng.random() < 0.7:  # close most of them under faces, values kept
+        closed = {tuple(sorted(v)): x for v, x in entries}
+        for verts in list(closed):
+            for k in range(1, len(verts)):
+                for face in combinations(verts, k):
+                    closed.setdefault(face, min(closed[verts], rng.choice([0, 1.0, 3.0])))
+        entries = list(closed.items())
+    rng.shuffle(entries)
+    return entries
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_make_simplicial_finds_faces_and_faults_as_the_lookup_oracle(seed):
+    entries = random_simplicial_entries(random.Random(seed))
+    try:
+        expected = make_simplicial_by_lookup(entries)
+    except (UsageError, ClosureError) as exc:
+        with pytest.raises(type(exc)) as err:
+            make_simplicial(entries)
+        assert str(err.value) == str(exc)
+        return
+    assert make_simplicial(entries) == expected
 
 
 def test_rips_two_points():
