@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from itertools import islice
@@ -21,8 +20,8 @@ from .fields import field_from_text, parse_int
 from .ingest import (_data_lines, _real, parse_complex, parse_point_cloud,
                      parse_simplicial, rips, serialize_simplicial, simplicial_to_chain)
 
-# persistence, spectral and randomgen are imported by the commands that run
-# them, and complexes by the ingest functions that build one, so a process
+# persistence, spectral, randomgen and json are imported by the commands that
+# run them, and complexes by the ingest functions that build one, so a process
 # loads only what its command needs
 if TYPE_CHECKING:
     from .complexes import FilteredChainComplex
@@ -109,6 +108,7 @@ class _Streamed(list):
 
 def _emit_json(obj) -> None:
     """Write ``json.dumps(obj, indent=2)`` and a newline, in batches as it is encoded."""
+    import json
     chunks = json.JSONEncoder(indent=2).iterencode(obj)
     while batch := "".join(islice(chunks, 4096)):
         sys.stdout.write(batch)
@@ -249,12 +249,16 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def cmd_recover(args) -> int:
+    import json
+
     from .spectral import PageTable, parse_page_table, recover_barcode
     text = _read_text(args.input)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
             obj = json.loads(stripped, object_pairs_hook=_unique_keys)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad page table JSON: {exc}") from None
         except RecursionError:
             raise ParseError("page table JSON is nested too deeply") from None
         table = PageTable.from_json_obj(obj)
@@ -348,8 +352,7 @@ def main(argv=None) -> int:
         # to devnull, so the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ParseError, ClosureError, PageTableError, InvalidComplexError,
-            json.JSONDecodeError) as exc:
+    except (ParseError, ClosureError, PageTableError, InvalidComplexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except UsageError as exc:

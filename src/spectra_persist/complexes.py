@@ -9,25 +9,21 @@ enforced by :meth:`FilteredChainComplex.validate`:
   (the differential preserves the filtration), and
 * the composite of consecutive boundary maps vanishes.
 
-The second check sums d(d(g)) for each generator g in one dict from row to
-int.  Over GF(p) it adds plain residue products and reduces each row mod p
-once, at the end; over Q it works in the integer columns of
-:func:`~spectra_persist.linalg.integral`, with the entries of d(g) scaled to
-a common denominator, so no ``Fraction`` is made.
+The second check is :func:`~spectra_persist.linalg.nonzero_composites`,
+which sums d(d(g)) exactly over GF(p) and Q; this module only names the
+generators it reports.
 
 Only finite presentations are representable, so local finiteness and a
 lower bound on the filtration hold automatically.
 """
 from __future__ import annotations
 
-from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InvalidComplexError, UsageError
-from .fields import FieldSpec, RationalField
+from .fields import FieldSpec
 # axpy is not called here; it stays bound because perfbench's tracer wraps it by name
-from .linalg import (SparseColumn, SparseMatrix, axpy, column_from_entries,
-                     integral, rank)
+from .linalg import SparseColumn, SparseMatrix, axpy, canonical, nonzero_composites, rank
 
 
 class Generator(NamedTuple):
@@ -119,7 +115,7 @@ class FilteredChainComplex:
         """Build from (name, degree, filtration) triples and name-keyed boundaries.
 
         Boundary values are sequences of (coeff, target_name); coefficients
-        are normalized into the field.
+        are normalized into the field once the source's targets are resolved.
         """
         by_degree: dict[int, list[Generator]] = {}
         lookup: dict[str, Generator] = {}
@@ -147,7 +143,8 @@ class FilteredChainComplex:
                         f"{target!r} of degree {tgt.degree}"
                     )
                 resolved.append((tgt.gid, coeff))
-            boundary[src.degree][src.gid] = column_from_entries(field, resolved)
+            col = [(r, field.normalize(v)) for r, v in resolved]
+            boundary[src.degree][src.gid] = canonical(field, col, True)
         return cls(field, by_degree, boundary)
 
     # -- accessors ---------------------------------------------------------
@@ -210,28 +207,12 @@ class FilteredChainComplex:
                             f"boundary target {tgt.label()} at level {tgt.filtration} "
                             f"exceeds source level {g.filtration}",
                         ))
-        # d∘d of each column is summed in one dict of ints (module docstring)
-        p = None if isinstance(self.field, RationalField) else self.field.p
         for n in self.degrees():
-            if n - 1 not in self.generators:
-                continue
-            cols = self.boundary[n - 1]
-            if p is None:
-                scaled = [integral(col) for col in cols]
-                cols = [m for _, m in scaled]
-            for g in self.generators[n]:
-                col = self.boundary[n][g.gid]
-                if p is None:  # d(g) times the common denominator of its terms
-                    dens = [v.denominator * scaled[r][0] for r, v in col]
-                    common = lcm(*dens)
-                    col = [(r, v.numerator * (common // d)) for (r, v), d in zip(col, dens)]
-                acc: dict[int, int] = {}
-                for r, v in col:
-                    for q, w in cols[r]:
-                        acc[q] = acc.get(q, 0) + v * w
-                sums = acc.values() if p is None else (x % p for x in acc.values())
-                if any(sums):
-                    out.append(Violation(n, g.gid, f"d∘d ≠ 0 at generator {g.label()}"))
+            if n - 1 in self.generators:
+                gens = self.generators[n]
+                out += [Violation(n, gid, f"d∘d ≠ 0 at generator {gens[gid].label()}")
+                        for gid in nonzero_composites(self.field, self.boundary[n],
+                                                      self.boundary[n - 1])]
         self._violations = out
         return out
 

@@ -3,7 +3,9 @@
 Scalars are plain Python values: canonical residues (``int`` in ``[0, p)``)
 for a prime field and ``fractions.Fraction`` for the rationals.  A field
 object supplies the arithmetic and the canonical form; values are never
-coerced between fields, a mismatch is a :class:`UsageError`.
+coerced between fields, a mismatch is a :class:`UsageError`.  ``FieldSpec``
+is the union of the two field types; column code that depends on how a
+field holds its scalars is in :mod:`~spectra_persist.linalg`.
 
 The fields, like every record type of the package, are ``NamedTuple``
 subclasses, immutable and equal by value.  One with checks runs them in
@@ -79,51 +81,8 @@ def checked(record: type) -> type:
     return record
 
 
-class FieldSpec:
-    """Interface shared by :class:`PrimeField` and :class:`RationalField`."""
-
-    __slots__ = ()
-    zero: Scalar
-    one: Scalar
-
-    def normalize(self, a) -> Scalar:
-        raise NotImplementedError
-
-    def check(self, a) -> Scalar:
-        """Return ``a`` if it is a canonical member of this field, else raise."""
-        raise NotImplementedError
-
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def neg(self, a: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def inv(self, a: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def is_zero(self, a: Scalar) -> bool:
-        raise NotImplementedError
-
-    def parse(self, text: str) -> Scalar:
-        raise NotImplementedError
-
-    def format(self, a: Scalar) -> str:
-        raise NotImplementedError
-
-    def token(self) -> str:
-        """The text :func:`field_from_text` reads back as this field."""
-        raise NotImplementedError
-
-
 @checked
-class PrimeField(NamedTuple("PrimeField", [("p", int)]), FieldSpec):
+class PrimeField(NamedTuple("PrimeField", [("p", int)])):
     __slots__ = ()
     zero = 0
     one = 1
@@ -147,9 +106,6 @@ class PrimeField(NamedTuple("PrimeField", [("p", int)]), FieldSpec):
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
@@ -181,7 +137,7 @@ class PrimeField(NamedTuple("PrimeField", [("p", int)]), FieldSpec):
         return f"GF({self.p})"
 
 
-class RationalField(NamedTuple("RationalField", []), FieldSpec):
+class RationalField(NamedTuple("RationalField", [])):
     # Fraction keeps lowest terms and a positive denominator, which is
     # exactly the canonical form; ints are accepted and promoted.
     __slots__ = ()
@@ -208,9 +164,6 @@ class RationalField(NamedTuple("RationalField", []), FieldSpec):
 
     def add(self, a: Fraction, b: Fraction) -> Fraction:
         return a + b
-
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
 
     def mul(self, a: Fraction, b: Fraction) -> Fraction:
         return a * b
@@ -245,6 +198,9 @@ class RationalField(NamedTuple("RationalField", []), FieldSpec):
 
     def __str__(self) -> str:
         return "Q"
+
+
+FieldSpec = Union[PrimeField, RationalField]
 
 
 def field_from_text(token: str) -> FieldSpec:

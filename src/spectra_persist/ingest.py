@@ -88,12 +88,14 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
 
     The columns are built canonical: each coefficient comes from
     ``field.parse`` or ``field.add``, each row is a generator one degree
-    below, and each column's ``(row, coeff)`` list is sorted once, with
-    repeated rows summed and zeros dropped in the same step.  So the complex
-    adopts them without the constructor's copy and entry check;
-    ``ensure_valid`` still runs, since this is where a pipe's text is trusted.
+    below, and :func:`~spectra_persist.linalg.canonical` sorts each column's
+    ``(row, coeff)`` list once, summing repeated rows and dropping zeros in
+    the same step.  So the complex adopts them without the constructor's copy
+    and entry check; ``ensure_valid`` still runs, since this is where a pipe's
+    text is trusted.
     """
     from .complexes import FilteredChainComplex, Generator
+    from .linalg import canonical
     gens: dict[str, Generator] = {}
     by_degree: dict[int, list[Generator]] = {}
     pending: list[tuple[int, str]] = []  # (line number, text) of each bnd line
@@ -177,31 +179,11 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
     for cols in boundary.values():
         for gid, col in enumerate(cols):
             if col:
-                cols[gid] = _canonical(field, col, zeros)
+                cols[gid] = canonical(field, col, zeros)
 
     c = FilteredChainComplex._adopt(field, by_degree, boundary)
     c.ensure_valid()
     return c
-
-
-def _canonical(field: FieldSpec, col: list, zeros: bool) -> list:
-    """``col`` sorted by row, with repeated rows summed and zeros dropped;
-    ``zeros`` tells whether a coefficient in it may be zero."""
-    col.sort()
-    prev = -1
-    for r, _ in col:
-        if r == prev:
-            break
-        prev = r
-    else:
-        if not zeros:
-            return col  # distinct rows, no zero: sorting made it canonical
-    out: list = []
-    for r, v in col:
-        if out and out[-1][0] == r:
-            v = field.add(out.pop()[1], v)
-        out.append((r, v))
-    return [(r, v) for r, v in out if not field.is_zero(v)]
 
 
 def serialize_complex(c: FilteredChainComplex, comments: Sequence[str] = ()) -> str:

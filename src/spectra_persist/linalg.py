@@ -23,8 +23,10 @@ then divided by their content, so no ``Fraction`` is made while reducing.
 Because the elimination is exhaustive, every reduced column is the
 Fraction one up to a nonzero scalar; :meth:`ColumnReducer.scalars` turns a
 column back into field scalars with a unit lead where a caller reads it.
-The d∘d check in ``complexes`` sums over Q in the same integer columns,
-made by :func:`integral`.
+The rest of the column code that depends on the field is here too:
+:func:`canonical`, for the text reader and ``from_named``, and
+:func:`nonzero_composites`, the d∘d sum of ``complexes``, which works over
+Q in the same integer columns, made by :func:`integral`.
 """
 from __future__ import annotations
 
@@ -114,16 +116,52 @@ def _int_eliminate(col: list, v: int, pivot: list) -> list:
     return _primitive(_int_axpy(col, -(v // g), pivot))
 
 
-def column_from_entries(field: FieldSpec, entries) -> SparseColumn:
-    """Canonicalize arbitrary (row, coeff) pairs: sum duplicates, sort, drop zeros."""
-    acc: dict[int, Scalar] = {}
-    for r, v in entries:
-        v = field.normalize(v)
-        if r in acc:
-            acc[r] = field.add(acc[r], v)
-        else:
-            acc[r] = v
-    return [(r, acc[r]) for r in sorted(acc) if not field.is_zero(acc[r])]
+def canonical(field: FieldSpec, col: list, zeros: bool) -> SparseColumn:
+    """``col`` sorted by row in place, with repeated rows summed and zeros
+    dropped; ``zeros`` tells whether a coefficient in it may be zero."""
+    col.sort()
+    prev = -1
+    for r, _ in col:
+        if r == prev:
+            break
+        prev = r
+    else:
+        if not zeros:
+            return col  # distinct rows, no zero: sorting made it canonical
+    out: list = []
+    for r, v in col:
+        if out and out[-1][0] == r:
+            v = field.add(out.pop()[1], v)
+        out.append((r, v))
+    return [(r, v) for r, v in out if not field.is_zero(v)]
+
+
+def nonzero_composites(field: FieldSpec, outer_cols: list, inner_cols: list):
+    """Yield the index of each column of ``outer_cols`` whose composite with
+    ``inner_cols`` is nonzero; outer rows index the inner columns.
+
+    Each composite is summed in one dict from row to int.  Over GF(p) it adds
+    plain residue products and reduces each row mod p once, at the end; over
+    Q it works in the integer columns of :func:`integral`, with the entries
+    of the outer column scaled to a common denominator, so no ``Fraction``
+    is made.
+    """
+    p = None if isinstance(field, RationalField) else field.p
+    if p is None:
+        scaled = [integral(col) for col in inner_cols]
+        inner_cols = [m for _, m in scaled]
+    for j, col in enumerate(outer_cols):
+        if p is None:  # the outer column times the common denominator of its terms
+            dens = [v.denominator * scaled[r][0] for r, v in col]
+            common = lcm(*dens)
+            col = [(r, v.numerator * (common // d)) for (r, v), d in zip(col, dens)]
+        acc: dict[int, int] = {}
+        for r, v in col:
+            for q, w in inner_cols[r]:
+                acc[q] = acc.get(q, 0) + v * w
+        sums = acc.values() if p is None else (x % p for x in acc.values())
+        if any(sums):
+            yield j
 
 
 @checked

@@ -221,7 +221,9 @@ class PageTable:
         """
         if not isinstance(obj, dict):
             raise ParseError("bad page table JSON: the top level is not an object")
-        cells = obj.get("dims", [])
+        if "dims" not in obj:
+            raise ParseError("bad page table JSON: lacks key 'dims'")
+        cells = obj["dims"]
         if not isinstance(cells, list):
             raise ParseError("bad page table JSON: dims is not a list")
         for k, c in enumerate(cells):

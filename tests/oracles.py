@@ -17,7 +17,7 @@ from spectra_persist.errors import (ClosureError, InconsistentTableError,
                                     InsufficientRMaxError, UsageError)
 from spectra_persist.fields import FieldSpec
 from spectra_persist.ingest import FilteredSimplicialComplex
-from spectra_persist.linalg import SparseMatrix, axpy, column_from_entries, kernel, rank
+from spectra_persist.linalg import SparseMatrix, axpy, kernel, rank
 from spectra_persist.persistence import INF, Barcode, BarEntry
 
 
@@ -42,7 +42,7 @@ def dense_rank(rows: list, field: FieldSpec) -> int:
         for i in range(n_rows):
             if i != rank and not field.is_zero(m[i][col]):
                 f = m[i][col]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[rank])]
+                m[i] = [field.add(x, field.neg(field.mul(f, y))) for x, y in zip(m[i], m[rank])]
         rank += 1
         if rank == n_rows:
             break
@@ -71,7 +71,7 @@ def dense_kernel(rows: list, field: FieldSpec) -> list:
         for i in range(n_rows):
             if i != rank and not field.is_zero(m[i][col]):
                 f = m[i][col]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[rank])]
+                m[i] = [field.add(x, field.neg(field.mul(f, y))) for x, y in zip(m[i], m[rank])]
         pivots.append(col)
         rank += 1
         if rank == n_rows:
@@ -429,11 +429,20 @@ def violations_by_axpy(c: FilteredChainComplex) -> list:
     return out
 
 
+def column_by_sum(field: FieldSpec, entries) -> list:
+    """The canonical column of arbitrary ``(row, coeff)`` pairs: coefficients
+    normalized and summed per row in a dict, rows sorted, zero sums dropped."""
+    acc: dict = {}
+    for r, v in entries:
+        acc[r] = field.add(acc.get(r, field.zero), field.normalize(v))
+    return [(r, v) for r, v in sorted(acc.items()) if not field.is_zero(v)]
+
+
 def simplicial_to_chain_by_entries(fsc: FilteredSimplicialComplex,
                                    field: FieldSpec) -> FilteredChainComplex:
     """The chain complex of ``fsc``: every generator first, then each column
-    from its signed faces through ``column_from_entries``, the sign flipped
-    by a field multiplication per face."""
+    from its signed faces, sorted by row (the faces are distinct), the sign
+    flipped by a field multiplication per face."""
     by_degree: dict = {}
     index: dict = {}
     for verts, value in fsc.simplices:
@@ -455,7 +464,7 @@ def simplicial_to_chain_by_entries(fsc: FilteredSimplicialComplex,
             entries.append((index[face].gid, sign))
             sign = field.mul(sign, minus_one)
         g = index[verts]
-        boundary[g.degree][g.gid] = column_from_entries(field, entries)
+        boundary[g.degree][g.gid] = sorted(entries)
     return FilteredChainComplex(field, by_degree, boundary)
 
 

@@ -248,7 +248,7 @@ def test_rips_field_travels_through_the_pipe(capsys, monkeypatch):
     assert out_b.splitlines() == ["0 0 1 7", "0 0 inf 1", "1 1 inf 1", "1 2 inf 8"]
 
 
-@pytest.mark.parametrize("text", ['{"dims": []}',
+@pytest.mark.parametrize("text", ['{"dims": []}', '{"r_max": 5}', '{"r_max": 2, "dims": [}',
                                   '{"r_max": 2, "dims": [{"r": "x", "n": 0, "s": 0, "dim": 1}]}',
                                   '{"r_max": 2, "dims": [{"r": 1.7, "n": 0, "s": 0, "dim": 1}]}',
                                   '{"r_max": 2, "dims": [{"r": 1, "n": 0, "s": 0, "dim": true}]}',
@@ -258,6 +258,17 @@ def test_recover_malformed_json_is_a_data_error(capsys, tmp_path, text):
     table = tmp_path / "pages.json"
     table.write_text(text)
     assert_one_line_data_error(*run(capsys, "recover", table))
+
+
+def test_recover_refuses_a_verify_report(capsys, tmp_path):
+    # the report holds two tables, not one: it has no top-level dims to read
+    code, report, _ = run(capsys, "verify", FIXTURES / "triangle.fcc", "--format", "json")
+    assert code == 0
+    table = tmp_path / "report.json"
+    table.write_text(report)
+    code, out, err = run(capsys, "recover", table)
+    assert_one_line_data_error(code, out, err)
+    assert err == "error: bad page table JSON: lacks key 'dims'\n"
 
 
 @pytest.mark.parametrize("text", ["# r_max 4\n1 0 1 2\n",
@@ -523,6 +534,7 @@ def test_a_command_loads_only_the_modules_it_runs(argv, needed, absent):
     assert {f"spectra_persist.{m}" for m in needed} <= loaded
     assert not {f"spectra_persist.{m}" for m in absent} & loaded
     assert "dataclasses" not in loaded
+    assert "json" not in loaded  # only --format json and recover load it
 
 
 @pytest.mark.parametrize("field, rationals", [("2", False), ("q", True)])

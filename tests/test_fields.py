@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spectra_persist.errors import UsageError
-from spectra_persist.fields import (_MR_BOUND, PrimeField, RationalField, _is_prime,
-                                    field_from_text, parse_int)
+from spectra_persist.fields import (_MR_BOUND, FieldSpec, PrimeField, RationalField,
+                                    _is_prime, field_from_text, parse_int)
 
 GF2 = PrimeField(2)
 GF5 = PrimeField(5)
@@ -77,6 +77,11 @@ def test_cross_field_rejected():
         GF5.check(7)  # not a canonical residue
     with pytest.raises(UsageError):
         Q.check(1.5)
+
+
+def test_both_fields_are_a_field_spec():
+    assert isinstance(PrimeField(5), FieldSpec) and isinstance(RationalField(), FieldSpec)
+    assert not isinstance(5, FieldSpec)
 
 
 def test_field_from_text():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectra_persist import ingest
-from spectra_persist.complexes import FilteredChainComplex
+from spectra_persist.complexes import FilteredChainComplex, Generator
 from spectra_persist.errors import ClosureError, InvalidComplexError, ParseError, UsageError
 from spectra_persist.fields import PrimeField, RationalField, parse_int
 from spectra_persist.ingest import (PointCloud, make_simplicial, parse_complex,
@@ -21,8 +21,9 @@ from spectra_persist.randomgen import random_complex
 from spectra_persist.spectral import pages_direct
 
 from helpers import corpus_fields
-from oracles import (barcode_by_rank, make_simplicial_by_lookup, rips_by_cliques,
-                     serialize_simplicial_by_lookup, simplicial_to_chain_by_entries)
+from oracles import (barcode_by_rank, column_by_sum, make_simplicial_by_lookup,
+                     rips_by_cliques, serialize_simplicial_by_lookup,
+                     simplicial_to_chain_by_entries)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 Q = RationalField()
@@ -318,10 +319,10 @@ def random_complex_text(rng: random.Random, field) -> tuple:
     """``(text, expected)``: a random complex written with each column's entries
     shuffled over several ``bnd`` lines, a row split in two, a pair that
     cancels and sometimes a stray entry, and the same complex built with
-    ``from_named`` and the public constructor."""
+    ``column_by_sum`` and the public constructor."""
     c = random_complex(rng, rng.randint(0, 25), field)
     gens = [(g.label(), g.degree, g.filtration) for g in c.all_generators()]
-    rng.shuffle(gens)  # the reader and from_named number them in this order
+    rng.shuffle(gens)  # the reader and the expected complex number them in this order
 
     def scalar():
         if field == Q:
@@ -337,7 +338,7 @@ def random_complex_text(rng: random.Random, field) -> tuple:
                 k = rng.randrange(len(entries))
                 v, target = entries[k]
                 a = scalar()
-                entries[k:k + 1] = [(a, target), (field.sub(v, a), target)]
+                entries[k:k + 1] = [(a, target), (field.add(v, field.neg(a)), target)]
             if below:
                 b, target = scalar(), rng.choice(below).label()
                 entries += [(b, target), (field.neg(b), target)]
@@ -356,7 +357,17 @@ def random_complex_text(rng: random.Random, field) -> tuple:
                 f"{field.format(v)} {t}" for v, t in entries[:k]))
             entries = entries[k:]
     text = "\n".join(lines) + "\n"
-    return text, FilteredChainComplex.from_named(field, gens, named)
+    by_degree: dict = {}
+    lookup: dict = {}
+    for name, n, s in gens:
+        lookup[name] = Generator(len(by_degree.setdefault(n, [])), n, s, name)
+        by_degree[n].append(lookup[name])
+    boundary = {n: [[] for _ in gs] for n, gs in by_degree.items()}
+    for source, entries in named.items():
+        src = lookup[source]
+        boundary[src.degree][src.gid] = column_by_sum(
+            field, [(lookup[target].gid, v) for v, target in entries])
+    return text, FilteredChainComplex(field, by_degree, boundary)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectra_persist import linalg
 from spectra_persist.errors import UsageError
 from spectra_persist.fields import PrimeField, RationalField
-from spectra_persist.linalg import SparseMatrix, axpy, kernel, rank
+from spectra_persist.linalg import SparseMatrix, axpy, canonical, kernel, rank
 
-from oracles import dense_kernel, dense_rank, subquotient_dim
+from oracles import column_by_sum, dense_kernel, dense_rank, subquotient_dim
 
 GF2 = PrimeField(2)
 Q = RationalField()
@@ -203,3 +204,25 @@ def test_rank_and_kernel_match_dense_oracles(field, monkeypatch):
         want = [[(j, v) for j, v in enumerate(vec) if v] for vec in dense_kernel(dense, field)]
         budget[0] = m.n_cols * m.n_rows
         assert kernel(m, field).columns == want, trial
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       field=st.sampled_from([GF2, PrimeField(5), PrimeField(32003), Q]))
+def test_canonical_sums_like_a_dict(seed, field):
+    # few rows, so rows repeat; a pair on one row that cancels; explicit zeros
+    rng = random.Random(seed)
+
+    def scalar():
+        v = field.normalize(rng.randint(-3, 3))
+        return v / rng.randint(1, 3) if field == Q else v
+
+    col = [(rng.randrange(6), scalar()) for _ in range(rng.randint(0, 10))]
+    if rng.random() < 0.5:
+        v, r = scalar(), rng.randrange(6)
+        col += [(r, v), (r, field.neg(v))]
+    rng.shuffle(col)
+    expected = column_by_sum(field, col)
+    assert canonical(field, list(col), True) == expected
+    if not any(field.is_zero(v) for _, v in col):
+        assert canonical(field, list(col), False) == expected

@@ -166,8 +166,8 @@ def test_pairing_cycles_reproduce_boundaries():
                     if gid in pivots and not field.is_zero(col[gid]):
                         coeff = col[gid]
                         for r, v in pivots[gid].items():
-                            col[r] = field.sub(col.get(r, field.zero),
-                                               field.mul(coeff, v))
+                            col[r] = field.add(col.get(r, field.zero),
+                                               field.neg(field.mul(coeff, v)))
                         changed = True
                         break
             return {r: v for r, v in col.items() if not field.is_zero(v)}
