@@ -15,7 +15,7 @@ from math import inf as INF
 from typing import TYPE_CHECKING
 
 from .errors import (ClosureError, InvalidComplexError, PageTableError,
-                     ParseError, UsageError)
+                     ParseError, UsageError, shorten)
 from .fields import field_from_text, parse_int
 from .ingest import (_data_lines, _real, parse_complex, parse_point_cloud,
                      parse_simplicial, rips, serialize_simplicial, simplicial_to_chain)
@@ -38,9 +38,9 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+        raise ParseError(f"cannot read {shorten(path)}: {exc.strerror}") from None
     except UnicodeDecodeError:
-        raise ParseError(f"cannot read {path}: not UTF-8 text") from None
+        raise ParseError(f"cannot read {shorten(path)}: not UTF-8 text") from None
 
 
 def _load_complex(args) -> FilteredChainComplex:
@@ -74,7 +74,7 @@ def _parse_int_options(args) -> None:
         try:
             value = parse_int(text)
         except ValueError:
-            raise UsageError(f"{flag} must be an integer, got {text!r}") from None
+            raise UsageError(f"{flag} must be an integer, got {shorten(text)!r}") from None
         if least is not None and value < least:
             raise UsageError(f"{flag} must be >= {least}")
         setattr(args, dest, value)
@@ -224,7 +224,8 @@ def cmd_rips(args) -> int:
             args.threshold = _real(args.threshold)
         except ValueError:
             raise UsageError(
-                f"--threshold must be a finite number, got {args.threshold!r}") from None
+                f"--threshold must be a finite number, got {shorten(args.threshold)!r}"
+            ) from None
     pc = parse_point_cloud(_read_text(path))
     fsc = rips(pc, args.max_dim, args.threshold)
     field = field_from_text(args.field)
@@ -243,7 +244,7 @@ def _unique_keys(pairs: list) -> dict:
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ParseError(f"bad page table JSON: repeated key {key[:40]!r}")
+                raise ParseError(f"bad page table JSON: repeated key {shorten(key)!r}")
             seen.add(key)
     return obj
 
@@ -259,6 +260,10 @@ def cmd_recover(args) -> int:
             obj = json.loads(stripped, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad page table JSON: {exc}") from None
+        except ParseError:  # a repeated key, from _unique_keys
+            raise
+        except ValueError:  # json reads integers with int, which caps their digits
+            raise ParseError("bad page table JSON: an integer has too many digits") from None
         except RecursionError:
             raise ParseError("page table JSON is nested too deeply") from None
         table = PageTable.from_json_obj(obj)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import InvalidComplexError, UsageError
+from .errors import InvalidComplexError, UsageError, shorten
 from .fields import FieldSpec
 # axpy is not called here; it stays bound because perfbench's tracer wraps it by name
 from .linalg import SparseColumn, SparseMatrix, axpy, canonical, nonzero_composites, rank
@@ -46,6 +46,10 @@ class Violation(NamedTuple):
 
 
 class FilteredChainComplex:
+    # whether every coefficient is known to be a whole number; only the text
+    # reader claims it, through _adopt, so a complex built here reads False
+    _whole = False
+
     def __init__(
         self,
         field: FieldSpec,
@@ -93,12 +97,19 @@ class FilteredChainComplex:
 
     @classmethod
     def _adopt(cls, field: FieldSpec, generators: dict[int, list[Generator]],
-               boundary: dict[int, list[SparseColumn]]) -> "FilteredChainComplex":
+               boundary: dict[int, list[SparseColumn]],
+               whole: bool) -> "FilteredChainComplex":
         """The complex of these very dicts, with none of ``__init__``'s copies
-        and checks, for a reader whose construction guarantees them."""
+        and checks, for a reader whose construction guarantees them.
+
+        ``whole`` tells that every coefficient is a whole number, a fact the
+        reader has for free from the tokens it parsed; over Q it lets
+        :meth:`validate` sum d∘d in plain integers.  A complex built through
+        ``__init__`` never claims it, so its columns take the general path.
+        """
         c = cls.__new__(cls)
         c.field, c.generators, c.boundary = field, generators, boundary
-        c._violations, c._ranks = None, {}
+        c._violations, c._ranks, c._whole = None, {}, whole
         return c
 
     @classmethod
@@ -204,15 +215,15 @@ class FilteredChainComplex:
                     if tgt.filtration > g.filtration:
                         out.append(Violation(
                             n, g.gid,
-                            f"boundary target {tgt.label()} at level {tgt.filtration} "
+                            f"boundary target {shorten(tgt.label())} at level {tgt.filtration} "
                             f"exceeds source level {g.filtration}",
                         ))
         for n in self.degrees():
             if n - 1 in self.generators:
                 gens = self.generators[n]
-                out += [Violation(n, gid, f"d∘d ≠ 0 at generator {gens[gid].label()}")
+                out += [Violation(n, gid, f"d∘d ≠ 0 at generator {shorten(gens[gid].label())}")
                         for gid in nonzero_composites(self.field, self.boundary[n],
-                                                      self.boundary[n - 1])]
+                                                      self.boundary[n - 1], self._whole)]
         self._violations = out
         return out
 

@@ -1,5 +1,18 @@
-"""Shared exception types."""
+"""Shared exception types, and :func:`shorten` for the input they quote."""
 from __future__ import annotations
+
+SHORT = 40  # the longest input text an error message quotes in full
+
+
+def shorten(text: str) -> str:
+    """``text``, or for one over ``SHORT`` characters its first ``SHORT``, then
+    ``…`` and its length, so that a message naming an input token, label,
+    line or path stays one short line however long the input is.  The
+    marker holds a blank, so it cannot pass for the rest of a token the
+    readers split on whitespace."""
+    if len(text) <= SHORT:
+        return text
+    return f"{text[:SHORT]}… ({len(text)} characters)"
 
 
 class UsageError(ValueError):
@@ -24,7 +37,8 @@ class InvalidComplexError(UsageError):
     """A filtered chain complex failed validation.
 
     ``violations`` keeps every violation; the message names the first
-    three and counts the rest, so it stays one short line.
+    three and counts the rest, and each names its generators' labels
+    through :func:`shorten`, so it stays one short line.
     """
 
     def __init__(self, violations):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Union
 
-from .errors import UsageError
+from .errors import UsageError, shorten
 
 # ``fractions`` loads ``decimal`` and ``numbers`` too: the first RationalField
 # made imports it, so a process that works over GF(p) never does
@@ -89,7 +89,7 @@ class PrimeField(NamedTuple("PrimeField", [("p", int)])):
 
     def __new__(cls, p: int):
         if p >= _MR_BOUND:
-            raise UsageError(f"modulus {p} is too large (at most {_MR_BOUND - 1})")
+            raise UsageError(f"modulus {shorten(str(p))} is too large (at most {_MR_BOUND - 1})")
         if not _is_prime(p):
             raise UsageError(f"modulus {p} is not prime")
         return super().__new__(cls, p)
@@ -125,7 +125,7 @@ class PrimeField(NamedTuple("PrimeField", [("p", int)])):
         try:
             return parse_int(text) % self.p
         except ValueError:
-            raise UsageError(f"{text!r} is not a GF({self.p}) scalar") from None
+            raise UsageError(f"{shorten(text)!r} is not a GF({self.p}) scalar") from None
 
     def format(self, a: int) -> str:
         return str(a % self.p)
@@ -188,7 +188,7 @@ class RationalField(NamedTuple("RationalField", [])):
                 raise ValueError(text)
             return Fraction(parse_int(num), parse_int(den))
         except (ValueError, ZeroDivisionError):
-            raise UsageError(f"{text!r} is not a rational scalar") from None
+            raise UsageError(f"{shorten(text)!r} is not a rational scalar") from None
 
     def format(self, a: Fraction) -> str:
         return str(Fraction(a))
@@ -211,6 +211,6 @@ def field_from_text(token: str) -> FieldSpec:
     try:
         p = parse_int(tok)
     except ValueError:
-        raise UsageError(f"unknown field {token!r} (expected a prime or 'q')") from None
+        raise UsageError(f"unknown field {shorten(token)!r} (expected a prime or 'q')") from None
     return PrimeField(p)
 

@@ -35,7 +35,7 @@ import math
 from itertools import combinations, repeat
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .errors import ClosureError, ParseError, UsageError
+from .errors import ClosureError, ParseError, UsageError, shorten
 from .fields import FieldSpec, Scalar, field_from_text, parse_int
 
 # complexes (and with it linalg) is imported by the functions that build a
@@ -93,6 +93,13 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
     the same step.  So the complex adopts them without the constructor's copy
     and entry check; ``ensure_valid`` still runs, since this is where a pipe's
     text is trusted.
+
+    The reader also tells the complex whether every coefficient is a whole
+    number: each distinct token's value is in ``coeffs``, so one look at its
+    few entries decides it (a GF(p) residue is an int, so always whole).
+    ``canonical`` only sums the coefficients of repeated rows, and sums of
+    whole numbers are whole, so the fact holds for the columns it leaves.
+    Over Q it lets the d∘d check sum in plain integers.
     """
     from .complexes import FilteredChainComplex, Generator
     from .linalg import canonical
@@ -125,7 +132,7 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
                 raise ParseError("expected 'gen <name> <degree> <filtration>'", line_no)
             name = toks[1]
             if name in gens:
-                raise ParseError(f"duplicate generator {name!r}", line_no)
+                raise ParseError(f"duplicate generator {shorten(name)!r}", line_no)
             try:
                 degree = ints.get(toks[2])
                 if degree is None:
@@ -141,7 +148,7 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
         elif kind == "bnd":
             pending.append((line_no, line))
         else:
-            raise ParseError(f"unknown directive {kind!r}", line_no)
+            raise ParseError(f"unknown directive {shorten(kind)!r}", line_no)
 
     boundary: dict[int, list[list]] = {n: [[] for _ in gs] for n, gs in by_degree.items()}
     # each distinct coefficient token is parsed once; a bad one raises where first met
@@ -154,7 +161,7 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
                 "expected 'bnd <source> <coeff> <target> [<coeff> <target> ...]'", line_no)
         source = toks[1]
         if source not in gens:
-            raise ParseError(f"boundary for unknown generator {source!r}", line_no)
+            raise ParseError(f"boundary for unknown generator {shorten(source)!r}", line_no)
         src = gens[source]
         col = boundary[src.degree][src.gid]
         for k in range(2, len(toks), 2):
@@ -168,12 +175,12 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
             target = toks[k + 1]
             tgt = gens.get(target)
             if tgt is None:
-                raise ParseError(f"boundary references unknown generator {target!r}",
-                                 line_no)
+                raise ParseError(
+                    f"boundary references unknown generator {shorten(target)!r}", line_no)
             if tgt.degree != src.degree - 1:
                 raise ParseError(
-                    f"boundary of {source!r} (degree {src.degree}) cannot hit "
-                    f"{target!r} (degree {tgt.degree})", line_no)
+                    f"boundary of {shorten(source)!r} (degree {src.degree}) cannot hit "
+                    f"{shorten(target)!r} (degree {tgt.degree})", line_no)
             col.append((tgt.gid, coeff))
     del pending  # the lines are read: free them before the check below runs
     for cols in boundary.values():
@@ -181,7 +188,8 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
             if col:
                 cols[gid] = canonical(field, col, zeros)
 
-    c = FilteredChainComplex._adopt(field, by_degree, boundary)
+    whole = all(v.denominator == 1 for v in coeffs.values())
+    c = FilteredChainComplex._adopt(field, by_degree, boundary, whole)
     c.ensure_valid()
     return c
 
@@ -245,9 +253,9 @@ def make_simplicial(simplices) -> FilteredSimplicialComplex:
     for verts, value in simplices:
         key = tuple(sorted(verts))
         if len(set(key)) != len(key):
-            raise UsageError(f"repeated vertex in simplex {verts!r}")
+            raise UsageError(f"repeated vertex in simplex {shorten(repr(verts))}")
         if key in seen:
-            raise UsageError(f"duplicate simplex {key!r}")
+            raise UsageError(f"duplicate simplex {shorten(repr(key))}")
         seen[key] = float(value)
     ordered = tuple(sorted(seen.items(), key=lambda kv: (len(kv[0]), kv[1], kv[0])))
     position = {verts: k for k, (verts, _) in enumerate(ordered)}
@@ -260,10 +268,11 @@ def make_simplicial(simplices) -> FilteredSimplicialComplex:
         for face in combinations(verts, len(verts) - 1):
             k = position.get(face)
             if k is None:
-                raise ClosureError(f"missing face {face!r} of {verts!r}")
+                raise ClosureError(
+                    f"missing face {shorten(repr(face))} of {shorten(repr(verts))}")
             if ordered[k][1] > value:
-                raise UsageError(
-                    f"face {face!r} at {ordered[k][1]} appears after {verts!r} at {value}")
+                raise UsageError(f"face {shorten(repr(face))} at {ordered[k][1]} "
+                                 f"appears after {shorten(repr(verts))} at {value}")
             found.append(k)
         faces[position[verts]] = tuple(reversed(found))
     levels = tuple(sorted(set(seen.values())))
@@ -276,7 +285,7 @@ def parse_simplicial(text: str) -> FilteredSimplicialComplex:
     vertex_min: dict[int, float] = {}
     for line_no, toks in _data_lines(text):
         if toks[0] != "simp":
-            raise ParseError(f"unknown directive {toks[0]!r}", line_no)
+            raise ParseError(f"unknown directive {shorten(toks[0])!r}", line_no)
         if len(toks) < 3:
             raise ParseError("expected 'simp <value> <v0> [<v1> ...]'", line_no)
         try:
@@ -285,7 +294,7 @@ def parse_simplicial(text: str) -> FilteredSimplicialComplex:
         except ValueError:
             raise ParseError("bad simplex line", line_no) from None
         if len(set(verts)) != len(verts):
-            raise ParseError(f"repeated vertex in {verts!r}", line_no)
+            raise ParseError(f"repeated vertex in {shorten(repr(verts))}", line_no)
         entries.append((verts, value))
         listed.add(verts)
         for v in verts:
@@ -437,10 +446,11 @@ def parse_point_cloud(text: str) -> PointCloud:
             except ValueError:
                 raise ParseError("bad distance entry", line_no) from None
         else:
-            raise ParseError(f"unknown directive {toks[0]!r}", line_no)
+            raise ParseError(f"unknown directive {shorten(toks[0])!r}", line_no)
     if expected is not None:
         if len(rows) != expected or any(len(r) != expected for r in rows):
-            raise ParseError(f"expected a {expected}x{expected} matrix")
+            size = shorten(str(expected))
+            raise ParseError(f"expected a {size}x{size} matrix")
         try:
             return PointCloud.from_distances(rows)
         except UsageError as exc:

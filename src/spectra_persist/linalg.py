@@ -25,8 +25,12 @@ Fraction one up to a nonzero scalar; :meth:`ColumnReducer.scalars` turns a
 column back into field scalars with a unit lead where a caller reads it.
 The rest of the column code that depends on the field is here too:
 :func:`canonical`, for the text reader and ``from_named``, and
-:func:`nonzero_composites`, the d∘d sum of ``complexes``, which works over
-Q in the same integer columns, made by :func:`integral`.
+:func:`nonzero_composites`, the d∘d sum of ``complexes``.  Over Q that sum
+has two paths.  When the text reader has seen only whole coefficients, as
+in every text ``rips`` writes, it sums their numerators as the GF(p) sum
+does its residues.  For any other complex, one with a fractional entry or
+one built through the constructor, it works in the integer columns made
+by :func:`integral`.
 """
 from __future__ import annotations
 
@@ -136,25 +140,34 @@ def canonical(field: FieldSpec, col: list, zeros: bool) -> SparseColumn:
     return [(r, v) for r, v in out if not field.is_zero(v)]
 
 
-def nonzero_composites(field: FieldSpec, outer_cols: list, inner_cols: list):
+def nonzero_composites(field: FieldSpec, outer_cols: list, inner_cols: list,
+                       whole: bool = False):
     """Yield the index of each column of ``outer_cols`` whose composite with
     ``inner_cols`` is nonzero; outer rows index the inner columns.
 
-    Each composite is summed in one dict from row to int.  Over GF(p) it adds
-    plain residue products and reduces each row mod p once, at the end; over
-    Q it works in the integer columns of :func:`integral`, with the entries
-    of the outer column scaled to a common denominator, so no ``Fraction``
-    is made.
+    Each composite is summed in one dict from row to int, and no ``Fraction``
+    is made.  Over GF(p) it adds plain residue products and reduces each row
+    mod p once, at the end.  Over Q there are two paths.  When ``whole`` says
+    every entry of both sides is a whole number, as the text reader finds of
+    the coefficients it parsed, each entry is its numerator and the sum is
+    the GF(p) one without the reduction.  Otherwise it works in the integer
+    columns of :func:`integral`, with the entries of the outer column scaled
+    to a common denominator.
     """
     p = None if isinstance(field, RationalField) else field.p
-    if p is None:
+    rescale = p is None and not whole
+    if rescale:
         scaled = [integral(col) for col in inner_cols]
         inner_cols = [m for _, m in scaled]
+    elif p is None:
+        inner_cols = [[(q, w.numerator) for q, w in col] for col in inner_cols]
     for j, col in enumerate(outer_cols):
-        if p is None:  # the outer column times the common denominator of its terms
+        if rescale:  # the outer column times the common denominator of its terms
             dens = [v.denominator * scaled[r][0] for r, v in col]
             common = lcm(*dens)
             col = [(r, v.numerator * (common // d)) for (r, v), d in zip(col, dens)]
+        elif p is None:
+            col = [(r, v.numerator) for r, v in col]
         acc: dict[int, int] = {}
         for r, v in col:
             for q, w in inner_cols[r]:

@@ -45,7 +45,7 @@ from itertools import pairwise
 from typing import NamedTuple, Sequence, Union
 
 from .complexes import FilteredChainComplex, Generator
-from .errors import UsageError
+from .errors import UsageError, shorten
 from .fields import checked
 from .linalg import ColumnReducer, SparseColumn
 
@@ -199,7 +199,8 @@ def decompose(c: FilteredChainComplex) -> tuple[Pairing, Barcode]:
 def betti(b: Barcode, n: int, i: int, j: int) -> int:
     """Persistent Betti number: bars of degree n alive over [i, j]."""
     if i > j:
-        raise UsageError(f"betti requires i <= j, got i={i}, j={j}")
+        raise UsageError(
+            f"betti requires i <= j, got i={shorten(str(i))}, j={shorten(str(j))}")
     total = 0
     for entry, mult in b.entries():
         if entry.degree != n or entry.birth > i:

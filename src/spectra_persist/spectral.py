@@ -51,12 +51,17 @@ from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .complexes import FilteredChainComplex, homology_dims_by_level
 from .errors import (InconsistentTableError, InsufficientRMaxError, ParseError,
-                     UsageError)
+                     UsageError, shorten)
 from .fields import is_int, parse_int
 from .linalg import ColumnReducer
 from .persistence import INF, Barcode, BarEntry, betti, decompose, multiplicity
 
 PageIndex = float  # int >= 1, or math.inf
+
+
+def _cell(r, n, s) -> str:
+    """``(r=.., n=.., s=..)`` for an error message, each index shortened."""
+    return f"(r={shorten(str(r))}, n={shorten(str(n))}, s={shorten(str(s))})"
 
 
 def _at(runs: list, r: PageIndex) -> int:
@@ -102,14 +107,15 @@ class PageTable:
         # ``type(x) is int`` spares the is_int call on plain ints; the rest go through it
         for (n, s), points in steps.items():
             if type(n) is not int and not is_int(n) or type(s) is not int and not is_int(s):
-                raise UsageError(f"cell (n={n!r}, s={s!r}) is not indexed by integers")
+                raise UsageError(f"cell (n={shorten(repr(n))}, s={shorten(repr(s))}) "
+                                 "is not indexed by integers")
             runs, delta = [], deltas.setdefault(n, {})
             for r, d in points:
                 if type(d) is not int and not is_int(d):
-                    raise UsageError(f"dimension {d!r} at (r={r}, n={n}, s={s}) "
+                    raise UsageError(f"dimension {shorten(repr(d))} at {_cell(r, n, s)} "
                                      "is not an integer")
                 if d < 0:
-                    raise UsageError(f"negative dimension at (r={r}, n={n}, s={s})")
+                    raise UsageError(f"negative dimension at {_cell(r, n, s)}")
                 before = runs[-1][1] if runs else 0
                 if d != before:
                     runs.append((r, d))
@@ -127,7 +133,8 @@ class PageTable:
         if type(r) is int and 1 <= r <= self.r_max or r == INF:
             return
         if not is_int(r) or not 1 <= r <= self.r_max:
-            raise UsageError(f"page index {r!r} outside 1..{self.r_max} and inf")
+            raise UsageError(f"page index {shorten(repr(r))} outside "
+                             f"1..{shorten(str(self.r_max))} and inf")
 
     def dim(self, r: PageIndex, n: int, s: int) -> int:
         self._check_r(r)
@@ -244,21 +251,19 @@ class PageTable:
 def _put_cell(dims: dict, key: tuple, dim, line_no: Optional[int] = None) -> None:
     """Add a parsed cell (r, n, s) to ``dims``; a second one is a ParseError."""
     if key in dims:
-        r, n, s = key
-        raise ParseError(f"repeated page cell (r={'inf' if r == INF else r}, n={n}, s={s})",
-                         line_no)
+        raise ParseError(f"repeated page cell {_cell(*key)}", line_no)
     dims[key] = dim
 
 
 def _check_depth(r_max) -> int:
     if not is_int(r_max) or r_max < 1:
-        raise UsageError(f"r_max must be a positive integer, got {r_max!r}")
+        raise UsageError(f"r_max must be a positive integer, got {shorten(repr(r_max))}")
     return r_max
 
 
 def _check_int(value) -> int:
     if not is_int(value):
-        raise ValueError(f"{value!r} is not an integer")
+        raise ValueError(f"{shorten(repr(value))} is not an integer")
     return value
 
 
@@ -281,18 +286,18 @@ def parse_page_table(text: str) -> PageTable:
                 try:
                     r_max = parse_int(parts[1])
                 except ValueError:
-                    raise ParseError(f"bad r_max {parts[1]!r}", line_no) from None
+                    raise ParseError(f"bad r_max {shorten(parts[1])!r}", line_no) from None
             continue
         if not line:
             continue
         parts = line.replace("\t", " ").split()
         if len(parts) != 4:
-            raise ParseError(f"expected 'r n s dim', got {line!r}", line_no)
+            raise ParseError(f"expected 'r n s dim', got {shorten(line)!r}", line_no)
         try:
             r = INF if parts[0] == "inf" else parse_int(parts[0])
             n, s, d = map(parse_int, parts[1:])
         except ValueError:
-            raise ParseError(f"bad page cell {line!r}", line_no) from None
+            raise ParseError(f"bad page cell {shorten(line)!r}", line_no) from None
         _put_cell(dims, (r, n, s), d, line_no)
     if r_max is None:
         finite = [r for (r, _, _) in dims if r != INF]
@@ -421,9 +426,8 @@ def recover_barcode(p: PageTable, s_min: int) -> Barcode:
         return Barcode()
     births = [s for _, s in support]
     if min(births) < s_min:
-        raise UsageError(
-            f"table has support at level {min(births)} below s_min={s_min}"
-        )
+        raise UsageError(f"table has support at level {shorten(str(min(births)))} "
+                         f"below s_min={shorten(str(s_min))}")
     counts: dict[BarEntry, int] = {}
     todo: dict[int, list] = {}  # level s -> [(n, m)] to visit there
     for (n, s), runs in sorted(p._runs.items()):

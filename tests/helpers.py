@@ -1,6 +1,8 @@
 """Model complexes and small readers shared across test modules."""
 from __future__ import annotations
 
+from math import lcm
+
 from spectra_persist.complexes import FilteredChainComplex
 from spectra_persist.fields import PrimeField, RationalField
 from spectra_persist.persistence import Barcode
@@ -55,3 +57,23 @@ def full_triangle(field=Q) -> FilteredChainComplex:
         {"e01": [(-1, "v0"), (1, "v1")],
          "e12": [(-1, "v1"), (1, "v2")],
          "e02": [(-1, "v0"), (1, "v2")]})
+
+
+def whole_basis(c: FilteredChainComplex) -> FilteredChainComplex:
+    """A Q complex written in a rescaled basis where every coefficient is whole.
+
+    Degree by degree upwards, generator g becomes ``k_g g``, with ``k_g`` the
+    lcm of ``k_r`` times the denominator of each entry ``(r, v)`` of its
+    boundary, which then reads ``v k_g / k_r``.  A rescaled basis keeps every
+    level and keeps d∘d = 0, so the result is isomorphic to ``c``.
+    """
+    scales: dict = {}
+    boundary: dict = {}
+    for n in c.degrees():
+        below = scales.get(n - 1, [])
+        scales[n], boundary[n] = [], []
+        for col in c.boundary[n]:
+            k = lcm(1, *[below[r] * v.denominator for r, v in col])
+            scales[n].append(k)
+            boundary[n].append([(r, v * k / below[r]) for r, v in col])
+    return FilteredChainComplex(c.field, c.generators, boundary)

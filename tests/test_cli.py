@@ -1,3 +1,4 @@
+import errno
 import gc
 import importlib
 import json
@@ -11,7 +12,10 @@ import pytest
 
 import spectra_persist
 from spectra_persist.cli import main
-from spectra_persist.errors import ParseError
+from spectra_persist.complexes import FilteredChainComplex
+from spectra_persist.errors import InvalidComplexError, ParseError, shorten
+from spectra_persist.fields import RationalField
+from spectra_persist.ingest import parse_complex
 from spectra_persist.spectral import PageTable
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -582,3 +586,153 @@ def test_every_public_name_resolves_to_its_home_module():
             assert star[name] is getattr(home, name), name
     with pytest.raises(AttributeError):
         spectra_persist.no_such_name
+
+
+# -- long input tokens: every error line names them shortened ------------------
+
+X, Y = "x" * 100_000, "y" * 100_000
+NUM = "1" * 5000  # past int's digit limit
+BIG = "9" * 4000  # an int, but a long one
+SIMPLEX = tuple(range(3000))
+SIMP_LINE = "simp 0 " + " ".join(map(str, SIMPLEX)) + "\n"
+
+
+def cut(text: str) -> str:
+    """What an error line shows of a long input text."""
+    return f"{text[:40]}… ({len(text)} characters)"
+
+
+def json_cell(r=1, n=0, s=0, dim=1, r_max=1) -> str:
+    return json.dumps({"r_max": r_max, "dims": [{"r": r, "n": n, "s": s, "dim": dim}]})
+
+
+# (argv with PATH for the input file, input text, exit code, message)
+LONG_TOKEN_CASES = {
+    "duplicate-generator": (["barcode", "PATH"], f"gen {X} 0 0\ngen {X} 0 0\n", 1,
+                            f"line 2: duplicate generator {cut(X)!r}"),
+    "complex-directive": (["barcode", "PATH"], f"{X} 0 0\n", 1,
+                          f"line 1: unknown directive {cut(X)!r}"),
+    "bnd-source": (["barcode", "PATH"], f"gen a 0 0\nbnd {X} 1 a\n", 1,
+                   f"line 2: boundary for unknown generator {cut(X)!r}"),
+    "bnd-target": (["barcode", "PATH"], f"gen a 1 0\nbnd a 1 {X}\n", 1,
+                   f"line 2: boundary references unknown generator {cut(X)!r}"),
+    "bnd-degree": (["barcode", "PATH"], f"gen {X} 1 0\ngen {Y} 1 0\nbnd {X} 1 {Y}\n", 1,
+                   f"line 3: boundary of {cut(X)!r} (degree 1) cannot hit {cut(Y)!r} (degree 1)"),
+    "coefficient-q": (["barcode", "PATH", "--field", "q"], f"gen a 1 0\ngen b 0 0\nbnd a {NUM} b\n",
+                      1, f"line 3: {cut(NUM)!r} is not a rational scalar"),
+    "coefficient-gf5": (["barcode", "PATH", "--field", "5"],
+                        f"gen a 1 0\ngen b 0 0\nbnd a {NUM} b\n", 1,
+                        f"line 3: {cut(NUM)!r} is not a GF(5) scalar"),
+    "field-line": (["barcode", "PATH"], f"field {X}\n", 1,
+                   f"line 1: unknown field {cut(X)!r} (expected a prime or 'q')"),
+    "field-option": (["barcode", "PATH", "--field", X], "", 2,
+                     f"unknown field {cut(X)!r} (expected a prime or 'q')"),
+    "modulus": (["barcode", "PATH", "--field", BIG], "", 2,
+                f"modulus {cut(BIG)} is too large (at most 3317044064679887385961980)"),
+    "int-option": (["barcode", "--random", "1", "--seed", X], "", 2,
+                   f"--seed must be an integer, got {cut(X)!r}"),
+    "threshold": (["rips", "PATH", "--threshold", X], "", 2,
+                  f"--threshold must be a finite number, got {cut(X)!r}"),
+    "path": (["barcode", X], "", 1, f"cannot read {cut(X)}: {os.strerror(errno.ENAMETOOLONG)}"),
+    "simp-directive": (["barcode", "PATH"], f"simp 0 0\n{X} 1\n", 1,
+                       f"line 2: unknown directive {cut(X)!r}"),
+    "simp-repeated-vertex": (["barcode", "PATH"], "simp 0" + " 0" * 3000 + "\n", 1,
+                             f"line 1: repeated vertex in {cut(repr((0,) * 3000))}"),
+    "duplicate-simplex": (["barcode", "PATH"], SIMP_LINE * 2, 1,
+                          f"duplicate simplex {cut(repr(SIMPLEX))}"),
+    "missing-face": (["barcode", "PATH"], SIMP_LINE, 1,
+                     f"missing face {cut(repr(SIMPLEX[:-1]))} of {cut(repr(SIMPLEX))}"),
+    "late-face": (["barcode", "PATH"], f"simp 1 0\nsimp 1 {BIG}\nsimp 0 0 {BIG}\n", 1,
+                  f"face (0,) at 1.0 appears after {cut(repr((0, int(BIG))))} at 0.0"),
+    "cloud-directive": (["rips", "PATH"], f"{X} 1 2\n", 1, f"line 1: unknown directive {cut(X)!r}"),
+    "cloud-size": (["rips", "PATH"], f"dist {BIG}\n", 1,
+                   f"expected a {cut(BIG)}x{cut(BIG)} matrix"),
+    "table-r_max": (["recover", "PATH"], f"# r_max {NUM}\n", 1, f"line 1: bad r_max {cut(NUM)!r}"),
+    "table-short-line": (["recover", "PATH"], f"1 0 {X}\n", 1,
+                         f"line 1: expected 'r n s dim', got {cut('1 0 ' + X)!r}"),
+    "table-cell": (["recover", "PATH"], f"1 0 0 {X}\n", 1,
+                   f"line 1: bad page cell {cut('1 0 0 ' + X)!r}"),
+    "table-repeated-cell": (["recover", "PATH"], f"1 0 {BIG} 1\n1 0 {BIG} 1\n", 1,
+                            f"line 2: repeated page cell (r=1, n=0, s={cut(BIG)})"),
+    "json-page": (["recover", "PATH"], json_cell(r=X), 1,
+                  f"bad page table JSON: {cut(repr(X))} is not an integer"),
+    "json-degree": (["recover", "PATH"], json_cell(n=X), 1,
+                    f"bad page table JSON: cell (n={cut(repr(X))}, s=0) "
+                    "is not indexed by integers"),
+    "json-dim": (["recover", "PATH"], json_cell(dim=X), 1,
+                 f"bad page table JSON: dimension {cut(repr(X))} at (r=1, n=0, s=0) "
+                 "is not an integer"),
+    "json-negative-dim": (["recover", "PATH"], json_cell(n=int(BIG), dim=-1), 1,
+                          f"bad page table JSON: negative dimension at (r=1, n={cut(BIG)}, s=0)"),
+    "json-page-range": (["recover", "PATH"], json_cell(r=int(BIG)), 1,
+                        f"bad page table JSON: page index {cut(BIG)} outside 1..1 and inf"),
+    "json-r_max": (["recover", "PATH"], json_cell(r_max=X), 1,
+                   f"bad page table JSON: r_max must be a positive integer, got {cut(repr(X))}"),
+    "json-long-integer": (["recover", "PATH"], json_cell().replace('"r_max": 1', f'"r_max": {NUM}'),
+                          1, "bad page table JSON: an integer has too many digits"),
+    "json-key": (["recover", "PATH"], f'{{"{X}": 1, "{X}": 2}}', 1,
+                 f"bad page table JSON: repeated key {cut(X)!r}"),
+    "s-min": (["recover", "PATH", "--s-min", BIG], "1 0 0 1\n", 2,
+              f"table has support at level 0 below s_min={cut(BIG)}"),
+    "betti": (["betti", "--random", "1", "--n", "0", "--i", BIG, "--j", "0"], "", 2,
+              f"betti requires i <= j, got i={cut(BIG)}, j=0"),
+    "invalid-level-label": (["barcode", "PATH"], f"gen {X} 1 0\ngen {Y} 0 1\nbnd {X} 1 {Y}\n", 1,
+                            f"invalid complex: degree 1, generator 0: boundary target {cut(Y)} "
+                            "at level 1 exceeds source level 0"),
+    "invalid-dd-label": (["barcode", "PATH"],
+                         f"gen {X} 2 0\ngen b 1 0\ngen c 0 0\nbnd {X} 1 b\nbnd b 1 c\n", 1,
+                         "invalid complex: degree 2, generator 0: "
+                         f"d∘d ≠ 0 at generator {cut(X)}"),
+}
+
+
+def test_shorten_keeps_a_short_text_and_cuts_a_long_one():
+    assert shorten("x" * 40) == "x" * 40
+    assert shorten("x" * 41) == cut("x" * 41) == "x" * 40 + "… (41 characters)"
+
+
+@pytest.mark.parametrize("argv, text, code, message", LONG_TOKEN_CASES.values(),
+                         ids=LONG_TOKEN_CASES.keys())
+def test_an_error_line_shortens_the_long_input_it_names(capsys, tmp_path, argv, text, code,
+                                                        message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    got, out, err = run(capsys, *[path if a == "PATH" else a for a in argv])
+    assert (got, out) == (code, "")
+    assert err == f"error: {message}\n"
+    assert len(err.encode()) <= 1000
+
+
+
+BROKEN_GENS = ("gen a 0 0\ngen b 0 0\ngen c 0 1\n"
+               "gen ab 1 0\ngen bc 1 0\ngen ac 1 0\ngen abc 2 0\n")
+BROKEN_SPELLINGS = [
+    # whole tokens, read on the whole-number path
+    "bnd ab -1 a 1 b\nbnd bc -1 b 1 c\nbnd ac -1 a 1 c\nbnd abc 1 bc 1 ac 1 ab\n",
+    # 2/2 is whole too: the reader looks at the value, not at the slash
+    "bnd ab -1 a 2/2 b\nbnd bc -1 b 2/2 c\nbnd ac -1 a 1 c\nbnd abc 2/2 bc 1 ac 1 ab\n",
+    # the same values spelled with fractions, read on the general path
+    "bnd ab -4/4 a 3/3 b\nbnd bc -1 b 1/2 c 1/2 c\nbnd ac -4/4 a 3/3 c\n"
+    "bnd abc 1/2 bc 1/2 bc 3/3 ac 1 ab\n",
+]
+
+
+def test_a_broken_complex_fails_alike_however_its_coefficients_are_spelled(capsys, tmp_path):
+    # d∘d(abc) = 2c - 2a, and bc and ac reach c above their level
+    Q = RationalField()
+    general = FilteredChainComplex.from_named(
+        Q, [(name, int(n), int(s)) for _, name, n, s in map(str.split, BROKEN_GENS.splitlines())],
+        {"ab": [(-1, "a"), (1, "b")], "bc": [(-1, "b"), (1, "c")], "ac": [(-1, "a"), (1, "c")],
+         "abc": [(1, "bc"), (1, "ac"), (1, "ab")]}).validate()
+    path = tmp_path / "broken.fcc"
+    for bnd in BROKEN_SPELLINGS:
+        path.write_text(BROKEN_GENS + bnd)
+        code, out, err = run(capsys, "barcode", path, "--field", "q")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: invalid complex: degree 1, generator 1: boundary target c at level 1 "
+            "exceeds source level 0; degree 1, generator 2: boundary target c at level 1 "
+            "exceeds source level 0; degree 2, generator 0: d∘d ≠ 0 at generator abc\n")
+        with pytest.raises(InvalidComplexError) as exc:
+            parse_complex(BROKEN_GENS + bnd, Q)
+        assert exc.value.violations == general

@@ -9,10 +9,10 @@ from spectra_persist import complexes
 from spectra_persist.complexes import FilteredChainComplex, homology_dims_by_level
 from spectra_persist.errors import InvalidComplexError, UsageError
 from spectra_persist.fields import PrimeField, RationalField
-from spectra_persist.linalg import rank
+from spectra_persist.linalg import nonzero_composites, rank
 from spectra_persist.randomgen import permute_generators, random_complex, random_nonzero_scalar
 
-from helpers import corpus_fields, full_triangle, model_pair, triangle
+from helpers import corpus_fields, full_triangle, model_pair, triangle, whole_basis
 from oracles import dense_rank, violations_by_axpy
 
 Q = RationalField()
@@ -214,3 +214,66 @@ def test_structural_errors():
                                         {"a": [(1, "b")]})
     with pytest.raises(UsageError):
         FilteredChainComplex.from_named(Q, [("a", 1, 0)], {"a": [(1, "zz")]})
+
+
+def composites_on_both_q_paths(c: FilteredChainComplex) -> list:
+    """``(degree, gid)`` of each generator with d∘d ≠ 0 over Q, as the
+    whole-number sum finds them, checked against the general sum."""
+    out = []
+    for n in c.degrees():
+        if n - 1 in c.generators:
+            fast, general = [list(nonzero_composites(Q, c.boundary[n], c.boundary[n - 1], whole))
+                             for whole in (True, False)]
+            assert fast == general
+            out += [(n, gid) for gid in fast]
+    return out
+
+
+def gf5_case(last: int) -> FilteredChainComplex:
+    return FilteredChainComplex.from_named(
+        Q, [("a", 0, 0), ("e1", 1, 0), ("e2", 1, 0), ("t", 2, 0)],
+        {"e1": [(3, "a")], "e2": [(1, "a")], "t": [(2, "e1"), (last, "e2")]})
+
+
+@pytest.mark.parametrize("make, broken", [
+    (lambda: FilteredChainComplex.from_named(
+        Q, [("a", 1, 0), ("b", 0, 1)], {"a": [(1, "b")]}), []),
+    (lambda: FilteredChainComplex.from_named(
+        Q, [("a", 2, 0), ("b", 1, 0), ("c", 0, 0)], {"a": [(1, "b")], "b": [(1, "c")]}),
+     [(2, 0)]),
+    # the GF(5) cases: over Q, 2*3 + last is never zero
+    (lambda: gf5_case(4), [(2, 0)]),
+    (lambda: gf5_case(3), [(2, 0)]),
+    # 3 * 2 a vanishes mod 2 and mod 3, so the whole sum must reduce modulo nothing
+    (lambda: FilteredChainComplex.from_named(
+        Q, [("a", 0, 0), ("e", 1, 0), ("t", 2, 0)], {"e": [(2, "a")], "t": [(3, "e")]}),
+     [(2, 0)]),
+    (triangle, []),
+    (full_triangle, []),
+    (lambda: model_pair(Q), []),
+], ids=["filtration", "dd", "gf5-case-4", "gf5-case-3", "six-a", "triangle", "full-triangle",
+        "pair"])
+def test_whole_composites_match_the_general_path_on_the_named_cases(make, broken):
+    assert composites_on_both_q_paths(make()) == broken
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 40))
+def test_whole_composites_match_the_general_path(seed, size):
+    # a random Q complex in a basis of whole coefficients, and a copy with one
+    # coefficient moved by a whole amount: both sums flag what the oracle does
+    rng = random.Random(seed)
+    c = whole_basis(random_complex(rng, size, Q))
+    assert composites_on_both_q_paths(c) == []
+    entries = [(n, j, k) for n in c.degrees() for j, col in enumerate(c.boundary[n])
+               for k in range(len(col))]
+    if not entries:
+        return
+    n, j, k = rng.choice(entries)
+    boundary = {m: [list(col) for col in cols] for m, cols in c.boundary.items()}
+    r, v = boundary[n][j][k]
+    w = v + rng.choice([-6, -2, -1, 1, 2, 6])
+    boundary[n][j][k:k + 1] = [] if w == 0 else [(r, w)]
+    changed = FilteredChainComplex(Q, c.generators, boundary)
+    assert composites_on_both_q_paths(changed) == [
+        (v.degree, v.gid) for v in violations_by_axpy(changed) if "d∘d" in v.reason]

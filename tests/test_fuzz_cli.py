@@ -4,8 +4,9 @@ Each example feeds a few lines of tokens drawn from the input formats'
 keywords, names, small integers, rationals and malformed numbers to one
 command on stdin.  Whatever the input, the command must end with exit
 code 0, 1 or 2, raise nothing, and write at most one line of at most 1000
-bytes to stderr.  Integers stay small so that no input asks for a huge
-filtration span, whose page tables are large by design.
+bytes to stderr, however long the tokens it quotes.  Integers stay small
+so that no input asks for a huge filtration span, whose page tables are
+large by design.
 """
 from __future__ import annotations
 
@@ -26,6 +27,9 @@ TOKENS = (
     "-2", "-1", "0", "1", "2", "3", "5", "0", "1", "2", "+1", "007",
     "1/2", "-3/4", "2/6", "1/0", "0/0", "1/-2", "/", "1/", "1/2/3",
     "0.5", "1e3", "1_000", "١", "１", "-0.25",
+    # a long name, and a number past int's digit limit, which never parses:
+    # an error line quotes either one shortened
+    "x" * 2000, "1" * 5000,
 )
 
 # most lines open with a keyword of some input format, so that some inputs

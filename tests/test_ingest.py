@@ -17,10 +17,10 @@ from spectra_persist.ingest import (PointCloud, make_simplicial, parse_complex,
                                     serialize_complex, serialize_simplicial,
                                     simplicial_to_chain)
 from spectra_persist.persistence import INF, Barcode, BarEntry, decompose
-from spectra_persist.randomgen import random_complex
+from spectra_persist.randomgen import permute_generators, random_complex
 from spectra_persist.spectral import pages_direct
 
-from helpers import corpus_fields
+from helpers import corpus_fields, whole_basis
 from oracles import (barcode_by_rank, column_by_sum, make_simplicial_by_lookup,
                      rips_by_cliques, serialize_simplicial_by_lookup,
                      simplicial_to_chain_by_entries)
@@ -319,15 +319,22 @@ def random_complex_text(rng: random.Random, field) -> tuple:
     """``(text, expected)``: a random complex written with each column's entries
     shuffled over several ``bnd`` lines, a row split in two, a pair that
     cancels and sometimes a stray entry, and the same complex built with
-    ``column_by_sum`` and the public constructor."""
+    ``column_by_sum`` and the public constructor.
+
+    Over Q half the texts hold whole numbers only, so the reader's d∘d check
+    sums them as integers, and half hold fractions with denominators 2-3
+    too, so it takes the general path; over GF(p) every residue is whole.
+    """
     c = random_complex(rng, rng.randint(0, 25), field)
+    whole = field != Q or rng.random() < 0.5
+    if field == Q and whole:
+        c = whole_basis(c)
     gens = [(g.label(), g.degree, g.filtration) for g in c.all_generators()]
     rng.shuffle(gens)  # the reader and the expected complex number them in this order
 
     def scalar():
-        if field == Q:
-            return Q.normalize(rng.randint(-9, 9)) / rng.randint(1, 4)
-        return field.normalize(rng.randint(-9, 9))
+        v = field.normalize(rng.randint(-9, 9))
+        return v if whole else v / rng.randint(2, 3)
 
     named: dict = {}
     for n in c.degrees():
@@ -375,7 +382,9 @@ def random_complex_text(rng: random.Random, field) -> tuple:
        field=st.sampled_from(corpus_fields()))
 def test_the_reader_builds_the_columns_the_constructor_accepts(seed, source, field):
     # parse_complex adopts its columns without the constructor's copy and
-    # check; they must be the ones the checked paths build
+    # check; they must be the ones the checked paths build.  A reader-made Q
+    # complex of whole coefficients sums d∘d in integers: its violations must
+    # be the ones the general path of a constructor-made complex finds
     rng = random.Random(seed)
     if source == "random":
         text, expected = random_complex_text(rng, field)
@@ -391,6 +400,41 @@ def test_the_reader_builds_the_columns_the_constructor_accepts(seed, source, fie
     assert c.generators == checked.generators == expected.generators
     assert c.boundary == checked.boundary == expected.boundary
     assert c.validate() == checked.validate() == expected.validate() == []
+
+
+def test_only_the_reader_claims_whole_coefficients():
+    # the fact is the reader's: every complex built through the constructor
+    # keeps the general d∘d path, whatever its coefficients
+    fsc = parse_simplicial("simp 1 0 1\nsimp 1 0 2\nsimp 1 1 2\nsimp 1 0 1 2\n")
+    c = simplicial_to_chain(fsc, Q)
+    built = [c, c.associated_graded(), random_complex(random.Random(1), 20, Q),
+             permute_generators(random.Random(1), c),
+             FilteredChainComplex.from_named(Q, [("a", 0, 0), ("b", 1, 0)], {"b": [(2, "a")]}),
+             FilteredChainComplex(Q, c.generators, c.boundary)]
+    assert [b._whole for b in built] == [False] * len(built)
+    assert parse_complex(serialize_simplicial(fsc, Q), Q)._whole is True
+    assert parse_complex(serialize_simplicial(fsc, GF2), GF2)._whole is True
+    # the test is on the value, not on the spelling
+    gens = "gen a 0 0\ngen b 0 0\ngen e 1 0\n"
+    spellings = {"-1 a 1 b": True, "-1 a 2/2 b": True, "-1 a 1/2 b 1/2 b": False}
+    for entries, whole in spellings.items():
+        c = parse_complex(f"{gens}bnd e {entries}\n", Q)
+        assert c._whole is whole
+        assert c.boundary == {0: [[], []], 1: [[(0, Q.normalize(-1)), (1, Q.one)]]}
+
+
+@pytest.mark.parametrize("field, zero", [(Q, False), (GF2, True), (PrimeField(3), True)])
+def test_six_times_a_generator_is_a_violation_over_q_alone(field, zero):
+    # d∘d(t) = 3 * 2 a: zero mod 2 and mod 3, so the whole-number sum over Q
+    # must not reduce modulo anything
+    text = "gen a 0 0\ngen e 1 0\ngen t 2 0\nbnd e 2 a\nbnd t 3 e\n"
+    if zero:
+        assert parse_complex(text, field).validate() == []
+        return
+    with pytest.raises(InvalidComplexError) as exc:
+        parse_complex(text, field)
+    assert [str(v) for v in exc.value.violations] == [
+        "degree 2, generator 0: d∘d ≠ 0 at generator t"]
 
 
 def tied_cloud(rng: random.Random) -> PointCloud:
