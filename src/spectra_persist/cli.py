@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import re
 import sys
 from itertools import islice
 from math import inf as INF
 from typing import TYPE_CHECKING
 
 from .errors import (ClosureError, InvalidComplexError, PageTableError,
-                     ParseError, UsageError, shorten)
+                     SHORT, ParseError, UsageError, shorten)
 from .fields import field_from_text, parse_int
 from .ingest import (_data_lines, _real, parse_complex, parse_point_cloud,
                      parse_simplicial, rips, serialize_simplicial, simplicial_to_chain)
@@ -285,8 +286,36 @@ def cmd_betti(args) -> int:
     return 0
 
 
+# what an argparse message echoes of the command line: a string literal, as
+# ``%r`` writes a value it rejects, or a long run of a raw argument, as in
+# "ambiguous option: --f=…"
+_ECHOED = (r"'(?:[^'\\]|\\.)*'" r'|"(?:[^"\\]|\\.)*"' rf"|[^\s'\"]{{{SHORT + 1},}}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are UsageErrors, which ``main`` prints as
+    one ``error: …`` line like any other; ``add_subparsers`` makes the
+    sub-parsers of this class too.  Each long value the message quotes, and
+    the list of unrecognized arguments, is cut by :func:`shorten`."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {shorten(' '.join(extra))}")
+        return args
+
+    def error(self, message):
+        def cut(match):
+            text = match[0]
+            if text[0] in "'\"":  # a quoted value keeps its quotes
+                return text[0] + shorten(text[1:-1]) + text[0]
+            return shorten(text)
+        # a raw argument may hold a line break; the error stays one line
+        raise UsageError(re.sub(_ECHOED, cut, " ".join(message.splitlines())))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectra-persist",
         description="Barcodes and spectral-sequence pages of filtered chain complexes.",
     )

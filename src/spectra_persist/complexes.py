@@ -13,6 +13,9 @@ The second check is :func:`~spectra_persist.linalg.nonzero_composites`,
 which sums d(d(g)) exactly over GF(p) and Q; this module only names the
 generators it reports.
 
+:func:`homology_dims_by_level` reads the level blocks of the associated
+graded complex straight off a complex's columns, with no graded copy built.
+
 Only finite presentations are representable, so local finiteness and a
 lower bound on the filtration hold automatically.
 """
@@ -237,15 +240,14 @@ class FilteredChainComplex:
     def associated_graded(self) -> "FilteredChainComplex":
         """Keep only boundary entries between equal filtration levels."""
         self.ensure_valid()
-        graded: dict[int, list[SparseColumn]] = {}
-        for n in self.degrees():
-            below = self.gens(n - 1)
-            graded[n] = [
-                [(r, v) for r, v in self.boundary[n][g.gid]
-                 if below[r].filtration == g.filtration]
-                for g in self.generators[n]
-            ]
+        graded = {n: self._graded_columns(n) for n in self.degrees()}
         return FilteredChainComplex(self.field, self.generators, graded)
+
+    def _graded_columns(self, n: int) -> list[SparseColumn]:
+        """The columns of d_n on Gr C: each of d_n's, less its entries at a lower level."""
+        below = self.gens(n - 1)
+        return [[(r, v) for r, v in col if below[r].filtration == g.filtration]
+                for g, col in zip(self.generators[n], self.boundary[n])]
 
     def homology_dim(self, n: int) -> int:
         """dim of the n-th homology of the underlying unfiltered complex."""
@@ -262,28 +264,22 @@ class FilteredChainComplex:
 
 
 def homology_dims_by_level(c: FilteredChainComplex) -> dict[tuple[int, int], int]:
-    """Per-(degree, level) homology of a level-graded complex.
+    """Per-(degree, level) homology of Gr C, for any valid complex ``c``.
 
-    Requires every boundary entry to stay inside its own filtration level
-    (as produced by :meth:`FilteredChainComplex.associated_graded`); the
-    complex then splits as a direct sum over levels and homology can be
-    computed blockwise.  Returns a dim for every (degree, level) holding a
-    generator; absent keys are zero.
+    Gr C (see :meth:`FilteredChainComplex.associated_graded`) splits as a
+    direct sum over levels, so its homology is computed blockwise, each
+    block read off ``c``'s columns less their entries at a lower level.
+    Returns a dim for every (degree, level) holding a generator; absent
+    keys are zero.
     """
     c.ensure_valid()
-    # per degree: level -> boundary columns of the generators at that level
-    blocks: dict[int, dict[int, list[SparseColumn]]] = {}
+    # (degree, level) -> the Gr C columns of the generators there
+    blocks: dict[tuple[int, int], list[SparseColumn]] = {}
     for n in c.degrees():
-        below = c.gens(n - 1)
-        by_level = blocks[n] = {}
-        for g in c.gens(n):
-            col = c.column(n, g.gid)
-            if any(below[r].filtration != g.filtration for r, _ in col):
-                raise UsageError("complex is not level-graded")
-            by_level.setdefault(g.filtration, []).append(col)
-
+        for g, col in zip(c.gens(n), c._graded_columns(n)):
+            blocks.setdefault((n, g.filtration), []).append(col)
     # each block is ranked once: its rank leaves homology at (n, s) and (n-1, s)
     ranks = {(n, s): rank(SparseMatrix(c.n_gens(n - 1), cols), c.field)
-             for n, by_level in blocks.items() for s, cols in by_level.items()}
+             for (n, s), cols in blocks.items()}
     return {(n, s): len(cols) - ranks[(n, s)] - ranks.get((n + 1, s), 0)
-            for n, by_level in blocks.items() for s, cols in by_level.items()}
+            for (n, s), cols in blocks.items()}

@@ -217,7 +217,8 @@ def serialize_complex(c: FilteredChainComplex, comments: Sequence[str] = ()) -> 
             parts.append(text)
             parts.append(below[r].label())
         lines.append(" ".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")
+    lines.append("")  # the final newline, as in serialize_simplicial
+    return "\n".join(lines)
 
 
 # -- simplicial complexes ------------------------------------------------------

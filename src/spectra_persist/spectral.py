@@ -38,8 +38,9 @@ One reduction per degree, of the anti-transposed (coboundary) matrix, gives
 the pairs.
 
 Each engine builds one ``PageTable``, which keeps each cell as runs over r,
-and ``verify`` compares the two run by run, so neither the work nor the
-memory of building or checking them grows with r_max.
+so neither the work nor the memory of building or checking one grows with
+r_max.  ``verify`` builds each engine's table once and runs every check on
+those two, comparing them run by run.
 """
 from __future__ import annotations
 
@@ -492,13 +493,18 @@ class VerifyReport(NamedTuple):
 
 
 def verify(c: FilteredChainComplex, r_max: int) -> VerifyReport:
-    """Cross-check the two page engines and the identities tying them together;
-    each engine's table is built once, and the two are compared by runs."""
+    """Cross-check the two page engines and the identities tying them together.
+
+    Each engine's table is built once, at r_max or at span + 1 if deeper, so
+    that every bar dies within it and the barcode is recovered from the
+    direct one; page one is checked against Gr C read off ``c`` itself."""
+    _check_depth(r_max)
     c.ensure_valid()
     _, barcode = decompose(c)
-    from_bars = pages_from_barcode(barcode, r_max)
-    direct = pages_direct(c, r_max)
     start, top = (c.min_level, c.max_level) if c.generators else (0, 0)
+    depth = max(r_max, top - start + 1)
+    from_bars = pages_from_barcode(barcode, depth)
+    direct = pages_direct(c, depth)
     checks: list[CheckResult] = []
 
     def check(name, bad, detail):
@@ -511,7 +517,7 @@ def verify(c: FilteredChainComplex, r_max: int) -> VerifyReport:
     check("pages-equal", stretches,
           stretches and f"{cells} differing cells, first {(first[0], *first[2:])}")
 
-    graded = homology_dims_by_level(c.associated_graded())
+    graded = homology_dims_by_level(c)
     bad = []
     for key in set(graded) | direct.support():
         page, want = direct.dim(1, *key), graded.get(key, 0)
@@ -539,7 +545,7 @@ def verify(c: FilteredChainComplex, r_max: int) -> VerifyReport:
         essentials = betti(barcode, n, top, top)
         bars = [(e.lifetime, k) for e, k in finite if e.degree in (n, n - 1)]
         steps = {1, *(m + 1 for m, _ in bars), *(r for r, _ in direct._rows.get(n, []))}
-        for r in sorted(r for r in steps if r <= r_max):
+        for r in sorted(r for r in steps if r <= depth):
             lhs, rhs = direct.row_total(r, n), essentials + sum(k for m, k in bars if m >= r)
             if lhs != rhs:
                 bad.append((r, n, lhs, rhs))
@@ -550,10 +556,7 @@ def verify(c: FilteredChainComplex, r_max: int) -> VerifyReport:
           bad and f"first mismatch (r,n,pages,bars)={bad[0]}")
 
     try:
-        # a table shallower than the longest bar cannot show every bar die,
-        # so recover from one that can: with runs, its depth costs nothing
-        deep = direct if r_max > top - start else pages_direct(c, top - start + 1)
-        recovered = recover_barcode(deep, start)
+        recovered = recover_barcode(direct, start)
         ok = recovered == barcode
         detail = "" if ok else "recovered barcode differs"
     except (InconsistentTableError, InsufficientRMaxError) as exc:

@@ -208,9 +208,22 @@ def test_exit_codes(capsys):
     code, _, err = run(capsys, "betti", FIXTURES / "triangle.fcc",
                        "--n", "0", "--i", "3", "--j", "1")
     assert code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["pages", "nothing.fcc", "--engine", "sideways"])
-    assert exc.value.code == 2
+    # argparse's own errors are usage errors too, each one line without the usage block
+    code, out, err = run(capsys, "pages", "nothing.fcc", "--engine", "sideways")
+    assert (code, out) == (2, "")
+    assert err == ("error: argument --engine: invalid choice: 'sideways' "
+                   "(choose from 'barcode', 'direct', 'both')\n")
+    code, out, err = run(capsys, "betti", FIXTURES / "triangle.fcc")
+    assert (code, out, err) == (2, "", "error: the following arguments are required: "
+                                       "--n, --i, --j\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["barcode", FIXTURES / "triangle.fcc", "a\nb"], "unrecognized arguments: a b"),
+    (["barcode", "--f=a\r\nb"], "ambiguous option: --f=a b could match --field, --format"),
+], ids=["unrecognized", "ambiguous"])
+def test_an_argument_with_a_line_break_gives_one_error_line(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def assert_one_line_data_error(code, out, err):
@@ -521,24 +534,30 @@ LIST_MODULES = ("import sys\n"
                 "sys.exit(code)\n")
 
 
+# modules named as in sys.modules, the package's own by their short name
 @pytest.mark.parametrize("argv, needed, absent", [
     (["rips", FIXTURES / "circle8.pts"], ["ingest"],
-     ["spectral", "persistence", "randomgen", "complexes", "linalg"]),
-    (["barcode", FIXTURES / "triangle.fcc"], ["persistence"], ["spectral", "randomgen"]),
+     ["spectral", "persistence", "randomgen", "complexes", "linalg", "json"]),
+    (["barcode", FIXTURES / "triangle.fcc"], ["persistence"], ["spectral", "randomgen", "json"]),
     (["betti", FIXTURES / "triangle.fcc", "--n", "0", "--i", "0", "--j", "1"], ["persistence"],
-     ["spectral", "randomgen"]),
-    (["verify", FIXTURES / "triangle.fcc"], ["spectral"], ["randomgen"]),
-], ids=["rips", "barcode", "betti", "verify"])
+     ["spectral", "randomgen", "json"]),
+    (["verify", FIXTURES / "triangle.fcc"], ["spectral"], ["randomgen", "json"]),
+    (["pages", FIXTURES / "triangle.fcc"], ["spectral", "persistence"], ["randomgen", "json"]),
+    # only --format json and recover load json
+    (["recover", FIXTURES / "triangle.pages"], ["spectral", "json"], ["randomgen"]),
+], ids=["rips", "barcode", "betti", "verify", "pages", "recover"])
 def test_a_command_loads_only_the_modules_it_runs(argv, needed, absent):
     proc = subprocess.run([sys.executable, "-c", LIST_MODULES, *map(str, argv)],
                           capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stderr.splitlines()[-1].split())
-    assert {f"spectra_persist.{m}" for m in needed} <= loaded
-    assert not {f"spectra_persist.{m}" for m in absent} & loaded
+
+    def modules(names):
+        return {m if m == "json" else f"spectra_persist.{m}" for m in names}
+    assert modules(needed) <= loaded
+    assert not modules(absent) & loaded
     assert "dataclasses" not in loaded
-    assert "json" not in loaded  # only --format json and recover load it
 
 
 @pytest.mark.parametrize("field, rationals", [("2", False), ("q", True)])
@@ -679,6 +698,17 @@ LONG_TOKEN_CASES = {
     "invalid-level-label": (["barcode", "PATH"], f"gen {X} 1 0\ngen {Y} 0 1\nbnd {X} 1 {Y}\n", 1,
                             f"invalid complex: degree 1, generator 0: boundary target {cut(Y)} "
                             "at level 1 exceeds source level 0"),
+    "format-option": (["barcode", "PATH", "--format", X], "", 2,
+                      f"argument --format: invalid choice: {cut(X)!r} "
+                      "(choose from 'text', 'json', 'tsv')"),
+    "command": ([X], "", 2, f"argument command: invalid choice: {cut(X)!r} (choose from "
+                "'barcode', 'pages', 'verify', 'rips', 'recover', 'betti')"),
+    "unrecognized": (["barcode", "PATH", "a", X], "", 2,
+                     f"unrecognized arguments: {cut('a ' + X)}"),
+    "ambiguous-option": (["barcode", "PATH", f"--f={X}"], "", 2,
+                         f"ambiguous option: {cut('--f=' + X)} could match --field, --format"),
+    "flag-value": (["barcode", f"--help={X}"], "", 2,
+                   f"argument -h/--help: ignored explicit argument {cut(X)!r}"),
     "invalid-dd-label": (["barcode", "PATH"],
                          f"gen {X} 2 0\ngen b 1 0\ngen c 0 0\nbnd {X} 1 b\nbnd b 1 c\n", 1,
                          "invalid complex: degree 2, generator 0: "

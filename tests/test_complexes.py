@@ -162,9 +162,14 @@ def test_homology_invariant_under_relabeling():
             assert c.homology_dim(n) == p.homology_dim(n)
 
 
-def test_graded_homology_by_level_requires_graded():
-    with pytest.raises(UsageError):
-        homology_dims_by_level(model_pair(Q, 0, 2, 3))
+def test_graded_homology_by_level_reads_the_graded_blocks_off_any_complex():
+    # the level jump of model_pair is dropped, as associated_graded drops it
+    rng = random.Random(3)
+    for c in [model_pair(Q, 0, 2, 3), triangle(),
+              *(random_complex(rng, rng.randint(3, 25), corpus_fields()[k % 4])
+                for k in range(20))]:
+        assert homology_dims_by_level(c) == homology_dims_by_level(c.associated_graded())
+    assert homology_dims_by_level(model_pair(Q, 0, 2, 3)) == {(0, 2): 1, (1, 5): 1}
 
 
 def test_graded_homology_by_level_blocks():
@@ -194,16 +199,19 @@ def test_graded_homology_ranks_each_level_block_once(monkeypatch):
 @given(seed=st.integers(0, 2**32), size=st.integers(0, 30),
        field=st.sampled_from(corpus_fields()))
 def test_graded_homology_by_level_matches_dense_block_ranks(seed, size, field):
-    c = random_complex(random.Random(seed), size, field).associated_graded()
-
-    def block_rank(n, s):  # d_n from the level-s generators to those one degree below
+    # d_n from the level-s generators to the level-s ones one degree below is
+    # the level-s block of Gr C: its rows leave out every entry reaching lower
+    def block_rank(c, n, s):
         rows = [g.gid for g in c.gens(n - 1) if g.filtration == s]
         cols = [dict(c.column(n, g.gid)) for g in c.gens(n) if g.filtration == s]
         return dense_rank([[col.get(r, field.zero) for col in cols] for r in rows], field)
 
-    gens = Counter((g.degree, g.filtration) for g in c.all_generators())
-    assert homology_dims_by_level(c) == {
-        (n, s): k - block_rank(n, s) - block_rank(n + 1, s) for (n, s), k in gens.items()}
+    raw = random_complex(random.Random(seed), size, field)
+    for c in (raw, raw.associated_graded()):
+        gens = Counter((g.degree, g.filtration) for g in c.all_generators())
+        assert homology_dims_by_level(c) == {
+            (n, s): k - block_rank(c, n, s) - block_rank(c, n + 1, s)
+            for (n, s), k in gens.items()}
 
 
 def test_structural_errors():

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectra_persist import complexes, spectral
+from spectra_persist import complexes, linalg, spectral
 from spectra_persist.cli import main
 from spectra_persist.complexes import FilteredChainComplex
 from spectra_persist.errors import (InconsistentTableError, InsufficientRMaxError,
@@ -360,20 +360,77 @@ def test_verify_ranks_each_boundary_matrix_once(monkeypatch):
 
 def test_verify_stores_each_table_once(monkeypatch):
     # the barcode engine, the direct engine and recover_barcode's round trip,
-    # plus the deep table recovery needs when r_max is below the longest bar
+    # all at one depth, deep enough to recover from even when r_max is 1
     c = random_complex(random.Random(31), 40, PrimeField(5))
     store = PageTable._store
     stored = []
+    direct = []
 
     def counting_store(self, steps):
         stored.append(len(steps))
         return store(self, steps)
 
+    def counting_direct(c, r_max):
+        direct.append(r_max)
+        return pages_direct(c, r_max)
+
     monkeypatch.setattr(PageTable, "_store", counting_store)
-    for r_max, tables in ((c.filtration_span + 1, 3), (1, 4)):
+    monkeypatch.setattr(spectral, "pages_direct", counting_direct)
+    for r_max in (c.filtration_span + 1, 1):
         stored.clear()
+        direct.clear()
         assert verify(c, r_max).all_passed
-        assert len(stored) == tables and all(stored), (r_max, stored)
+        assert len(stored) == 3 and all(stored), (r_max, stored)
+        assert direct == [c.filtration_span + 1], r_max
+
+
+def test_verify_builds_no_second_complex(monkeypatch):
+    # once c is valid, page one reads Gr C off c's own columns: no complex is
+    # built, through the constructor or _adopt, and d∘d is never summed again
+    c = random_complex(random.Random(37), 40, Q)
+    c.ensure_valid()
+    calls = Counter()
+    init, adopt = FilteredChainComplex.__init__, FilteredChainComplex._adopt.__func__
+
+    def counting_init(self, *args):
+        calls["init"] += 1
+        init(self, *args)
+
+    def counting_adopt(cls, *args):
+        calls["adopt"] += 1
+        return adopt(cls, *args)
+
+    def no_composites(*args):
+        calls["nonzero_composites"] += 1
+        return []
+
+    monkeypatch.setattr(FilteredChainComplex, "__init__", counting_init)
+    monkeypatch.setattr(FilteredChainComplex, "_adopt", classmethod(counting_adopt))
+    monkeypatch.setattr(complexes, "nonzero_composites", no_composites)
+    monkeypatch.setattr(linalg, "nonzero_composites", no_composites)
+    for r_max in (1, c.filtration_span + 1):
+        assert verify(c, r_max).all_passed
+    assert not calls
+    FilteredChainComplex.empty(Q).validate()  # the counters do count
+    assert calls == {"init": 1}
+
+
+def test_verify_fails_a_wrong_graded_homology_at_its_first_mismatch(monkeypatch):
+    # triangle's Gr C has homology 3 at (0, 0), 2 at (1, 1) and 1 at (1, 2);
+    # one cell shifted by one must fail page one, and only page one
+    graded = complexes.homology_dims_by_level
+
+    def shifted(c):
+        dims = graded(c)
+        dims[(1, 2)] += 1
+        return dims
+
+    monkeypatch.setattr(spectral, "homology_dims_by_level", shifted)
+    report = verify(triangle(), 2)
+    assert [ch for ch in report.checks if not ch.passed] == [spectral.CheckResult(
+        "page-one-is-graded-homology", False, "first mismatch (n,s,page,graded)=(1, 2, 1, 2)")]
+    assert report.lines()[1] == ("[FAIL] page-one-is-graded-homology "
+                                 "(first mismatch (n,s,page,graded)=(1, 2, 1, 2))")
 
 
 @pytest.mark.parametrize("r_max", [0, -1, True, 1.5])
