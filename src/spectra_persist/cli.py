@@ -227,9 +227,9 @@ def cmd_rips(args) -> int:
             raise UsageError(
                 f"--threshold must be a finite number, got {shorten(args.threshold)!r}"
             ) from None
+    field = field_from_text(args.field)
     pc = parse_point_cloud(_read_text(path))
     fsc = rips(pc, args.max_dim, args.threshold)
-    field = field_from_text(args.field)
     comments = [f"rips: {len(pc)} points, max_dim={args.max_dim}, "
                 f"threshold={args.threshold}"]
     comments += [f"level {k} = {v}" for k, v in enumerate(fsc.levels)]
@@ -282,7 +282,12 @@ def cmd_betti(args) -> int:
     from .persistence import betti, decompose
     c = _load_complex(args)
     _, b = decompose(c)
-    print(betti(b, args.n, args.i, args.j))
+    value = betti(b, args.n, args.i, args.j)
+    if args.format == "json":
+        _emit_json({"format": JSON_FORMAT, "kind": "betti",
+                    "n": args.n, "i": args.i, "j": args.j, "value": value})
+    else:
+        print(value)
     return 0
 
 

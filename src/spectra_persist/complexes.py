@@ -49,10 +49,6 @@ class Violation(NamedTuple):
 
 
 class FilteredChainComplex:
-    # whether every coefficient is known to be a whole number; only the text
-    # reader claims it, through _adopt, so a complex built here reads False
-    _whole = False
-
     def __init__(
         self,
         field: FieldSpec,
@@ -100,19 +96,12 @@ class FilteredChainComplex:
 
     @classmethod
     def _adopt(cls, field: FieldSpec, generators: dict[int, list[Generator]],
-               boundary: dict[int, list[SparseColumn]],
-               whole: bool) -> "FilteredChainComplex":
+               boundary: dict[int, list[SparseColumn]]) -> "FilteredChainComplex":
         """The complex of these very dicts, with none of ``__init__``'s copies
-        and checks, for a reader whose construction guarantees them.
-
-        ``whole`` tells that every coefficient is a whole number, a fact the
-        reader has for free from the tokens it parsed; over Q it lets
-        :meth:`validate` sum d∘d in plain integers.  A complex built through
-        ``__init__`` never claims it, so its columns take the general path.
-        """
+        and checks, for a reader whose construction guarantees them."""
         c = cls.__new__(cls)
         c.field, c.generators, c.boundary = field, generators, boundary
-        c._violations, c._ranks, c._whole = None, {}, whole
+        c._violations, c._ranks = None, {}
         return c
 
     @classmethod
@@ -226,7 +215,7 @@ class FilteredChainComplex:
                 gens = self.generators[n]
                 out += [Violation(n, gid, f"d∘d ≠ 0 at generator {shorten(gens[gid].label())}")
                         for gid in nonzero_composites(self.field, self.boundary[n],
-                                                      self.boundary[n - 1], self._whole)]
+                                                      self.boundary[n - 1])]
         self._violations = out
         return out
 

@@ -1,11 +1,14 @@
 """Exact coefficient arithmetic over GF(p) and the rationals.
 
 Scalars are plain Python values: canonical residues (``int`` in ``[0, p)``)
-for a prime field and ``fractions.Fraction`` for the rationals.  A field
-object supplies the arithmetic and the canonical form; values are never
-coerced between fields, a mismatch is a :class:`UsageError`.  ``FieldSpec``
-is the union of the two field types; column code that depends on how a
-field holds its scalars is in :mod:`~spectra_persist.linalg`.
+for a prime field and ``fractions.Fraction`` for the rationals, or an
+``int`` for a whole coefficient read from text.  The two compare and hash
+by value, and the column code reads ``.numerator`` and ``.denominator``,
+which both have.  A field object supplies the arithmetic and the canonical
+form; values are never coerced between fields, a mismatch is a
+:class:`UsageError`.  ``FieldSpec`` is the union of the two field types;
+column code that depends on how a field holds its scalars is in
+:mod:`~spectra_persist.linalg`.
 
 The fields, like every record type of the package, are ``NamedTuple``
 subclasses, immutable and equal by value.  One with checks runs them in

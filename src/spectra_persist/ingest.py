@@ -92,14 +92,8 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
     ``(row, coeff)`` list once, summing repeated rows and dropping zeros in
     the same step.  So the complex adopts them without the constructor's copy
     and entry check; ``ensure_valid`` still runs, since this is where a pipe's
-    text is trusted.
-
-    The reader also tells the complex whether every coefficient is a whole
-    number: each distinct token's value is in ``coeffs``, so one look at its
-    few entries decides it (a GF(p) residue is an int, so always whole).
-    ``canonical`` only sums the coefficients of repeated rows, and sums of
-    whole numbers are whole, so the fact holds for the columns it leaves.
-    Over Q it lets the d∘d check sum in plain integers.
+    text is trusted.  Over Q a whole coefficient is kept as its ``int``, which
+    the column code reads as it reads a ``Fraction``.
     """
     from .complexes import FilteredChainComplex, Generator
     from .linalg import canonical
@@ -168,9 +162,12 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
             coeff = coeffs.get(toks[k])
             if coeff is None:
                 try:
-                    coeff = coeffs[toks[k]] = field.parse(toks[k])
+                    coeff = field.parse(toks[k])
                 except UsageError as exc:
                     raise ParseError(str(exc), line_no) from None
+                if coeff.denominator == 1:  # a GF(p) residue is an int already
+                    coeff = coeff.numerator
+                coeffs[toks[k]] = coeff
                 zeros = zeros or field.is_zero(coeff)
             target = toks[k + 1]
             tgt = gens.get(target)
@@ -188,8 +185,7 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
             if col:
                 cols[gid] = canonical(field, col, zeros)
 
-    whole = all(v.denominator == 1 for v in coeffs.values())
-    c = FilteredChainComplex._adopt(field, by_degree, boundary, whole)
+    c = FilteredChainComplex._adopt(field, by_degree, boundary)
     c.ensure_valid()
     return c
 

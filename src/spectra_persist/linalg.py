@@ -26,11 +26,10 @@ column back into field scalars with a unit lead where a caller reads it.
 The rest of the column code that depends on the field is here too:
 :func:`canonical`, for the text reader and ``from_named``, and
 :func:`nonzero_composites`, the d∘d sum of ``complexes``.  Over Q that sum
-has two paths.  When the text reader has seen only whole coefficients, as
-in every text ``rips`` writes, it sums their numerators as the GF(p) sum
-does its residues.  For any other complex, one with a fractional entry or
-one built through the constructor, it works in the integer columns made
-by :func:`integral`.
+picks its path from the entries it is given.  When all of them are whole,
+as in every text ``rips`` writes, however the complex was built, it sums
+their numerators as the GF(p) sum does its residues.  Otherwise it works in
+the integer columns made by :func:`integral`.
 """
 from __future__ import annotations
 
@@ -140,22 +139,23 @@ def canonical(field: FieldSpec, col: list, zeros: bool) -> SparseColumn:
     return [(r, v) for r, v in out if not field.is_zero(v)]
 
 
-def nonzero_composites(field: FieldSpec, outer_cols: list, inner_cols: list,
-                       whole: bool = False):
+def nonzero_composites(field: FieldSpec, outer_cols: list, inner_cols: list):
     """Yield the index of each column of ``outer_cols`` whose composite with
     ``inner_cols`` is nonzero; outer rows index the inner columns.
 
     Each composite is summed in one dict from row to int, and no ``Fraction``
     is made.  Over GF(p) it adds plain residue products and reduces each row
-    mod p once, at the end.  Over Q there are two paths.  When ``whole`` says
-    every entry of both sides is a whole number, as the text reader finds of
-    the coefficients it parsed, each entry is its numerator and the sum is
-    the GF(p) one without the reduction.  Otherwise it works in the integer
-    columns of :func:`integral`, with the entries of the outer column scaled
-    to a common denominator.
+    mod p once, at the end.  Over Q the entries choose the path.  When every
+    entry of both sides has denominator 1 (an ``int``, as the text reader
+    keeps a whole coefficient, answers that in C; a whole ``Fraction`` does
+    too), each entry is its numerator and the sum is the GF(p) one without
+    the reduction.  Otherwise it works in the integer columns of
+    :func:`integral`, with the entries of the outer column scaled to a
+    common denominator.
     """
     p = None if isinstance(field, RationalField) else field.p
-    rescale = p is None and not whole
+    rescale = p is None and not all(v.denominator == 1 for cols in (outer_cols, inner_cols)
+                                    for col in cols for _, v in col)
     if rescale:
         scaled = [integral(col) for col in inner_cols]
         inner_cols = [m for _, m in scaled]

@@ -1,8 +1,12 @@
 """Model complexes and small readers shared across test modules."""
 from __future__ import annotations
 
+from contextlib import contextmanager
 from math import lcm
 
+import pytest
+
+from spectra_persist import linalg
 from spectra_persist.complexes import FilteredChainComplex
 from spectra_persist.fields import PrimeField, RationalField
 from spectra_persist.persistence import Barcode
@@ -77,3 +81,27 @@ def whole_basis(c: FilteredChainComplex) -> FilteredChainComplex:
             scales[n].append(k)
             boundary[n].append([(r, v * k / below[r]) for r, v in col])
     return FilteredChainComplex(c.field, c.generators, boundary)
+
+
+def fractional_basis(c: FilteredChainComplex) -> FilteredChainComplex:
+    """A Q complex written in a basis that makes whole coefficients fractional,
+    the other way from :func:`whole_basis`.
+
+    Each generator of degree n becomes ``g / 2**n``, so every entry of d_n
+    reads half of what it did: an odd whole coefficient becomes a fraction.
+    A rescaled basis keeps every level, and d∘d only scales by 1/4, so the
+    result flags the generators ``c`` does.
+    """
+    return FilteredChainComplex(c.field, c.generators, {
+        n: [[(r, v / 2) for r, v in col] for col in cols] for n, cols in c.boundary.items()})
+
+
+@contextmanager
+def counting_integral():
+    """The columns :func:`~spectra_persist.linalg.integral` is called on
+    while the block runs; a call means Q was summed in its integer columns."""
+    calls: list = []
+    real = linalg.integral
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "integral", lambda col: calls.append(col) or real(col))
+        yield calls

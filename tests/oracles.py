@@ -179,6 +179,32 @@ def barcode_by_rank(c: FilteredChainComplex) -> Barcode:
     return Barcode(counts)
 
 
+def pairs_by_rank(c: FilteredChainComplex) -> list:
+    """Sorted ``(n, row gid, column gid)`` of every pair of every d_n, by the
+    pairing lemma, from dense ranks alone.
+
+    Per degree the columns of d_n, and its rows one degree below, are ordered
+    by (filtration, gid).  With r(i, j) the rank of the block of rows i
+    onwards and columns up to j, column j pairs with row i iff
+    r(i, j) - r(i+1, j) - r(i, j-1) + r(i+1, j-1) = 1 (Edelsbrunner & Harer,
+    "Computational Topology", AMS 2010, VII.1): the lowest nonzero row of
+    column j after any reduction that adds earlier columns to later ones.
+    """
+    out = []
+    for n in c.degrees():
+        rows, cols = [sorted(c.gens(m), key=lambda g: (g.filtration, g.gid)) for m in (n - 1, n)]
+        if not rows:
+            continue
+        by_gid = _dense_boundary(c, n, lambda g: True)
+        m = [[by_gid[t.gid][g.gid] for g in cols] for t in rows]
+        # r[i][j]: rows i onwards, the first j columns; an empty block has rank 0
+        r = [[dense_rank([row[:j] for row in m[i:]], c.field) if i < len(rows) and j else 0
+              for j in range(len(cols) + 1)] for i in range(len(rows) + 1)]
+        out += [(n, rows[i].gid, cols[j].gid) for i in range(len(rows)) for j in range(len(cols))
+                if r[i][j + 1] - r[i + 1][j + 1] - r[i][j] + r[i + 1][j] == 1]
+    return sorted(out)
+
+
 # -- literal subquotient page construction ------------------------------------
 
 def subquotient_dim(numerator: SparseMatrix, denominator: SparseMatrix, field: FieldSpec) -> int:

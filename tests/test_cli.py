@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import spectra_persist
+from spectra_persist import cli
 from spectra_persist.cli import main
 from spectra_persist.complexes import FilteredChainComplex
 from spectra_persist.errors import InvalidComplexError, ParseError, shorten
@@ -198,6 +199,25 @@ def test_betti_command(capsys):
     code, out, _ = run(capsys, "betti", FIXTURES / "triangle.fcc", "--field", "q",
                        "--n", "0", "--i", "0", "--j", "1")
     assert code == 0 and out.strip() == "1"
+
+
+def test_betti_json_is_the_versioned_envelope(capsys):
+    betti = ["betti", FIXTURES / "triangle.fcc", "--field", "q", "--n", "0", "--i", "0",
+             "--j", "1"]
+    code, out, _ = run(capsys, *betti, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"format": "spectra-persist/1", "kind": "betti",
+                               "n": 0, "i": 0, "j": 1, "value": 1}
+    for fmt in ("text", "tsv"):
+        assert run(capsys, *betti, "--format", fmt) == (0, "1\n", "")
+
+
+def test_rips_reads_its_field_before_its_input(capsys, monkeypatch):
+    # as barcode does: a bad --field is a usage error before any file is read
+    monkeypatch.setattr(cli, "parse_point_cloud", lambda text: pytest.fail("cloud read"))
+    for command in ("rips", "barcode"):
+        assert run(capsys, command, "/nonexistent", "--field", "4") == (
+            2, "", "error: modulus 4 is not prime\n")
 
 
 def test_exit_codes(capsys):
@@ -737,11 +757,12 @@ def test_an_error_line_shortens_the_long_input_it_names(capsys, tmp_path, argv, 
 BROKEN_GENS = ("gen a 0 0\ngen b 0 0\ngen c 0 1\n"
                "gen ab 1 0\ngen bc 1 0\ngen ac 1 0\ngen abc 2 0\n")
 BROKEN_SPELLINGS = [
-    # whole tokens, read on the whole-number path
+    # whole tokens, which the reader keeps as ints
     "bnd ab -1 a 1 b\nbnd bc -1 b 1 c\nbnd ac -1 a 1 c\nbnd abc 1 bc 1 ac 1 ab\n",
     # 2/2 is whole too: the reader looks at the value, not at the slash
     "bnd ab -1 a 2/2 b\nbnd bc -1 b 2/2 c\nbnd ac -1 a 1 c\nbnd abc 2/2 bc 1 ac 1 ab\n",
-    # the same values spelled with fractions, read on the general path
+    # the same values spelled with fractions: -4/4 and 3/3 are read as ints,
+    # and 1/2 + 1/2 sums to a whole Fraction
     "bnd ab -4/4 a 3/3 b\nbnd bc -1 b 1/2 c 1/2 c\nbnd ac -4/4 a 3/3 c\n"
     "bnd abc 1/2 bc 1/2 bc 3/3 ac 1 ab\n",
 ]

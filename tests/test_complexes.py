@@ -9,10 +9,11 @@ from spectra_persist import complexes
 from spectra_persist.complexes import FilteredChainComplex, homology_dims_by_level
 from spectra_persist.errors import InvalidComplexError, UsageError
 from spectra_persist.fields import PrimeField, RationalField
-from spectra_persist.linalg import nonzero_composites, rank
+from spectra_persist.linalg import rank
 from spectra_persist.randomgen import permute_generators, random_complex, random_nonzero_scalar
 
-from helpers import corpus_fields, full_triangle, model_pair, triangle, whole_basis
+from helpers import (corpus_fields, counting_integral, fractional_basis, full_triangle,
+                     model_pair, triangle, whole_basis)
 from oracles import dense_rank, violations_by_axpy
 
 Q = RationalField()
@@ -224,17 +225,17 @@ def test_structural_errors():
         FilteredChainComplex.from_named(Q, [("a", 1, 0)], {"a": [(1, "zz")]})
 
 
-def composites_on_both_q_paths(c: FilteredChainComplex) -> list:
-    """``(degree, gid)`` of each generator with d∘d ≠ 0 over Q, as the
-    whole-number sum finds them, checked against the general sum."""
-    out = []
-    for n in c.degrees():
-        if n - 1 in c.generators:
-            fast, general = [list(nonzero_composites(Q, c.boundary[n], c.boundary[n - 1], whole))
-                             for whole in (True, False)]
-            assert fast == general
-            out += [(n, gid) for gid in fast]
-    return out
+def composites_on_the_path_of_the_entries(c: FilteredChainComplex) -> list:
+    """``(degree, gid)`` of each generator ``validate`` finds with d∘d ≠ 0 over
+    Q, checked against the oracle, and whether it summed in the integer
+    columns of ``integral``, checked to be exactly when an entry is fractional."""
+    fractional = any(v.denominator != 1 for cols in c.boundary.values()
+                     for col in cols for _, v in col)
+    with counting_integral() as calls:
+        found = [(v.degree, v.gid) for v in c.validate() if "d∘d" in v.reason]
+    assert bool(calls) == fractional
+    assert found == [(v.degree, v.gid) for v in violations_by_axpy(c) if "d∘d" in v.reason]
+    return found, bool(calls)
 
 
 def gf5_case(last: int) -> FilteredChainComplex:
@@ -262,17 +263,23 @@ def gf5_case(last: int) -> FilteredChainComplex:
 ], ids=["filtration", "dd", "gf5-case-4", "gf5-case-3", "six-a", "triangle", "full-triangle",
         "pair"])
 def test_whole_composites_match_the_general_path_on_the_named_cases(make, broken):
-    assert composites_on_both_q_paths(make()) == broken
+    # from_named keeps whole coefficients whole, so validate sums numerators;
+    # every case has an odd one, so its fractional basis takes the general path
+    c = make()
+    assert composites_on_the_path_of_the_entries(c) == (broken, False)
+    assert composites_on_the_path_of_the_entries(fractional_basis(c)) == (broken, True)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 40))
 def test_whole_composites_match_the_general_path(seed, size):
     # a random Q complex in a basis of whole coefficients, and a copy with one
-    # coefficient moved by a whole amount: both sums flag what the oracle does
+    # coefficient moved by a whole amount: each sums numerators, each in a
+    # fractional basis takes the general path, and all flag what the oracle does
     rng = random.Random(seed)
     c = whole_basis(random_complex(rng, size, Q))
-    assert composites_on_both_q_paths(c) == []
+    assert composites_on_the_path_of_the_entries(c) == ([], False)
+    assert composites_on_the_path_of_the_entries(fractional_basis(c))[0] == []
     entries = [(n, j, k) for n in c.degrees() for j, col in enumerate(c.boundary[n])
                for k in range(len(col))]
     if not entries:
@@ -283,5 +290,6 @@ def test_whole_composites_match_the_general_path(seed, size):
     w = v + rng.choice([-6, -2, -1, 1, 2, 6])
     boundary[n][j][k:k + 1] = [] if w == 0 else [(r, w)]
     changed = FilteredChainComplex(Q, c.generators, boundary)
-    assert composites_on_both_q_paths(changed) == [
-        (v.degree, v.gid) for v in violations_by_axpy(changed) if "d∘d" in v.reason]
+    broken, general = composites_on_the_path_of_the_entries(changed)
+    assert not general
+    assert composites_on_the_path_of_the_entries(fractional_basis(changed))[0] == broken

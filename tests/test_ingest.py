@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -16,11 +17,12 @@ from spectra_persist.ingest import (PointCloud, make_simplicial, parse_complex,
                                     parse_point_cloud, parse_simplicial, rips,
                                     serialize_complex, serialize_simplicial,
                                     simplicial_to_chain)
+from spectra_persist.linalg import kernel
 from spectra_persist.persistence import INF, Barcode, BarEntry, decompose
-from spectra_persist.randomgen import permute_generators, random_complex
+from spectra_persist.randomgen import random_complex
 from spectra_persist.spectral import pages_direct
 
-from helpers import corpus_fields, whole_basis
+from helpers import corpus_fields, counting_integral, whole_basis
 from oracles import (barcode_by_rank, column_by_sum, make_simplicial_by_lookup,
                      rips_by_cliques, serialize_simplicial_by_lookup,
                      simplicial_to_chain_by_entries)
@@ -321,9 +323,10 @@ def random_complex_text(rng: random.Random, field) -> tuple:
     cancels and sometimes a stray entry, and the same complex built with
     ``column_by_sum`` and the public constructor.
 
-    Over Q half the texts hold whole numbers only, so the reader's d∘d check
-    sums them as integers, and half hold fractions with denominators 2-3
-    too, so it takes the general path; over GF(p) every residue is whole.
+    Over Q half the texts hold whole numbers only, which the reader keeps as
+    ints and its d∘d check sums as integers, and half hold fractions with
+    denominators 2-3 too, so it takes the general path; over GF(p) every
+    residue is whole.
     """
     c = random_complex(rng, rng.randint(0, 25), field)
     whole = field != Q or rng.random() < 0.5
@@ -382,9 +385,9 @@ def random_complex_text(rng: random.Random, field) -> tuple:
        field=st.sampled_from(corpus_fields()))
 def test_the_reader_builds_the_columns_the_constructor_accepts(seed, source, field):
     # parse_complex adopts its columns without the constructor's copy and
-    # check; they must be the ones the checked paths build.  A reader-made Q
-    # complex of whole coefficients sums d∘d in integers: its violations must
-    # be the ones the general path of a constructor-made complex finds
+    # check; they must be the ones the checked paths build.  Over Q the reader
+    # keeps a whole coefficient as an int: its columns must equal, and its
+    # violations be, those of the constructor's Fractions
     rng = random.Random(seed)
     if source == "random":
         text, expected = random_complex_text(rng, field)
@@ -402,25 +405,38 @@ def test_the_reader_builds_the_columns_the_constructor_accepts(seed, source, fie
     assert c.validate() == checked.validate() == expected.validate() == []
 
 
-def test_only_the_reader_claims_whole_coefficients():
-    # the fact is the reader's: every complex built through the constructor
-    # keeps the general d∘d path, whatever its coefficients
-    fsc = parse_simplicial("simp 1 0 1\nsimp 1 0 2\nsimp 1 1 2\nsimp 1 0 1 2\n")
-    c = simplicial_to_chain(fsc, Q)
-    built = [c, c.associated_graded(), random_complex(random.Random(1), 20, Q),
-             permute_generators(random.Random(1), c),
-             FilteredChainComplex.from_named(Q, [("a", 0, 0), ("b", 1, 0)], {"b": [(2, "a")]}),
-             FilteredChainComplex(Q, c.generators, c.boundary)]
-    assert [b._whole for b in built] == [False] * len(built)
-    assert parse_complex(serialize_simplicial(fsc, Q), Q)._whole is True
-    assert parse_complex(serialize_simplicial(fsc, GF2), GF2)._whole is True
-    # the test is on the value, not on the spelling
+def test_the_reader_keeps_a_whole_coefficient_as_an_int():
+    # over Q a whole coefficient is stored as its int, whatever its spelling,
+    # and a fractional one as a Fraction; a GF(p) residue is an int as before
     gens = "gen a 0 0\ngen b 0 0\ngen e 1 0\n"
-    spellings = {"-1 a 1 b": True, "-1 a 2/2 b": True, "-1 a 1/2 b 1/2 b": False}
-    for entries, whole in spellings.items():
-        c = parse_complex(f"{gens}bnd e {entries}\n", Q)
-        assert c._whole is whole
-        assert c.boundary == {0: [[], []], 1: [[(0, Q.normalize(-1)), (1, Q.one)]]}
+    spellings = {"-1 a 1 b": [int, int], "-1 a 2/2 b": [int, int],
+                 "1/2 a -1/2 b": [Fraction, Fraction]}
+    for entries, kinds in spellings.items():
+        col = parse_complex(f"{gens}bnd e {entries}\n", Q).column(1, 0)
+        assert [type(v) for _, v in col] == kinds
+    assert parse_complex(f"{gens}bnd e -1 a 2/2 b\n", Q).column(1, 0) == [
+        (0, Q.normalize(-1)), (1, Q.one)]
+    gf5 = parse_complex(f"{gens}bnd e -1 a 7 b\n", PrimeField(5)).column(1, 0)
+    assert gf5 == [(0, 4), (1, 2)] and all(type(v) is int for _, v in gf5)
+    # validate reads its path off the entries: whole ones sum numerators
+    # however the complex was built, and a fraction takes integral's columns
+    fsc = rips(PointCloud.from_points([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0.5)]), 2)
+    named = FilteredChainComplex.from_named(Q, [("a", 0, 0), ("b", 1, 0)], {"b": [(2, "a")]})
+    built = random_complex(random.Random(1), 20, Q)
+    for check, general in [(lambda: parse_complex(serialize_simplicial(fsc, Q), Q), False),
+                           (lambda: simplicial_to_chain(fsc, Q), False),
+                           (named.validate, False),
+                           (lambda: parse_complex(f"{gens}bnd e 1/2 a -1/2 b\n", Q), True),
+                           (built.validate, True)]:
+        with counting_integral() as calls:
+            check()
+        assert bool(calls) == general
+    # the reducer's columns of ints still come back as Fractions
+    c = parse_complex(serialize_simplicial(fsc, Q), Q)
+    pairs = decompose(c)[0].pairs
+    assert pairs and all(type(v) is Fraction for p in pairs for _, v in p.cycle)
+    vectors = kernel(c.boundary_matrix(1), Q).columns
+    assert vectors and all(type(v) is Fraction for col in vectors for _, v in col)
 
 
 @pytest.mark.parametrize("field, zero", [(Q, False), (GF2, True), (PrimeField(3), True)])

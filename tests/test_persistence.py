@@ -8,15 +8,17 @@ from hypothesis import given, settings, strategies as st
 from spectra_persist.complexes import FilteredChainComplex
 from spectra_persist.errors import InvalidComplexError, UsageError
 from spectra_persist.fields import PrimeField, RationalField
-from spectra_persist.ingest import PointCloud, rips, simplicial_to_chain
+from spectra_persist.ingest import (PointCloud, parse_complex, rips, serialize_complex,
+                                    serialize_simplicial, simplicial_to_chain)
 from spectra_persist.linalg import ColumnReducer, rank
 from spectra_persist.persistence import (INF, Barcode, BarEntry, betti,
                                          decompose, multiplicity)
 from spectra_persist.randomgen import permute_generators, random_complex
-from spectra_persist.spectral import verify
+from spectra_persist.spectral import _coboundary_pairs, verify
 
-from helpers import corpus_fields, essential_count, model_essential, model_pair, triangle
-from oracles import barcode_by_rank, dense_rank, persistent_betti
+from helpers import (corpus_fields, essential_count, model_essential, model_pair, triangle,
+                     whole_basis)
+from oracles import barcode_by_rank, dense_rank, pairs_by_rank, persistent_betti
 
 Q = RationalField()
 GF2 = PrimeField(2)
@@ -402,3 +404,25 @@ def test_decompose_agrees_on_rows_as_stored_and_reindexed(field):
         assert results[0] == results[1], trial
     assert paths[False, range] > 20 and paths[True, list] > 20
     assert not paths[False, list]
+
+
+def test_both_engines_pair_as_the_pairing_lemma_says():
+    # decompose's pairs, zero-length ones included, and the direct engine's
+    # coboundary pairs are the dense oracle's, over each corpus field, and
+    # over Q from text, whose whole coefficients the reader keeps as ints
+    rng = random.Random(29)
+    cases = [random_complex(rng, rng.randint(3, 40), corpus_fields()[k % 4]) for k in range(80)]
+    cases += [parse_complex(serialize_complex(whole_basis(random_complex(rng, size, Q))), Q)
+              for size in [rng.randint(3, 40) for _ in range(20)]]
+    cloud = PointCloud.from_points([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0.5), (0.5, 2), (2, 2)])
+    cases.append(parse_complex(serialize_simplicial(rips(cloud, 2, 1.6), Q), Q))
+    assert all(type(v) is int for c in cases[80:] for cols in c.boundary.values()
+               for col in cols for _, v in col)
+    cancelled = 0
+    for k, c in enumerate(cases):
+        want = pairs_by_rank(c)
+        pairs = decompose(c)[0].pairs
+        assert sorted((p.death.degree, p.birth.gid, p.death.gid) for p in pairs) == want, k
+        assert sorted(_coboundary_pairs(c)) == want, k
+        cancelled += sum(p.cancelled for p in pairs)
+    assert cancelled
