@@ -16,13 +16,14 @@ _HOMES = {
     "errors": ("ClosureError", "InconsistentTableError", "InsufficientRMaxError",
                "InvalidComplexError", "PageTableError", "ParseError", "UsageError"),
     "fields": ("FieldSpec", "PrimeField", "RationalField", "Scalar", "field_from_text"),
-    "ingest": ("FilteredSimplicialComplex", "PointCloud", "make_simplicial", "parse_complex",
-               "parse_point_cloud", "parse_simplicial", "rips", "serialize_complex",
-               "serialize_simplicial", "simplicial_to_chain"),
+    "ingest": ("parse_complex", "serialize_complex"),
     "linalg": ("SparseMatrix", "axpy", "kernel", "rank"),
     "persistence": ("INF", "Barcode", "BarEntry", "Pair", "Pairing", "betti", "decompose",
                     "multiplicity"),
     "randomgen": ("permute_generators", "random_complex"),
+    "simplicial": ("FilteredSimplicialComplex", "PointCloud", "make_simplicial",
+                   "parse_point_cloud", "parse_simplicial", "rips", "serialize_simplicial",
+                   "simplicial_to_chain"),
     "spectral": ("CheckResult", "PageTable", "VerifyReport", "collapse_page", "pages_direct",
                  "pages_from_barcode", "parse_page_table", "recover_barcode", "verify"),
 }

@@ -17,13 +17,11 @@ from typing import TYPE_CHECKING
 
 from .errors import (ClosureError, InvalidComplexError, PageTableError,
                      SHORT, ParseError, UsageError, shorten)
-from .fields import field_from_text, parse_int
-from .ingest import (_data_lines, _real, parse_complex, parse_point_cloud,
-                     parse_simplicial, rips, serialize_simplicial, simplicial_to_chain)
+from .fields import _data_lines, field_from_text, parse_int
 
-# persistence, spectral, randomgen and json are imported by the commands that
-# run them, and complexes by the ingest functions that build one, so a process
-# loads only what its command needs
+# ingest, simplicial, persistence, spectral, randomgen and json are imported
+# by the commands that run them, and complexes by the readers that build one,
+# so a process loads only what its command and its input need
 if TYPE_CHECKING:
     from .complexes import FilteredChainComplex
     from .persistence import Barcode
@@ -56,7 +54,9 @@ def _load_complex(args) -> FilteredChainComplex:
     text = _read_text(args.input)
     first = next(_data_lines(text), None)
     if first is not None and first[1][0] == "simp":
+        from .simplicial import parse_simplicial, simplicial_to_chain
         return simplicial_to_chain(parse_simplicial(text), field)
+    from .ingest import parse_complex
     return parse_complex(text, field)
 
 
@@ -215,6 +215,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rips(args) -> int:
+    from .simplicial import _real, parse_point_cloud, rips, serialize_simplicial
     if args.dist is not None and args.input is not None:
         raise UsageError("give either an input path or --dist, not both")
     path = args.dist if args.dist is not None else args.input

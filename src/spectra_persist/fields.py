@@ -10,6 +10,18 @@ form; values are never coerced between fields, a mismatch is a
 column code that depends on how a field holds its scalars is in
 :mod:`~spectra_persist.linalg`.
 
+``fractions`` (which loads ``decimal`` and ``numbers`` with it) is imported
+by the first call that makes or tests for a ``Fraction``: ``normalize``,
+``check``, ``inv``, ``one``, ``zero``, ``parse`` of ``a/b`` and ``format`` of
+a ``Fraction``.  ``RationalField()`` itself, ``parse`` of a whole token,
+``format`` of an ``int`` and the arithmetic on ints need none, so a process
+that only moves whole coefficients over Q never imports it, and one over
+GF(p) never does.
+
+The text readers of the package share the line splitting here:
+:func:`numbered_lines` numbers lines as an editor or ``wc -l`` does, and
+``_lines``/``_data_lines`` strip comments and blanks from them.
+
 The fields, like every record type of the package, are ``NamedTuple``
 subclasses, immutable and equal by value.  One with checks runs them in
 ``__new__``; :func:`checked` sends ``_make``, copy and pickle through it.
@@ -20,10 +32,10 @@ from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .errors import UsageError, shorten
 
-# ``fractions`` loads ``decimal`` and ``numbers`` too: the first RationalField
-# made imports it, so a process that works over GF(p) never does
 if TYPE_CHECKING:
     from fractions import Fraction
+else:
+    Fraction = None  # fractions.Fraction once _fraction() has imported it
 
 Scalar = Union[int, "Fraction"]
 
@@ -39,6 +51,33 @@ def parse_int(token: str) -> int:
             and (token.isdigit() or token[:1] in "+-" and token[1:].isdigit())):
         raise ValueError(f"invalid integer {token!r}")
     return int(token)
+
+
+def numbered_lines(text: str):
+    r"""``(line number, line)`` of each line of ``text``, from 1.
+
+    A line ends at ``\n``, ``\r\n`` or ``\r`` only, so the numbers are the
+    ones an editor or ``wc -l`` shows: ``str.splitlines`` also breaks at a
+    form feed, U+2028 and other separators a line may hold.  The text is
+    copied only when it holds a ``\r``.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return enumerate(text.split("\n"), start=1)
+
+
+def _lines(text: str):
+    """(line number, text) of each line with its comment and blanks stripped,
+    empty lines skipped."""
+    for line_no, raw in numbered_lines(text):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
+
+
+def _data_lines(text: str):
+    for line_no, line in _lines(text):
+        yield line_no, line.split()
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -140,61 +179,83 @@ class PrimeField(NamedTuple("PrimeField", [("p", int)])):
         return f"GF({self.p})"
 
 
+def _fraction() -> type:
+    """``fractions.Fraction``, imported and bound as ``Fraction`` on the first
+    call, with ``RationalField.zero`` and ``one`` set in place of their
+    :class:`_OnFirstRead` stand-ins."""
+    global Fraction
+    from fractions import Fraction
+    RationalField.zero, RationalField.one = Fraction(0), Fraction(1)
+    return Fraction
+
+
+class _OnFirstRead:
+    """A ``RationalField`` class attribute that is a ``Fraction``: the first
+    read calls :func:`_fraction`, which sets the value over this one."""
+
+    def __set_name__(self, owner: type, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner: type):
+        _fraction()
+        return getattr(owner, self.name)
+
+
 class RationalField(NamedTuple("RationalField", [])):
     # Fraction keeps lowest terms and a positive denominator, which is
-    # exactly the canonical form; ints are accepted and promoted.
+    # exactly the canonical form; ints are accepted and promoted.  A whole
+    # coefficient read from text stays an int, which the arithmetic, is_zero
+    # and format take as they are.
     __slots__ = ()
-
-    def __new__(cls):
-        global Fraction
-        if "one" not in cls.__dict__:
-            from fractions import Fraction
-            cls.zero, cls.one = Fraction(0), Fraction(1)
-        return super().__new__(cls)
+    zero = _OnFirstRead()
+    one = _OnFirstRead()
 
     def __bool__(self) -> bool:  # a field is true, though it has no fields
         return True
 
     def normalize(self, a) -> Fraction:
-        if type(a) is Fraction:  # immutable and already in lowest terms
+        fraction = Fraction or _fraction()
+        if type(a) is fraction:  # immutable and already in lowest terms
             return a
-        if not (is_int(a) or isinstance(a, Fraction)):
+        if not (is_int(a) or isinstance(a, fraction)):
             raise UsageError(f"{a!r} is not a rational scalar")
-        return Fraction(a)
+        return fraction(a)
 
     def check(self, a) -> Fraction:
         return self.normalize(a)
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
+    def add(self, a: Scalar, b: Scalar) -> Scalar:
         return a + b
 
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
+    def mul(self, a: Scalar, b: Scalar) -> Scalar:
         return a * b
 
-    def neg(self, a: Fraction) -> Fraction:
+    def neg(self, a: Scalar) -> Scalar:
         return -a
 
-    def inv(self, a: Fraction) -> Fraction:
-        return 1 / Fraction(a)
+    def inv(self, a: Scalar) -> Fraction:
+        return 1 / (Fraction or _fraction())(a)
 
-    def is_zero(self, a: Fraction) -> bool:
+    def is_zero(self, a: Scalar) -> bool:
         return a == 0
 
-    def parse(self, text: str) -> Fraction:
+    def parse(self, text: str) -> Scalar:
+        """A whole value as an ``int``, any other as a ``Fraction``."""
         # only ASCII [+-]?digits or [+-]?digits/digits: Fraction() alone also
         # takes 1_000, non-ASCII digits, decimals and exponents
         num, slash, den = text.partition("/")
         try:
             if not slash:
-                return Fraction(parse_int(num))
+                return parse_int(num)
             if den[:1] in ("+", "-"):
                 raise ValueError(text)
-            return Fraction(parse_int(num), parse_int(den))
+            value = (Fraction or _fraction())(parse_int(num), parse_int(den))
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"{shorten(text)!r} is not a rational scalar") from None
+        return value.numerator if value.denominator == 1 else value
 
-    def format(self, a: Fraction) -> str:
-        return str(Fraction(a))
+    def format(self, a: Scalar) -> str:
+        return str(a) if type(a) is int else str(self.normalize(a))
 
     def token(self) -> str:
         return "q"

@@ -1,6 +1,6 @@
-"""Text formats and filtration builders.
+"""The chain-complex text format: its reader and its writer.
 
-Chain-complex format (line oriented, '#' starts a comment):
+Format (line oriented, '#' starts a comment):
 
     field <p|q>
     gen <name> <degree:int> <filtration:int>
@@ -13,70 +13,37 @@ coefficients were written in (a prime, or ``q``); a file may hold at most
 one, and it must name the field the file is read over, since a GF(3)
 residue such as ``2`` is a different number over GF(5).
 
-Simplicial format:
-
-    simp <value:real> <v0> <v1> ... <vk>
-
-Vertices omitted from the file are inserted at the smallest value of any
-simplex containing them; missing faces of dimension >= 1 are an error.
-A simplicial complex keeps each simplex's faces as positions
-(``FilteredSimplicialComplex.faces``), found where closure and face order
-are checked: by ``make_simplicial`` for a ``simp`` file, and by ``rips``
-as it makes each simplex.  The two writers, ``simplicial_to_chain`` and
-``serialize_simplicial``, read them and look no face up.
-
-Point clouds are either ``pt <x1> ... <xd>`` lines (equal dimension) or one
-``dist <n>`` header followed by an n-by-n symmetric matrix, one row per
-line.
+The simplicial half of the text formats (``simp`` files, point clouds, the
+Rips filtration and its writers) is in :mod:`~spectra_persist.simplicial`,
+so a command that reads a chain complex never compiles it, and ``rips``
+compiles no chain reader.  This module still serves each of those names on
+first use (PEP 562), loading that module then.
 """
 from __future__ import annotations
 
-import math
-from itertools import combinations, repeat
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import ClosureError, ParseError, UsageError, shorten
-from .fields import FieldSpec, Scalar, field_from_text, parse_int
+from .errors import ParseError, UsageError, shorten
+from .fields import FieldSpec, Scalar, _lines, field_from_text, parse_int
 
-# complexes (and with it linalg) is imported by the functions that build a
-# complex, so the ``rips`` command, which only writes text, never loads it
+# complexes (and with it linalg) is imported by the function that builds a
+# complex, so a process loads it only when it reads one
 if TYPE_CHECKING:
     from .complexes import FilteredChainComplex
 
-
-def _lines(text: str):
-    """(line number, text) of each line with its comment and blanks stripped,
-    empty lines skipped."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line_no, line
+_MOVED = frozenset({
+    "FilteredSimplicialComplex", "PointCloud", "_labels", "_real", "_signed_faces",
+    "make_simplicial", "parse_point_cloud", "parse_simplicial", "rips",
+    "serialize_simplicial", "simplicial_to_chain"})
 
 
-def _data_lines(text: str):
-    for line_no, line in _lines(text):
-        yield line_no, line.split()
-
-
-_REAL_CHARS = frozenset("0123456789+-.eE")
-
-
-def _real(token: str) -> float:
-    """A finite float written with ASCII digits, sign, point and exponent only;
-    anything else raises ValueError, as ``float`` does for bad text.
-
-    ``float`` alone also takes ``1_0``, non-ASCII digits, surrounding blanks,
-    NaN and infinities.
-    """
-    if not _REAL_CHARS.issuperset(token):
-        raise ValueError(f"invalid number {token!r}")
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"{token!r} is not finite")
+def __getattr__(name: str):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import simplicial
+    value = globals()[name] = getattr(simplicial, name)
     return value
 
-
-# -- chain complexes ----------------------------------------------------------
 
 def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
     """Parse and validate a chain complex; errors carry line numbers.
@@ -92,8 +59,8 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
     ``(row, coeff)`` list once, summing repeated rows and dropping zeros in
     the same step.  So the complex adopts them without the constructor's copy
     and entry check; ``ensure_valid`` still runs, since this is where a pipe's
-    text is trusted.  Over Q a whole coefficient is kept as its ``int``, which
-    the column code reads as it reads a ``Fraction``.
+    text is trusted.  Over Q ``field.parse`` gives a whole coefficient as an
+    ``int``, which the column code reads as it reads a ``Fraction``.
     """
     from .complexes import FilteredChainComplex, Generator
     from .linalg import canonical
@@ -165,8 +132,6 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
                     coeff = field.parse(toks[k])
                 except UsageError as exc:
                     raise ParseError(str(exc), line_no) from None
-                if coeff.denominator == 1:  # a GF(p) residue is an int already
-                    coeff = coeff.numerator
                 coeffs[toks[k]] = coeff
                 zeros = zeros or field.is_zero(coeff)
             target = toks[k + 1]
@@ -215,316 +180,3 @@ def serialize_complex(c: FilteredChainComplex, comments: Sequence[str] = ()) -> 
         lines.append(" ".join(parts))
     lines.append("")  # the final newline, as in serialize_simplicial
     return "\n".join(lines)
-
-
-# -- simplicial complexes ------------------------------------------------------
-
-class FilteredSimplicialComplex(NamedTuple):
-    """Simplices with real filtration values, closed under faces.
-
-    ``simplices`` is in canonical order: by dimension, then value, then
-    vertices; a simplex's position is its index there.  ``levels`` lists the
-    distinct values in increasing order; a simplex's integer level is its
-    value's index in that list.  ``faces`` holds, for each simplex, the
-    positions of its faces in boundary-formula order: face i drops vertex i
-    and has sign (-1)^i (a vertex has none), so the last face is the
-    simplex less its last vertex.  ``make_simplicial`` and ``rips`` find the
-    faces where they check closure and face order; build the complex
-    through them, as the writers trust ``faces``.
-    """
-    simplices: tuple  # tuple[(verts tuple, value float)], canonical order
-    levels: tuple     # tuple[float]
-    faces: tuple      # tuple[tuple[int]], one per simplex, boundary order
-
-
-def make_simplicial(simplices) -> FilteredSimplicialComplex:
-    """Canonicalize and validate (verts, value) pairs.
-
-    A repeated vertex or a duplicate simplex is a ``UsageError``, checked
-    first.  Then each simplex, in the order given, has its faces looked up
-    in lexicographic order: a missing one is a ``ClosureError``, one with a
-    larger value a ``UsageError``, and the first fault found is raised.  The
-    lookups give the positions ``faces`` records.
-    """
-    seen: dict[tuple, float] = {}
-    for verts, value in simplices:
-        key = tuple(sorted(verts))
-        if len(set(key)) != len(key):
-            raise UsageError(f"repeated vertex in simplex {shorten(repr(verts))}")
-        if key in seen:
-            raise UsageError(f"duplicate simplex {shorten(repr(key))}")
-        seen[key] = float(value)
-    ordered = tuple(sorted(seen.items(), key=lambda kv: (len(kv[0]), kv[1], kv[0])))
-    position = {verts: k for k, (verts, _) in enumerate(ordered)}
-    faces: list = [()] * len(ordered)
-    for verts, value in seen.items():
-        if len(verts) == 1:
-            continue
-        found = []
-        # combinations drops the last vertex first: the boundary order reversed
-        for face in combinations(verts, len(verts) - 1):
-            k = position.get(face)
-            if k is None:
-                raise ClosureError(
-                    f"missing face {shorten(repr(face))} of {shorten(repr(verts))}")
-            if ordered[k][1] > value:
-                raise UsageError(f"face {shorten(repr(face))} at {ordered[k][1]} "
-                                 f"appears after {shorten(repr(verts))} at {value}")
-            found.append(k)
-        faces[position[verts]] = tuple(reversed(found))
-    levels = tuple(sorted(set(seen.values())))
-    return FilteredSimplicialComplex(ordered, levels, tuple(faces))
-
-
-def parse_simplicial(text: str) -> FilteredSimplicialComplex:
-    entries: list[tuple[tuple, float]] = []
-    listed: set[tuple] = set()
-    vertex_min: dict[int, float] = {}
-    for line_no, toks in _data_lines(text):
-        if toks[0] != "simp":
-            raise ParseError(f"unknown directive {shorten(toks[0])!r}", line_no)
-        if len(toks) < 3:
-            raise ParseError("expected 'simp <value> <v0> [<v1> ...]'", line_no)
-        try:
-            value = _real(toks[1])
-            verts = tuple(sorted(parse_int(t) for t in toks[2:]))
-        except ValueError:
-            raise ParseError("bad simplex line", line_no) from None
-        if len(set(verts)) != len(verts):
-            raise ParseError(f"repeated vertex in {shorten(repr(verts))}", line_no)
-        entries.append((verts, value))
-        listed.add(verts)
-        for v in verts:
-            vertex_min[v] = min(vertex_min.get(v, math.inf), value)
-    for v, value in sorted(vertex_min.items()):
-        if (v,) not in listed:
-            entries.append(((v,), value))
-    try:
-        return make_simplicial(entries)
-    except (UsageError, ClosureError) as exc:
-        raise ParseError(str(exc)) from None
-
-
-def _labels(fsc: FilteredSimplicialComplex) -> list:
-    """Each simplex's generator name: ``s`` and its vertices joined by ``_``,
-    made from the name of its last face, which drops the last vertex."""
-    labels: list[str] = []
-    for (verts, _), faces in zip(fsc.simplices, fsc.faces):
-        labels.append(f"{labels[faces[-1]]}_{verts[-1]}" if faces else f"s{verts[0]}")
-    return labels
-
-
-def _signed_faces(faces: tuple) -> list:
-    """``(position, i & 1)`` of each face i, in position order: within a
-    degree positions follow (level, id), the order of a column's rows."""
-    return sorted(zip(faces, _PARITY))
-
-
-_PARITY = (0, 1) * 32  # a simplex with more vertices has over 2**64 faces
-
-
-def simplicial_to_chain(fsc: FilteredSimplicialComplex, field: FieldSpec) -> FilteredChainComplex:
-    """One generator per simplex; the usual alternating-sign boundary."""
-    from .complexes import FilteredChainComplex, Generator
-    # a column's faces are distinct and its signs +-1 nonzero in every field,
-    # so its entries in position order make it canonical
-    level = {value: k for k, value in enumerate(fsc.levels)}
-    signs = (field.one, field.normalize(-1))
-    by_degree: dict[int, list[Generator]] = {}
-    boundary: dict[int, list[list]] = {}
-    first: dict[int, int] = {}  # position of each degree's first simplex
-    for k, ((verts, value), faces, label) in enumerate(
-            zip(fsc.simplices, fsc.faces, _labels(fsc))):
-        n = len(verts) - 1
-        gens = by_degree.setdefault(n, [])
-        if not gens:
-            first[n] = k
-        gens.append(Generator(len(gens), n, level[value], label))
-        if n:
-            below = first[n - 1]
-            boundary.setdefault(n, []).append(
-                [(f - below, signs[sign]) for f, sign in _signed_faces(faces)])
-    c = FilteredChainComplex(field, by_degree, boundary)
-    c.ensure_valid()
-    return c
-
-
-def serialize_simplicial(fsc: FilteredSimplicialComplex, field: FieldSpec,
-                         comments: Sequence[str] = ()) -> str:
-    """``serialize_complex(simplicial_to_chain(fsc, field), comments)``, written
-    straight from the simplices, with no complex built or checked.
-
-    ``fsc.simplices`` is already in (degree, level, id) order, and a simplex's
-    id within its degree is its position among them, so a face's position in
-    ``fsc.simplices`` orders the faces of a ``bnd`` line by (level, id).  The
-    text is checked where it is read: ``parse_complex`` validates it.
-    """
-    level = {value: k for k, value in enumerate(fsc.levels)}
-    signs = (field.format(field.one), field.format(field.normalize(-1)))
-    lines = [f"# {comment}" for comment in comments]
-    lines.append(f"field {field.token()}")
-    labels = _labels(fsc)
-    lines += [f"gen {label} {len(verts) - 1} {level[value]}"
-              for label, (verts, value) in zip(labels, fsc.simplices)]
-    lines += [f"bnd {label} " + " ".join([f"{signs[sign]} {labels[f]}"
-                                          for f, sign in _signed_faces(faces)])
-              for label, faces in zip(labels, fsc.faces) if faces]
-    lines.append("")  # the final newline, without a copy of the text to add it
-    return "\n".join(lines)
-
-
-# -- point clouds and the Rips filtration -------------------------------------
-
-class PointCloud:
-    """Coordinates or an explicit distance matrix."""
-
-    def __init__(self, dists: list):
-        n = len(dists)
-        for i in range(n):
-            if len(dists[i]) != n:
-                raise UsageError("distance matrix must be square")
-            if dists[i][i] != 0.0:
-                raise UsageError(f"nonzero diagonal at {i}")
-            for j in range(i + 1, n):
-                if not math.isfinite(dists[i][j]):  # finite points can be too far apart
-                    raise UsageError(f"non-finite distance at ({i}, {j})")
-                if dists[i][j] != dists[j][i]:
-                    raise UsageError(f"asymmetric distances at ({i}, {j})")
-                if dists[i][j] < 0:
-                    raise UsageError(f"negative distance at ({i}, {j})")
-        self._d = dists
-
-    @classmethod
-    def from_points(cls, points: Sequence[Sequence[float]]) -> "PointCloud":
-        pts = [tuple(float(x) for x in p) for p in points]
-        if pts and any(len(p) != len(pts[0]) for p in pts):
-            raise UsageError("points must share one dimension")
-        return cls([[math.dist(a, b) for b in pts] for a in pts])
-
-    @classmethod
-    def from_distances(cls, dists) -> "PointCloud":
-        return cls([[float(x) for x in row] for row in dists])
-
-    def __len__(self) -> int:
-        return len(self._d)
-
-    def distance(self, i: int, j: int) -> float:
-        return self._d[i][j]
-
-
-def parse_point_cloud(text: str) -> PointCloud:
-    rows: list[list[float]] = []
-    points: list[list[float]] = []
-    expected: Optional[int] = None
-    for line_no, toks in _data_lines(text):
-        if toks[0] == "pt":
-            if expected is not None:
-                raise ParseError("cannot mix pt lines with a dist matrix", line_no)
-            try:
-                points.append([_real(t) for t in toks[1:]])
-            except ValueError:
-                raise ParseError("bad coordinate", line_no) from None
-        elif toks[0] == "dist":
-            if len(toks) != 2:
-                raise ParseError("expected 'dist <n>'", line_no)
-            if expected is not None:
-                raise ParseError("second dist header", line_no)
-            if points:
-                raise ParseError("cannot mix pt lines with a dist matrix", line_no)
-            try:
-                expected = parse_int(toks[1])
-                if expected < 0:
-                    raise ValueError(f"negative size {expected}")
-            except ValueError:
-                raise ParseError("bad matrix size", line_no) from None
-        elif expected is not None:
-            try:
-                rows.append([_real(t) for t in toks])
-            except ValueError:
-                raise ParseError("bad distance entry", line_no) from None
-        else:
-            raise ParseError(f"unknown directive {shorten(toks[0])!r}", line_no)
-    if expected is not None:
-        if len(rows) != expected or any(len(r) != expected for r in rows):
-            size = shorten(str(expected))
-            raise ParseError(f"expected a {size}x{size} matrix")
-        try:
-            return PointCloud.from_distances(rows)
-        except UsageError as exc:
-            raise ParseError(str(exc)) from None
-    if not points:
-        raise ParseError("no points found")
-    try:
-        return PointCloud.from_points(points)
-    except UsageError as exc:
-        raise ParseError(str(exc)) from None
-
-
-def rips(pc: PointCloud, max_dim: int, threshold: Optional[float] = None) -> FilteredSimplicialComplex:
-    """All simplices of dimension <= max_dim with diameter <= threshold.
-
-    The filtration value of a simplex is its diameter (vertices enter at 0).
-    threshold None means no bound, which is only feasible for small clouds.
-
-    Each simplex is made once, from its parent (itself less its top vertex)
-    and one of the parent's candidates: the vertices above its top one
-    within the threshold of all its vertices, each kept with its largest
-    distance to them (neighbour-list expansion, Zomorodian 2010).  So
-    vertices strictly increase, no simplex is made twice, and every face of
-    a simplex is a simplex no wider: closure and face order hold by
-    construction, with nothing left to check.  A simplex's faces are found
-    through its parent's (as in the simplex tree, Boissonnat & Maria 2014):
-    dropping vertex i below the top one v gives the parent's face i plus v,
-    read from a ``{v: position}`` map of that face's cofaces, kept only for
-    the dimension being extended.  Each dimension is made in lexicographic
-    order and sorted once, stably by diameter.
-    """
-    if max_dim < 0:
-        raise UsageError("max_dim must be >= 0")
-    dist = pc._d
-    n = len(dist)
-    bound = math.inf if threshold is None else threshold
-    simplices = [((u,), 0.0) for u in range(n)]
-    faces: list = [()] * n
-    values = {0.0} if n else set()
-    # the simplices to extend, in lexicographic order, as (vertices, diameter,
-    # position, faces, candidates); a candidate is a (vertex, reach) pair,
-    # reach its largest distance to the simplex's vertices
-    layer = [((u,), 0.0, u, (), [(v, row[v]) for v in range(u + 1, n) if row[v] <= bound])
-             for u, row in enumerate(dist)]
-    cofaces: dict[int, dict[int, int]] = {}
-    for dim in range(1, max_dim + 1):
-        extend = dim < max_dim
-        # the new simplices, in lexicographic order: vertices, diameters,
-        # faces and, if they are to be extended, candidates
-        made, diams, made_faces, onward = [], [], [], []
-        for verts, diam, pos, below, cands in layer:
-            if not cands:
-                continue
-            tops = [v for v, _ in cands]
-            made += [verts + (v,) for v in tops]
-            diams += [reach if reach > diam else diam for _, reach in cands]
-            # a vertex's one face is the empty simplex, and vertex v is at position v
-            maps = [cofaces[f] for f in below] if below else [range(n)]
-            made_faces += zip(*[[m[v] for v in tops] for m in maps], repeat(pos))
-            if extend:
-                onward += [[(w, d if d > r else r) for w, r in cands[i + 1:]
-                            if (d := dist[v][w]) <= bound] for i, v in enumerate(tops)]
-        if not made:  # no simplex of this dimension, so none above it
-            break
-        # a stable sort by diameter keeps ties in lexicographic order
-        order = sorted(range(len(made)), key=diams.__getitem__)
-        start = len(simplices)
-        simplices += [(made[i], diams[i]) for i in order]
-        faces += [made_faces[i] for i in order]
-        values.update(diams)
-        if extend:
-            position = [0] * len(order)
-            for k, i in enumerate(order, start):
-                position[i] = k
-            # {v: position of it + v} of each simplex one dimension below the new ones
-            cofaces = {}
-            for verts, below, k in zip(made, made_faces, position):
-                cofaces.setdefault(below[-1], {})[verts[-1]] = k
-            layer = zip(made, diams, position, made_faces, onward)
-    return FilteredSimplicialComplex(tuple(simplices), tuple(sorted(values)), tuple(faces))

@@ -53,7 +53,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional
 from .complexes import FilteredChainComplex, homology_dims_by_level
 from .errors import (InconsistentTableError, InsufficientRMaxError, ParseError,
                      UsageError, shorten)
-from .fields import is_int, parse_int
+from .fields import is_int, numbered_lines, parse_int
 from .linalg import ColumnReducer
 from .persistence import INF, Barcode, BarEntry, betti, decompose, multiplicity
 
@@ -277,7 +277,7 @@ def parse_page_table(text: str) -> PageTable:
     """
     dims: dict[tuple[PageIndex, int, int], int] = {}
     r_max: Optional[int] = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in numbered_lines(text):
         line = raw.strip()
         if line.startswith("#"):
             parts = line[1:].split()

@@ -16,7 +16,7 @@ from spectra_persist.complexes import FilteredChainComplex, Generator, Violation
 from spectra_persist.errors import (ClosureError, InconsistentTableError,
                                     InsufficientRMaxError, UsageError)
 from spectra_persist.fields import FieldSpec
-from spectra_persist.ingest import FilteredSimplicialComplex
+from spectra_persist.simplicial import FilteredSimplicialComplex
 from spectra_persist.linalg import SparseMatrix, axpy, kernel, rank
 from spectra_persist.persistence import INF, Barcode, BarEntry
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import spectra_persist
-from spectra_persist import cli
+from spectra_persist import ingest, simplicial
 from spectra_persist.cli import main
 from spectra_persist.complexes import FilteredChainComplex
 from spectra_persist.errors import InvalidComplexError, ParseError, shorten
@@ -214,10 +214,24 @@ def test_betti_json_is_the_versioned_envelope(capsys):
 
 def test_rips_reads_its_field_before_its_input(capsys, monkeypatch):
     # as barcode does: a bad --field is a usage error before any file is read
-    monkeypatch.setattr(cli, "parse_point_cloud", lambda text: pytest.fail("cloud read"))
+    monkeypatch.setattr(simplicial, "parse_point_cloud", lambda text: pytest.fail("cloud read"))
     for command in ("rips", "barcode"):
         assert run(capsys, command, "/nonexistent", "--field", "4") == (
             2, "", "error: modulus 4 is not prime\n")
+
+
+@pytest.mark.parametrize("command, name, text, message", [
+    ("barcode", "f.fcc", "gen a 0 0\x0c\ngen b 0\u20280\ngen a 0 1\n",
+     "duplicate generator 'a'"),
+    ("rips", "f.pts", "pt 0 0\x0c\npt 1\u20281\npt x 2\n", "bad coordinate"),
+    ("recover", "f.pages", "# r_max 2\x0c\n1 0 0\u20281\n1 0 x 1\n", "bad page cell '1 0 x 1'"),
+], ids=["fcc", "pts", "pages"])
+def test_an_error_names_the_line_an_editor_shows(capsys, tmp_path, command, name, text,
+                                                   message):
+    # a form feed or a U+2028 inside a line is blank space, not a line break
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, command, path) == (1, "", f"error: line 3: {message}\n")
 
 
 def test_exit_codes(capsys):
@@ -555,17 +569,31 @@ LIST_MODULES = ("import sys\n"
 
 
 # modules named as in sys.modules, the package's own by their short name
+STDLIB = {"decimal", "fractions", "json"}
+SIMP = FIXTURES / "triangle.simp"
+
+
 @pytest.mark.parametrize("argv, needed, absent", [
-    (["rips", FIXTURES / "circle8.pts"], ["ingest"],
-     ["spectral", "persistence", "randomgen", "complexes", "linalg", "json"]),
-    (["barcode", FIXTURES / "triangle.fcc"], ["persistence"], ["spectral", "randomgen", "json"]),
+    # rips loads no module of the package beyond cli, errors, fields and simplicial
+    (["rips", FIXTURES / "circle8.pts"], ["simplicial"],
+     ["ingest", "complexes", "linalg", "spectral", "persistence", "randomgen", "json",
+      "fractions", "decimal"]),
+    (["rips", FIXTURES / "circle8.pts", "--field", "q"], ["simplicial"],
+     ["ingest", "complexes", "linalg", "spectral", "persistence", "randomgen", "json",
+      "fractions", "decimal"]),
+    (["barcode", FIXTURES / "triangle.fcc"], ["persistence"],
+     ["spectral", "randomgen", "json", "simplicial", "fractions"]),
+    (["barcode", SIMP], ["simplicial", "persistence"], ["spectral", "randomgen", "json"]),
     (["betti", FIXTURES / "triangle.fcc", "--n", "0", "--i", "0", "--j", "1"], ["persistence"],
-     ["spectral", "randomgen", "json"]),
-    (["verify", FIXTURES / "triangle.fcc"], ["spectral"], ["randomgen", "json"]),
-    (["pages", FIXTURES / "triangle.fcc"], ["spectral", "persistence"], ["randomgen", "json"]),
+     ["spectral", "randomgen", "json", "simplicial", "fractions"]),
+    (["verify", FIXTURES / "triangle.fcc"], ["spectral"],
+     ["randomgen", "json", "simplicial", "fractions"]),
+    (["pages", FIXTURES / "triangle.fcc"], ["spectral", "persistence"],
+     ["randomgen", "json", "simplicial", "fractions"]),
     # only --format json and recover load json
-    (["recover", FIXTURES / "triangle.pages"], ["spectral", "json"], ["randomgen"]),
-], ids=["rips", "barcode", "betti", "verify", "pages", "recover"])
+    (["recover", FIXTURES / "triangle.pages"], ["spectral", "json"],
+     ["randomgen", "simplicial", "ingest", "fractions"]),
+], ids=["rips", "rips-q", "barcode", "barcode-simp", "betti", "verify", "pages", "recover"])
 def test_a_command_loads_only_the_modules_it_runs(argv, needed, absent):
     proc = subprocess.run([sys.executable, "-c", LIST_MODULES, *map(str, argv)],
                           capture_output=True, text=True, timeout=60,
@@ -574,27 +602,36 @@ def test_a_command_loads_only_the_modules_it_runs(argv, needed, absent):
     loaded = set(proc.stderr.splitlines()[-1].split())
 
     def modules(names):
-        return {m if m == "json" else f"spectra_persist.{m}" for m in names}
+        return {m if m in STDLIB else f"spectra_persist.{m}" for m in names}
     assert modules(needed) <= loaded
     assert not modules(absent) & loaded
     assert "dataclasses" not in loaded
 
 
-@pytest.mark.parametrize("field, rationals", [("2", False), ("q", True)])
-def test_only_a_process_over_q_imports_fractions(field, rationals):
-    # fractions loads decimal and numbers with it; GF(p) makes no Fraction
+HALVES = "gen a 0 0\ngen b 0 0\ngen e 1 1\nbnd e 1/2 a -1/2 b\n"
+
+
+@pytest.mark.parametrize("field", ["2", "q"])
+def test_a_process_loads_fractions_only_for_a_fraction(field):
+    # fractions loads decimal and numbers with it; over Q a whole coefficient
+    # stays an int from rips's text to the last check, and GF(p) makes no Fraction
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    rips = subprocess.run([sys.executable, "-c", LIST_MODULES, "rips", str(FIXTURES / "circle8.pts"),
-                           "--max-dim", "2", "--field", field],
-                          capture_output=True, text=True, timeout=60, env=env)
-    barcode = subprocess.run([sys.executable, "-c", LIST_MODULES, "barcode", "-", "--field", field],
-                             input=rips.stdout, capture_output=True, text=True, timeout=60,
-                             env=env)
-    for proc in (rips, barcode):
-        assert proc.returncode == 0, proc.stderr
-        loaded = set(proc.stderr.splitlines()[-1].split())
-        assert ("fractions" in loaded) == rationals
-        assert ("decimal" in loaded) == rationals
+
+    def fraction_modules(argv, text="", code=0):
+        proc = subprocess.run([sys.executable, "-c", LIST_MODULES, *argv], input=text,
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == code, proc.stderr
+        return proc.stdout, {"fractions", "decimal"} & set(proc.stderr.splitlines()[-1].split())
+
+    rips_text, loaded = fraction_modules(
+        ["rips", str(FIXTURES / "circle8.pts"), "--max-dim", "2", "--field", field])
+    assert loaded == set() and "\nbnd " in rips_text
+    for command in ("barcode", "verify"):
+        assert fraction_modules([command, "-", "--field", field], rips_text)[1] == set()
+    # a coefficient 1/2 is a Fraction over Q, and no GF(2) scalar
+    over_q = field == "q"
+    assert fraction_modules(["barcode", "-", "--field", field], HALVES, 0 if over_q else 1)[1] \
+        == ({"fractions", "decimal"} if over_q else set())
 
 
 PUBLIC = {
@@ -602,13 +639,14 @@ PUBLIC = {
     "errors": ["ClosureError", "InconsistentTableError", "InsufficientRMaxError",
                "InvalidComplexError", "PageTableError", "ParseError", "UsageError"],
     "fields": ["FieldSpec", "PrimeField", "RationalField", "Scalar", "field_from_text"],
-    "ingest": ["FilteredSimplicialComplex", "PointCloud", "make_simplicial", "parse_complex",
-               "parse_point_cloud", "parse_simplicial", "rips", "serialize_complex",
-               "serialize_simplicial", "simplicial_to_chain"],
+    "ingest": ["parse_complex", "serialize_complex"],
     "linalg": ["SparseMatrix", "axpy", "kernel", "rank"],
     "persistence": ["INF", "Barcode", "BarEntry", "Pair", "Pairing", "betti", "decompose",
                     "multiplicity"],
     "randomgen": ["permute_generators", "random_complex"],
+    "simplicial": ["FilteredSimplicialComplex", "PointCloud", "make_simplicial",
+                   "parse_point_cloud", "parse_simplicial", "rips", "serialize_simplicial",
+                   "simplicial_to_chain"],
     "spectral": ["CheckResult", "PageTable", "VerifyReport", "collapse_page", "pages_direct",
                  "pages_from_barcode", "parse_page_table", "recover_barcode", "verify"],
 }
@@ -625,6 +663,29 @@ def test_every_public_name_resolves_to_its_home_module():
             assert star[name] is getattr(home, name), name
     with pytest.raises(AttributeError):
         spectra_persist.no_such_name
+
+
+# the simplicial half of ingest, which ingest still serves by name
+MOVED = ["FilteredSimplicialComplex", "PointCloud", "_labels", "_real", "_signed_faces",
+         "make_simplicial", "parse_point_cloud", "parse_simplicial", "rips",
+         "serialize_simplicial", "simplicial_to_chain"]
+
+
+def test_ingest_serves_each_moved_name_as_the_same_object(monkeypatch):
+    for name in MOVED:
+        assert getattr(ingest, name) is getattr(simplicial, name), name
+        if not name.startswith("_"):
+            assert getattr(spectra_persist, name) is getattr(simplicial, name), name
+    with pytest.raises(AttributeError):
+        ingest.no_such_name
+    # a name wrapped on ingest and put back, as a tracer patches it, round-trips
+    for name in ("parse_point_cloud", "rips", "simplicial_to_chain"):
+        original = getattr(ingest, name)
+        monkeypatch.setattr(ingest, name, lambda *args: None)
+        assert getattr(ingest, name) is not original
+        assert getattr(simplicial, name) is original
+        monkeypatch.undo()
+        assert getattr(ingest, name) is original is getattr(simplicial, name)
 
 
 # -- long input tokens: every error line names them shortened ------------------

@@ -1,12 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from spectra_persist.errors import UsageError
 from spectra_persist.fields import (_MR_BOUND, FieldSpec, PrimeField, RationalField,
-                                    _is_prime, field_from_text, parse_int)
+                                    _is_prime, field_from_text, numbered_lines, parse_int)
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 GF2 = PrimeField(2)
 GF5 = PrimeField(5)
 Q = RationalField()
@@ -128,6 +133,13 @@ def test_normalization_idempotent_rational(a):
     assert Q.normalize(Q.normalize(a)) == Q.normalize(a)
 
 
+def test_numbered_lines_break_only_where_an_editor_does():
+    # str.splitlines also breaks at every separator inside the first line here
+    inside = "a\x0bb\x0cc\x1cd\x1de\x1ef\x85g\u2028h\u2029i"
+    assert list(numbered_lines(inside + "\nj\r\nk\rl\n")) == \
+        [(1, inside), (2, "j"), (3, "k"), (4, "l"), (5, "")]
+
+
 def test_parse_int_takes_only_ascii_digits():
     assert [parse_int(t) for t in ("0", "+7", "-12", "007")] == [0, 7, -12, 7]
     for bad in ("", "+", "-", "1_000", "١", "１", " 1", "1 ", "1.0", "0x1", "+-1"):
@@ -160,3 +172,39 @@ def test_rational_normalize_passes_fractions_through_and_converts_the_rest():
         for bad in (True, False, 1.5, "1/2", None, complex(1, 0)):
             with pytest.raises(UsageError, match="is not a rational scalar"):
                 method(bad)
+
+
+def test_rational_text_keeps_a_whole_value_an_int():
+    # the text scalar model: an int for a whole coefficient, a Fraction otherwise
+    for token, value in (("7", 7), ("-1", -1), ("0", 0), ("4/2", 2), ("-3/3", -1)):
+        got = Q.parse(token)
+        assert type(got) is int and got == value, token
+    assert type(Q.parse("3/2")) is Fraction and Q.parse("3/2") == Fraction(3, 2)
+    assert [Q.format(a) for a in (1, -1, 0, Fraction(-3, 4), Fraction(4, 2))] == \
+        ["1", "-1", "0", "-3/4", "2"]
+    assert [PrimeField(5).format(a) for a in (1, -1)] == ["1", "4"]
+    assert (Q.add(2, -3), Q.mul(2, -3), Q.neg(2), Q.is_zero(0), Q.is_zero(1)) == \
+        (-1, -6, -2, True, False)
+
+
+def test_rational_field_still_gives_fractions_where_it_makes_a_scalar():
+    for got, want in ((Q.normalize(3), 3), (Q.check(-2), -2), (Q.one, 1), (Q.zero, 0),
+                      (RationalField.one, 1), (Q.inv(2), Fraction(1, 2)),
+                      (Q.inv(Fraction(-3, 4)), Fraction(-4, 3))):
+        assert type(got) is Fraction and got == want
+    with pytest.raises(UsageError, match="is not a rational scalar"):
+        Q.format(1.5)
+
+
+def test_whole_rational_scalars_import_no_fractions():
+    # fractions loads decimal and numbers with it: a process that only moves
+    # whole coefficients over Q pays for none of them
+    script = ("import sys\n"
+              "from spectra_persist.fields import RationalField\n"
+              "q = RationalField()\n"
+              "assert (q.format(1), q.format(-1), q.parse('1')) == ('1', '-1', 1)\n"
+              "assert q.add(1, -1) == 0 and q.is_zero(q.add(1, -1))\n"
+              "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

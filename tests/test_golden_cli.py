@@ -134,7 +134,7 @@ def test_simplicial_output_matches_pinned_digest():
     # pins the simplicial front end (rips, simp files, make_simplicial's
     # errors) apart from GOLDEN; re-record it only when one of these outputs
     # is meant to change
-    from spectra_persist.ingest import make_simplicial
+    from spectra_persist.simplicial import make_simplicial
     h = hashlib.sha256()
     for argv, source in _simplicial_cases():
         if source is None or isinstance(source, str):

@@ -13,10 +13,10 @@ from spectra_persist import ingest
 from spectra_persist.complexes import FilteredChainComplex, Generator
 from spectra_persist.errors import ClosureError, InvalidComplexError, ParseError, UsageError
 from spectra_persist.fields import PrimeField, RationalField, parse_int
-from spectra_persist.ingest import (PointCloud, make_simplicial, parse_complex,
-                                    parse_point_cloud, parse_simplicial, rips,
-                                    serialize_complex, serialize_simplicial,
-                                    simplicial_to_chain)
+from spectra_persist.ingest import parse_complex, serialize_complex
+from spectra_persist.simplicial import (PointCloud, make_simplicial, parse_point_cloud,
+                                        parse_simplicial, rips, serialize_simplicial,
+                                        simplicial_to_chain)
 from spectra_persist.linalg import kernel
 from spectra_persist.persistence import INF, Barcode, BarEntry, decompose
 from spectra_persist.randomgen import random_complex

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from spectra_persist.complexes import FilteredChainComplex
 from spectra_persist.errors import InvalidComplexError, UsageError
 from spectra_persist.fields import PrimeField, RationalField
-from spectra_persist.ingest import (PointCloud, parse_complex, rips, serialize_complex,
-                                    serialize_simplicial, simplicial_to_chain)
+from spectra_persist.ingest import parse_complex, serialize_complex
+from spectra_persist.simplicial import PointCloud, rips, serialize_simplicial, simplicial_to_chain
 from spectra_persist.linalg import ColumnReducer, rank
 from spectra_persist.persistence import (INF, Barcode, BarEntry, betti,
                                          decompose, multiplicity)

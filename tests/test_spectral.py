@@ -15,7 +15,8 @@ from spectra_persist.complexes import FilteredChainComplex
 from spectra_persist.errors import (InconsistentTableError, InsufficientRMaxError,
                                     ParseError, UsageError)
 from spectra_persist.fields import PrimeField, RationalField
-from spectra_persist.ingest import PointCloud, parse_complex, rips, simplicial_to_chain
+from spectra_persist.ingest import parse_complex
+from spectra_persist.simplicial import PointCloud, rips, simplicial_to_chain
 from spectra_persist.linalg import ColumnReducer, rank
 from spectra_persist.persistence import INF, Barcode, BarEntry, decompose
 from spectra_persist.randomgen import random_complex
