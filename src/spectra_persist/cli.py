@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (ClosureError, InvalidComplexError, PageTableError,
                      SHORT, ParseError, UsageError, shorten)
-from .fields import _data_lines, field_from_text, parse_int
+from .fields import _first_word, field_from_text, parse_int
 
 # ingest, simplicial, persistence, spectral, randomgen and json are imported
 # by the commands that run them, and complexes by the readers that build one,
@@ -52,8 +52,7 @@ def _load_complex(args) -> FilteredChainComplex:
     if args.input is None:
         raise UsageError("an input path (or '-') is required unless --random is given")
     text = _read_text(args.input)
-    first = next(_data_lines(text), None)
-    if first is not None and first[1][0] == "simp":
+    if _first_word(text) == "simp":
         from .simplicial import parse_simplicial, simplicial_to_chain
         return simplicial_to_chain(parse_simplicial(text), field)
     from .ingest import parse_complex

@@ -21,6 +21,8 @@ GF(p) never does.
 The text readers of the package share the line splitting here:
 :func:`numbered_lines` numbers lines as an editor or ``wc -l`` does, and
 ``_lines``/``_data_lines`` strip comments and blanks from them.
+``_first_word`` reads the first word of the first data line, which tells
+a ``simp`` file from a chain complex, without splitting the rest.
 
 The fields, like every record type of the package, are ``NamedTuple``
 subclasses, immutable and equal by value.  One with checks runs them in
@@ -28,6 +30,7 @@ subclasses, immutable and equal by value.  One with checks runs them in
 """
 from __future__ import annotations
 
+import re
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .errors import UsageError, shorten
@@ -58,12 +61,17 @@ def numbered_lines(text: str):
 
     A line ends at ``\n``, ``\r\n`` or ``\r`` only, so the numbers are the
     ones an editor or ``wc -l`` shows: ``str.splitlines`` also breaks at a
-    form feed, U+2028 and other separators a line may hold.  The text is
-    copied only when it holds a ``\r``.
+    form feed, U+2028 and other separators a line may hold.
     """
+    return enumerate(_newlines(text).split("\n"), start=1)
+
+
+def _newlines(text: str) -> str:
+    r"""``text`` with each ``\r\n`` and ``\r`` made ``\n``, copied only when it
+    holds a ``\r``."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return enumerate(text.split("\n"), start=1)
+    return text
 
 
 def _lines(text: str):
@@ -78,6 +86,20 @@ def _lines(text: str):
 def _data_lines(text: str):
     for line_no, line in _lines(text):
         yield line_no, line.split()
+
+
+# lines each blank or only a comment, through their line ends
+_NO_DATA = re.compile(r"(?:[^\S\n]*(?:#[^\n]*)?\n)*")
+
+
+def _first_word(text: str) -> str | None:
+    """The first word of ``text``'s first data line, as ``_data_lines`` reads
+    it, found without splitting the lines after that one."""
+    text = _newlines(text)
+    start = _NO_DATA.match(text).end()
+    end = text.find("\n", start)
+    words = text[start:len(text) if end < 0 else end].split("#", 1)[0].split()
+    return words[0] if words else None
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound

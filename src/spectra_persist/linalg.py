@@ -1,22 +1,33 @@
 """Sparse exact linear algebra over a field.
 
 Columns are sorted lists of ``(row, coeff)`` with strictly increasing rows
-and no stored zeros.  Everything works column-at-a-time through one
-reducer, :class:`ColumnReducer`, which keeps a map from pivot row to an
-already-reduced column and eliminates every entry a column has on a pivot
-row.  ``rank`` counts the columns that survive it; ``kernel`` runs it on
-columns extended by their combination vectors, so no second elimination is
-needed to track them.  The same reducer drives the persistence pairing and
-the direct page engine, so a bug in it cannot hide behind a second
-implementation.
+and no stored zeros.  Everything works column-at-a-time through a reducer
+that keeps a map from pivot row to an already-reduced column and
+eliminates every entry a column has on a pivot row.  ``rank`` counts the
+columns that survive :class:`ColumnReducer`; ``kernel`` runs it on columns
+extended by their combination vectors, so no second elimination is needed
+to track them.  It also drives the direct page engine, and the persistence
+pairing over GF(p) for odd p and over Q.
 
-One loop, :meth:`ColumnReducer.reduce`, does every elimination, for every
-field: it scans the column from the top for its highest entry on a pivot
-row and clears it, until there is none.  The field decides only that
-clearing step, through a flag the reducer sets once, from the field.  Over
-GF(p) the step is :func:`axpy` on canonical residues: they are already
-small ints, so there is no ``Fraction`` cost to remove, and ``perfbench``
-traces and counts the field calls made there.  Over Q columns are primitive
+Over GF(2) the persistence pairing runs :class:`BitReducer` instead, which
+has the same interface on columns held as ``int`` bitsets (bit r set for an
+entry on row r): the pivot row is a ``bit_length`` and an elimination one
+XOR (the column representation of PHAT, Bauer, Kerber, Reininghaus &
+Wagner, JSC 2017, and of Ripser, Bauer, JACT 2021).  ``rank``, ``kernel``
+and the direct page engine stay on the list kernel on purpose: ``verify``
+compares the barcode's page table with the direct engine's and the
+homology ranks, so over GF(2) the two sides share no reduction code, and a
+bug in either reducer shows as a failed check instead of bending both
+tables alike.  Both reducers raise on a step that does not move down a
+row, so a broken pivot fails at once instead of looping.
+
+In :class:`ColumnReducer` one loop, :meth:`~ColumnReducer.reduce`, does
+every elimination, for every field: it scans the column from the top for
+its highest entry on a pivot row and clears it, until there is none.  The
+field decides only that clearing step, through a flag the reducer sets
+once, from the field.  Over GF(p) the step is :func:`axpy` on canonical
+residues: they are already small ints, so there is no ``Fraction`` cost to
+remove, and ``perfbench`` traces and counts the field calls made there.  Over Q columns are primitive
 integer vectors and the step is :func:`_int_eliminate`, ``col <- a*col -
 b*pivot`` with ``a/b`` the pivot's lead over the hit entry in lowest terms,
 then divided by their content, so no ``Fraction`` is made while reducing.
@@ -25,15 +36,16 @@ Fraction one up to a nonzero scalar; :meth:`ColumnReducer.scalars` turns a
 column back into field scalars with a unit lead where a caller reads it.
 The rest of the column code that depends on the field is here too:
 :func:`canonical`, for the text reader and ``from_named``, and
-:func:`nonzero_composites`, the d∘d sum of ``complexes``.  Over Q that sum
-picks its path from the entries it is given.  When all of them are whole,
-as in every text ``rips`` writes, however the complex was built, it sums
-their numerators as the GF(p) sum does its residues.  Otherwise it works in
-the integer columns made by :func:`integral`.
+:func:`nonzero_composites`, the d∘d sum of ``complexes``.  Over GF(2) that
+sum XORs bitsets.  Over Q it picks its path from the entries it is given.
+When all of them are whole, as in every text ``rips`` writes, however the
+complex was built, it sums their numerators as the GF(p) sum does its
+residues.  Otherwise it works in the integer columns made by
+:func:`integral`.
 """
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import NamedTuple
 
 from .errors import UsageError
@@ -143,8 +155,10 @@ def nonzero_composites(field: FieldSpec, outer_cols: list, inner_cols: list):
     """Yield the index of each column of ``outer_cols`` whose composite with
     ``inner_cols`` is nonzero; outer rows index the inner columns.
 
-    Each composite is summed in one dict from row to int, and no ``Fraction``
-    is made.  Over GF(p) it adds plain residue products and reduces each row
+    No ``Fraction`` is made.  Over GF(2) each inner column becomes an ``int``
+    bitset once, and each composite is the XOR of the bitsets its outer
+    column names.  Otherwise each composite is summed in one dict from row to
+    int.  Over odd GF(p) it adds plain residue products and reduces each row
     mod p once, at the end.  Over Q the entries choose the path.  When every
     entry of both sides has denominator 1 (an ``int``, as the text reader
     keeps a whole coefficient, answers that in C; a whole ``Fraction`` does
@@ -154,6 +168,9 @@ def nonzero_composites(field: FieldSpec, outer_cols: list, inner_cols: list):
     common denominator.
     """
     p = None if isinstance(field, RationalField) else field.p
+    if p == 2:
+        yield from _xor_composites(outer_cols, inner_cols)
+        return
     rescale = p is None and not all(v.denominator == 1 for cols in (outer_cols, inner_cols)
                                     for col in cols for _, v in col)
     if rescale:
@@ -177,6 +194,28 @@ def nonzero_composites(field: FieldSpec, outer_cols: list, inner_cols: list):
             yield j
 
 
+def bitset(col: SparseColumn) -> int:
+    """A GF(2) column, its rows in any order, as an ``int`` with bit r set
+    where the column is one on row r."""
+    bits = 0
+    for r, v in col:
+        bits |= v << r
+    return bits
+
+
+def _xor_composites(outer_cols: list, inner_cols: list):
+    """:func:`nonzero_composites` over GF(2): each inner column as a bitset,
+    each composite the XOR of the bitsets its outer column's entries name."""
+    inner = [bitset(col) for col in inner_cols]
+    for j, col in enumerate(outer_cols):
+        bits = 0
+        for r, v in col:
+            if v:
+                bits ^= inner[r]
+        if bits:
+            yield j
+
+
 @checked
 class SparseMatrix(NamedTuple("SparseMatrix", [("n_rows", int), ("columns", list)])):
     __slots__ = ()  # columns: list[SparseColumn]
@@ -195,6 +234,14 @@ class SparseMatrix(NamedTuple("SparseMatrix", [("n_rows", int), ("columns", list
     @property
     def n_cols(self) -> int:
         return len(self.columns)
+
+
+def _stuck(row: int) -> RuntimeError:
+    """The error of a reduction that hits ``row`` after a row no higher: a
+    stored pivot whose lead is not its last entry, or that its step does not
+    clear, would otherwise send the loop round forever."""
+    return RuntimeError(f"column reduction hit row {row} at or above the row it "
+                        f"cleared last: a stored pivot is broken")
 
 
 class ColumnReducer:
@@ -221,6 +268,7 @@ class ColumnReducer:
         field, pivots, over_q = self.field, self.pivots, self._integral
         if over_q:
             col = _primitive(integral(col)[1])
+        above = inf  # each row hit lies strictly below the one hit before it
         while col:
             for idx in range(len(col) - 1, -1, -1):
                 r, v = col[idx]
@@ -228,6 +276,9 @@ class ColumnReducer:
                     break
             else:
                 return col
+            if r >= above:
+                raise _stuck(r)
+            above = r
             if over_q:
                 col = _int_eliminate(col, v, pivots[r])
             else:
@@ -259,6 +310,47 @@ class ColumnReducer:
             return col
         lead, fraction = col[-1][1], type(self.field.one)  # Q's one is a Fraction
         return [(r, fraction(v, lead)) for r, v in col]
+
+
+class BitReducer:
+    """:class:`ColumnReducer` over GF(2), on columns held as ``int`` bitsets.
+
+    Bit r of a column is set when it has an entry on row r, so a column's
+    last row is its ``bit_length() - 1``.  ``reduce`` finds the highest entry
+    on a pivot row as the top bit of the column and the mask of pivot rows,
+    and clears it by XOR with that row's pivot; a stored pivot is its own
+    unit-lead scalar column.  :meth:`scalars` gives the ``(row, 1)`` list.
+    """
+
+    def __init__(self):
+        self.pivots: dict[int, int] = {}
+        self._mask = 0  # bit r set when row r is a pivot row
+
+    def reduce(self, col: int) -> int:
+        """Clear every bit of ``col`` on a pivot row."""
+        pivots, mask = self.pivots, self._mask
+        above = col.bit_length()  # each row hit lies strictly below the one hit before it
+        hit = col & mask
+        while hit:
+            row = hit.bit_length() - 1
+            if row >= above:
+                raise _stuck(row)
+            above = row
+            col ^= pivots[row]
+            hit = col & mask
+        return col
+
+    def add_pivot(self, col: int) -> int:
+        """Record a reduced, nonzero column; returns its pivot row."""
+        row = col.bit_length() - 1
+        self.pivots[row] = col
+        self._mask |= 1 << row
+        return row
+
+    @staticmethod
+    def scalars(col: int) -> SparseColumn:
+        """A bitset as a ``(row, 1)`` column, rows increasing."""
+        return [(r, 1) for r, bit in enumerate(bin(col)[:1:-1]) if bit == "1"]
 
 
 def rank(m: SparseMatrix, field: FieldSpec) -> int:

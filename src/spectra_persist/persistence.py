@@ -34,6 +34,14 @@ through a position list.  Which generators are paired is one bytearray of
 flags per degree, and the barcode is counted on plain tuples, so one
 ``BarEntry`` is made per distinct bar.
 
+Over GF(2) the columns are reduced as ``int`` bitsets by
+:class:`~spectra_persist.linalg.BitReducer`, with the same bound.  A
+stored column is converted only once the bound has not skipped it, and a
+reindexed one is OR-ed into its bits, which needs no sort.  The direct
+page engine and the homology ranks keep the list reducer, so over GF(2)
+``verify`` checks this pairing with reduction code it does not share (see
+``linalg``).
+
 ``BarEntry``, ``Pair`` and ``Pairing`` are ``NamedTuple`` records; a
 ``BarEntry`` checks its lifetime however it is made.
 """
@@ -46,8 +54,8 @@ from typing import NamedTuple, Sequence, Union
 
 from .complexes import FilteredChainComplex, Generator
 from .errors import UsageError, shorten
-from .fields import checked
-from .linalg import ColumnReducer, SparseColumn
+from .fields import RationalField, checked
+from .linalg import BitReducer, ColumnReducer, SparseColumn, bitset
 
 INF = math.inf
 
@@ -115,13 +123,15 @@ class Pair(NamedTuple):
     birth generator's row), written over the generators one degree below.
     No command reads it, so a pair keeps the reducer's stored column and
     builds a new `cycle` list, in field scalars, each time it is read.
+    Over GF(2) that stored `pivot` is an ``int`` bitset, over any other
+    field a column list.
     """
     death: Generator
     birth: Generator
     lifetime: int
-    pivot: SparseColumn      # as stored by `reducer`, over positions in `rows`
+    pivot: Union[SparseColumn, int]  # as stored by `reducer`, over positions in `rows`
     rows: Sequence[int]      # position -> gid, one degree below
-    reducer: ColumnReducer
+    reducer: Union[ColumnReducer, BitReducer]
 
     @property
     def cycle(self) -> SparseColumn:
@@ -149,6 +159,7 @@ def decompose(c: FilteredChainComplex) -> tuple[Pairing, Barcode]:
     """Reduce the complex into essential generators and pairs, plus its barcode."""
     c.ensure_valid()
     field = c.field
+    bitwise = not isinstance(field, RationalField) and field.p == 2
     # one order per degree: the columns of d_n and the rows of d_(n+1)
     orders = {n: _level_order(c.gens(n)) for n in c.degrees()}
     # paired[n][gid] is 1 once generator gid of degree n is paired
@@ -168,16 +179,20 @@ def decompose(c: FilteredChainComplex) -> tuple[Pairing, Barcode]:
             position = [0] * len(rows)
             for k, gid in enumerate(rows):
                 position[gid] = k
-        reducer = ColumnReducer(field)
+        reducer = BitReducer() if bitwise else ColumnReducer(field)
         open_row = 0  # first row still an essential candidate (module docstring)
         for gid in order:
             col = columns[gid]
-            if position is not None:
-                col = sorted([(position[r], v) for r, v in col])
+            if position is not None:  # a bitset needs its rows in no order
+                col = [(position[r], v) for r, v in col]
+                col = bitset(col) if bitwise else sorted(col)
             while open_row < len(rows) and closed[rows[open_row]]:
                 open_row += 1
-            if not col or col[-1][0] < open_row:
+            last = col.bit_length() - 1 if type(col) is int else col[-1][0] if col else -1
+            if last < open_row:
                 continue  # reduces to zero: the generator stays an essential candidate
+            if bitwise and position is None:
+                col = bitset(col)  # only now: most columns of the top degree are skipped
             col = reducer.reduce(col)
             if not col:
                 continue  # the generator stays an essential candidate

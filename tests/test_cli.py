@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spectra_persist
 from spectra_persist import ingest, simplicial
@@ -513,6 +514,49 @@ def test_simplicial_input_autodetected(capsys, tmp_path):
     lines = out.splitlines()
     assert "0 0 inf 1" in lines
     assert "1 1 1 1" in lines  # loop born at level 1 dies at level 2
+
+
+TRIANGLE_SIMP = ["simp 0 0", "simp 0 1", "simp 0 2", "simp 1 0 1", "simp 1 0 2", "simp 1 1 2"]
+
+
+@pytest.mark.parametrize("head, end", [
+    ("", "\n"),
+    ("# a comment\n\n   \t\n  # another, then blanks\n\n", "\n"),
+    ("# a comment\r\r  \r# simp in a comment is no data\r", "\r"),
+    ("\r\n# a comment\r\n \r\n", "\r\n"),
+], ids=["bare", "comments-blanks", "cr-only", "crlf"])
+@pytest.mark.parametrize("simp", [True, False], ids=["simp", "chain"])
+def test_the_input_kind_is_read_off_the_first_data_line_alone(
+        capsys, tmp_path, monkeypatch, head, end, simp):
+    # the first data line says whether the input is a simp file; finding it
+    # splits no line after it, so the whole text is split once, by its reader
+    from spectra_persist import fields
+    if simp:
+        body, want = end.join(TRIANGLE_SIMP) + end, "simp"
+    else:
+        body, want = (FIXTURES / "triangle.fcc").read_text().replace("\n", end), "gen"
+    text = head + body
+    assert fields._first_word(text) == next(fields._data_lines(text))[1][0] == want
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode())
+    split, numbered = [], fields.numbered_lines
+    monkeypatch.setattr(fields, "numbered_lines", lambda t: split.append(t) or numbered(t))
+    code, out, err = run(capsys, "barcode", path, "--field", "2")
+    assert (code, err) == (0, "") and len(split) == 1
+    # the hollow simp triangle's loop is born at level 1, the chain one's at 2
+    assert out == f"0 0 1 2\n0 0 inf 1\n1 {1 if simp else 2} inf 1\n"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.text(alphabet="#  \t\n\r\x0c\x1c\u2028sx", max_size=30))
+@example("\x0c \u2028\n# x\x0csimp\n gen a 0 0")
+@example("#\u2028simp 0 0\rsimp 0 1")
+@example("  # c\r\n\t\r\nsimp")
+def test_first_word_keeps_the_line_rule_of_the_readers(text):
+    # a form feed, \x1c or U+2028 ends no line, so a comment runs past it
+    from spectra_persist import fields
+    want = next(fields._data_lines(text), (0, [None]))[1][0]
+    assert fields._first_word(text) == want
 
 
 def garbage_per_command(capsys, tmp_path, points, complex_text) -> list:

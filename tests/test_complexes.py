@@ -82,6 +82,18 @@ def test_dd_over_gf5_reduces_each_row_mod_p(last, broken):
     assert c.validate() == violations_by_axpy(c)
 
 
+def test_dd_over_gf2_cancels_a_row_hit_twice():
+    # d(t) = e1 + e2 hits b twice, which cancels, and a and c once each,
+    # which do not; d(u) = e1 + e2 + e3 hits every vertex twice
+    c = FilteredChainComplex.from_named(
+        GF2, [("a", 0, 0), ("b", 0, 0), ("c", 0, 0), ("e1", 1, 0), ("e2", 1, 0),
+              ("e3", 1, 0), ("t", 2, 0), ("u", 2, 0)],
+        {"e1": [(1, "a"), (1, "b")], "e2": [(1, "b"), (1, "c")], "e3": [(1, "a"), (1, "c")],
+         "t": [(1, "e1"), (1, "e2")], "u": [(1, "e1"), (1, "e2"), (1, "e3")]})
+    assert [v.reason for v in c.validate()] == ["d∘d ≠ 0 at generator t"]
+    assert c.validate() == violations_by_axpy(c)
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 40),
        field=st.sampled_from([GF2, PrimeField(5), PrimeField(32003), Q]))

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from spectra_persist import linalg
 from spectra_persist.errors import UsageError
 from spectra_persist.fields import PrimeField, RationalField
-from spectra_persist.linalg import SparseMatrix, axpy, canonical, kernel, rank
+from spectra_persist.linalg import (BitReducer, ColumnReducer, SparseMatrix, axpy, canonical,
+                                   kernel, rank)
 
 from oracles import column_by_sum, dense_kernel, dense_rank, subquotient_dim
 
@@ -226,3 +228,49 @@ def test_canonical_sums_like_a_dict(seed, field):
     assert canonical(field, list(col), True) == expected
     if not any(field.is_zero(v) for _, v in col):
         assert canonical(field, list(col), False) == expected
+
+
+def test_bit_reducer_matches_the_list_reducer_over_gf2():
+    # fresh columns, zero columns, repeats and sums of earlier columns, on up
+    # to 150 rows (past one machine word): both reducers leave the same
+    # column, record the same pivot rows and hold the same pivots
+    rng = random.Random(13)
+    outcomes = Counter()
+    for trial in range(150):
+        n_rows = rng.randint(1, 150)
+        lists, bits = ColumnReducer(GF2), BitReducer()
+        seen = []
+        for _ in range(rng.randint(1, 30)):
+            kind = rng.choice(["fresh", "fresh", "zero", "repeat", "sum"] if seen else ["fresh"])
+            if kind == "fresh":
+                rows = {r for r in range(n_rows) if rng.random() < 0.2}
+            elif kind == "zero":
+                rows = set()
+            elif kind == "repeat":
+                rows = rng.choice(seen)
+            else:
+                rows = set()
+                for earlier in rng.sample(seen, rng.randint(1, len(seen))):
+                    rows ^= earlier
+            seen.append(rows)
+            col = lists.reduce([(r, 1) for r in sorted(rows)])
+            x = bits.reduce(sum(1 << r for r in rows))
+            assert type(x) is int and BitReducer.scalars(x) == col, trial
+            outcomes[kind, bool(col)] += 1
+            if col:
+                assert bits.add_pivot(x) == lists.add_pivot(col), trial
+        assert {r: bits.scalars(x) for r, x in bits.pivots.items()} == lists.pivots, trial
+    assert outcomes["zero", True] == 0 and outcomes["repeat", True] == 0
+    assert all(outcomes[kind, False] > 20 for kind in ("fresh", "zero", "repeat", "sum"))
+    assert outcomes["fresh", True] > 100 and outcomes["sum", True] == 0
+
+
+def test_a_pivot_that_does_not_clear_its_row_raises():
+    # a pivot stored under row 1 with no entry there: each step adds it and
+    # row 1 stays, so without the check reduce would loop forever
+    lists, bits = ColumnReducer(PrimeField(5)), BitReducer()
+    lists.pivots[1] = [(0, 1), (2, 1)]
+    bits.pivots[1], bits._mask = 0b101, 0b010
+    for reducer, col in ((lists, [(1, 1)]), (bits, 0b010)):
+        with pytest.raises(RuntimeError, match="stored pivot is broken"):
+            reducer.reduce(col)

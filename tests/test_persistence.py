@@ -1,5 +1,7 @@
 import random
+import time
 from collections import Counter
+from copy import copy
 from fractions import Fraction
 
 import pytest
@@ -10,11 +12,11 @@ from spectra_persist.errors import InvalidComplexError, UsageError
 from spectra_persist.fields import PrimeField, RationalField
 from spectra_persist.ingest import parse_complex, serialize_complex
 from spectra_persist.simplicial import PointCloud, rips, serialize_simplicial, simplicial_to_chain
-from spectra_persist.linalg import ColumnReducer, rank
+from spectra_persist.linalg import BitReducer, ColumnReducer, kernel, rank
 from spectra_persist.persistence import (INF, Barcode, BarEntry, betti,
                                          decompose, multiplicity)
 from spectra_persist.randomgen import permute_generators, random_complex
-from spectra_persist.spectral import _coboundary_pairs, verify
+from spectra_persist.spectral import _coboundary_pairs, pages_direct, verify
 
 from helpers import (corpus_fields, essential_count, model_essential, model_pair, triangle,
                      whole_basis)
@@ -195,8 +197,9 @@ def test_pair_cycle_is_a_new_list_on_every_read():
     for trial in range(16):
         field = corpus_fields()[trial % 4]
         pairing, _ = decompose(random_complex(rng, rng.randint(5, 30), field))
-        pivots = [list(p.pivot) for p in pairing.pairs]
-        stored = {id(p.reducer): {r: list(col) for r, col in p.reducer.pivots.items()}
+        # a list pivot is copied; a GF(2) pivot is an int, immutable, kept as it is
+        pivots = [copy(p.pivot) for p in pairing.pairs]
+        stored = {id(p.reducer): {r: copy(col) for r, col in p.reducer.pivots.items()}
                   for p in pairing.pairs}
         for p in pairing.pairs:
             first, second = p.cycle, p.cycle
@@ -205,7 +208,7 @@ def test_pair_cycle_is_a_new_list_on_every_read():
             first.append((-1, field.one))
             assert p.cycle == second
             seen += 1
-        assert [list(p.pivot) for p in pairing.pairs] == pivots
+        assert [p.pivot for p in pairing.pairs] == pivots
         assert {id(p.reducer): p.reducer.pivots for p in pairing.pairs} == stored
     assert seen > 20
 
@@ -282,14 +285,14 @@ def _grid_rips(rows: int, cols: int, field):
 
 
 def _count_reduce_calls(monkeypatch) -> list:
+    """The reducer class of each ``reduce`` call, in call order."""
     calls = []
-    reduce = ColumnReducer.reduce
+    for cls in (ColumnReducer, BitReducer):
+        def counted(self, col, reduce=cls.reduce):
+            calls.append(type(self))
+            return reduce(self, col)
 
-    def counted(self, col):
-        calls.append(col)
-        return reduce(self, col)
-
-    monkeypatch.setattr(ColumnReducer, "reduce", counted)
+        monkeypatch.setattr(cls, "reduce", counted)
     return calls
 
 
@@ -297,6 +300,8 @@ def test_decompose_skips_columns_below_the_first_open_row(monkeypatch):
     c = _grid_rips(5, 6, GF2)
     calls = _count_reduce_calls(monkeypatch)
     pairing, _ = decompose(c)
+    # every pair is a reduced column, and some nonzero columns are never reduced
+    assert 0 < len(pairing.pairs) <= len(calls) and set(calls) == {BitReducer}
     assert len(calls) < sum(1 for n in c.degrees() for g in c.gens(n) if c.column(n, g.gid))
     # a skipped column is never a pair: there is still one pair per unit of rank
     assert len(pairing.pairs) == sum(rank(c.boundary_matrix(n), GF2) for n in c.degrees())
@@ -333,7 +338,7 @@ def test_open_row_bound_edge_cases(monkeypatch, field, gens, bnd, bars, reduced)
     c = FilteredChainComplex.from_named(field, gens, bnd)
     calls = _count_reduce_calls(monkeypatch)
     _, b = decompose(c)
-    assert len(calls) == reduced
+    assert calls == [BitReducer if field == GF2 else ColumnReducer] * reduced
     assert b == Barcode({BarEntry(*bar): m for bar, m in bars.items()})
     assert b == barcode_by_rank(c)
 
@@ -426,3 +431,55 @@ def test_both_engines_pair_as_the_pairing_lemma_says():
         assert sorted(_coboundary_pairs(c)) == want, k
         cancelled += sum(p.cancelled for p in pairs)
     assert cancelled
+
+
+# -- over GF(2) decompose reduces bitsets; the page engine keeps the lists ----
+
+def test_gf2_decompose_pairs_as_the_coboundary_engine_on_rips_complexes(monkeypatch):
+    # a rips complex read back from text runs its stored rows, a shuffled copy
+    # is reindexed; over GF(2) decompose reduces them as bitsets, and its pairs
+    # are those of the direct engine's coboundary pairing on list columns
+    rng = random.Random(5)
+    run = _count_reduce_calls(monkeypatch)
+    cloud = PointCloud.from_points([(rng.random(), rng.random()) for _ in range(14)])
+    text = parse_complex(serialize_simplicial(rips(cloud, 2, 0.45), GF2), GF2)
+    cases = [_grid_rips(4, 5, GF2), text]
+    cases += [permute_generators(rng, c) for c in cases]
+    paths = []
+    for c in cases:
+        del run[:]
+        pairs = decompose(c)[0].pairs
+        assert set(run) == {BitReducer} and all(type(p.pivot) is int for p in pairs)
+        paths.append({type(p.rows) for p in pairs})
+        del run[:]
+        want = sorted(_coboundary_pairs(c))
+        assert run and set(run) == {ColumnReducer}
+        assert sorted((p.death.degree, p.birth.gid, p.death.gid) for p in pairs) == want
+        for p in pairs:
+            assert all(v == 1 for _, v in p.cycle) and dict(p.cycle)[p.birth.gid] == 1
+    assert paths[:2] == [{range}] * 2 and all(list in rows for rows in paths[2:])
+
+
+def test_gf2_page_engine_ranks_and_kernels_reduce_lists(monkeypatch):
+    c = _grid_rips(3, 3, GF2)
+    c.validate()
+    run = _count_reduce_calls(monkeypatch)
+    m = c.boundary_matrix(1)
+    assert rank(m, GF2) + kernel(m, GF2).n_cols == m.n_cols
+    assert pages_direct(c, 2) and c.homology_dim(1) == 0
+    assert run and set(run) == {ColumnReducer}
+
+
+def test_a_pivot_left_unnormalized_raises_instead_of_looping(monkeypatch):
+    # a stored pivot whose lead is not one leaves the row it should clear
+    # nonzero, so reduce would hit that row forever; it must raise at once
+    def skips_normalizing(self, col):
+        self.pivots[col[-1][0]] = col
+        return col[-1][0]
+
+    c = _grid_rips(3, 4, PrimeField(5))
+    monkeypatch.setattr(ColumnReducer, "add_pivot", skips_normalizing)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="stored pivot is broken"):
+        decompose(c)
+    assert time.perf_counter() - start < 1
