@@ -87,7 +87,8 @@ class FilteredChainComplex:
                     if r <= prev:
                         raise UsageError(f"degree {n}: boundary rows not increasing")
                     prev = r
-                    field.check(v)
+                    if not field.check(v):
+                        raise UsageError(f"degree {n}: boundary row {r} stores a zero coefficient")
             self.boundary[n] = cols
         for n, gens in self.generators.items():
             self.boundary.setdefault(n, [[] for _ in gens])

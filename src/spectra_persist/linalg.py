@@ -7,19 +7,26 @@ eliminates every entry a column has on a pivot row.  ``rank`` counts the
 columns that survive :class:`ColumnReducer`; ``kernel`` runs it on columns
 extended by their combination vectors, so no second elimination is needed
 to track them.  It also drives the direct page engine, and the persistence
-pairing over GF(p) for odd p and over Q.
+pairing over GF(p) for odd p.
 
 Over GF(2) the persistence pairing runs :class:`BitReducer` instead, which
 has the same interface on columns held as ``int`` bitsets (bit r set for an
 entry on row r): the pivot row is a ``bit_length`` and an elimination one
 XOR (the column representation of PHAT, Bauer, Kerber, Reininghaus &
-Wagner, JSC 2017, and of Ripser, Bauer, JACT 2021).  ``rank``, ``kernel``
-and the direct page engine stay on the list kernel on purpose: ``verify``
-compares the barcode's page table with the direct engine's and the
-homology ranks, so over GF(2) the two sides share no reduction code, and a
-bug in either reducer shows as a failed check instead of bending both
-tables alike.  Both reducers raise on a step that does not move down a
-row, so a broken pivot fails at once instead of looping.
+Wagner, JSC 2017, and of Ripser, Bauer, JACT 2021).  Over Q it runs
+:class:`~spectra_persist.signs.SignReducer`, which holds a column of
+``int`` ±1 entries, as every simplicial boundary is, as two such bitsets,
+one per sign, and eliminates with a few bit operations; a step that would
+leave ±2 on a row and a column that is not ±1 on arrival (fractional, as
+in the random corpus, or whole but larger) go on as integer lists through
+the step of :class:`ColumnReducer`, the one reduction code the two share.
+It has a module of its own, which only that pairing loads.  ``rank``,
+``kernel`` and the direct page engine stay on the list kernel on purpose:
+``verify`` compares the barcode's page table with the direct engine's and
+the homology ranks, so over GF(2) and Q the two sides share no reduction
+loop, and a bug in either reducer shows as a failed check instead of
+bending both tables alike.  All three reducers raise on a step that does
+not move down a row, so a broken pivot fails at once instead of looping.
 
 In :class:`ColumnReducer` one loop, :meth:`~ColumnReducer.reduce`, does
 every elimination, for every field: it scans the column from the top for
@@ -163,7 +170,9 @@ def nonzero_composites(field: FieldSpec, outer_cols: list, inner_cols: list):
     entry of both sides has denominator 1 (an ``int``, as the text reader
     keeps a whole coefficient, answers that in C; a whole ``Fraction`` does
     too), each entry is its numerator and the sum is the GF(p) one without
-    the reduction.  Otherwise it works in the integer columns of
+    the reduction: the inner columns are copied as numerators once, and an
+    outer entry's numerator is read where the sum reaches it, so no outer
+    column is copied.  Otherwise it works in the integer columns of
     :func:`integral`, with the entries of the outer column scaled to a
     common denominator.
     """
@@ -183,10 +192,9 @@ def nonzero_composites(field: FieldSpec, outer_cols: list, inner_cols: list):
             dens = [v.denominator * scaled[r][0] for r, v in col]
             common = lcm(*dens)
             col = [(r, v.numerator * (common // d)) for (r, v), d in zip(col, dens)]
-        elif p is None:
-            col = [(r, v.numerator) for r, v in col]
         acc: dict[int, int] = {}
         for r, v in col:
+            v = v.numerator  # the entry itself for an int, read in place for a whole Fraction
             for q, w in inner_cols[r]:
                 acc[q] = acc.get(q, 0) + v * w
         sums = acc.values() if p is None else (x % p for x in acc.values())
@@ -306,10 +314,7 @@ class ColumnReducer:
         ones callers read (stored pivots, kernel vectors) already lead with
         one, so they are returned as they are.
         """
-        if not self._integral:
-            return col
-        lead, fraction = col[-1][1], type(self.field.one)  # Q's one is a Fraction
-        return [(r, fraction(v, lead)) for r, v in col]
+        return _unit_lead(col) if self._integral else col
 
 
 class BitReducer:
@@ -351,6 +356,12 @@ class BitReducer:
     def scalars(col: int) -> SparseColumn:
         """A bitset as a ``(row, 1)`` column, rows increasing."""
         return [(r, 1) for r, bit in enumerate(bin(col)[:1:-1]) if bit == "1"]
+
+
+def _unit_lead(col: list) -> SparseColumn:
+    """An integer column as ``Fraction``s, divided by its lead."""
+    lead, fraction = col[-1][1], type(RationalField.one)  # Q's one is a Fraction
+    return [(r, fraction(v, lead)) for r, v in col]
 
 
 def rank(m: SparseMatrix, field: FieldSpec) -> int:

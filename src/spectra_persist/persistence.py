@@ -37,10 +37,13 @@ flags per degree, and the barcode is counted on plain tuples, so one
 Over GF(2) the columns are reduced as ``int`` bitsets by
 :class:`~spectra_persist.linalg.BitReducer`, with the same bound.  A
 stored column is converted only once the bound has not skipped it, and a
-reindexed one is OR-ed into its bits, which needs no sort.  The direct
+reindexed one is OR-ed into its bits, which needs no sort.  Over Q they
+are reduced by :class:`~spectra_persist.signs.SignReducer`, which holds
+a column of ``int`` ±1 entries, as every simplicial boundary is, as two
+bitsets, and any other column as a primitive integer list.  The direct
 page engine and the homology ranks keep the list reducer, so over GF(2)
-``verify`` checks this pairing with reduction code it does not share (see
-``linalg``).
+and Q ``verify`` checks this pairing with reduction code it does not
+share, but for the rare list step over Q (see ``linalg``).
 
 ``BarEntry``, ``Pair`` and ``Pairing`` are ``NamedTuple`` records; a
 ``BarEntry`` checks its lifetime however it is made.
@@ -50,12 +53,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import pairwise
-from typing import NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .complexes import FilteredChainComplex, Generator
 from .errors import UsageError, shorten
 from .fields import RationalField, checked
 from .linalg import BitReducer, ColumnReducer, SparseColumn, bitset
+
+if TYPE_CHECKING:
+    from .signs import SignReducer
 
 INF = math.inf
 
@@ -123,15 +129,16 @@ class Pair(NamedTuple):
     birth generator's row), written over the generators one degree below.
     No command reads it, so a pair keeps the reducer's stored column and
     builds a new `cycle` list, in field scalars, each time it is read.
-    Over GF(2) that stored `pivot` is an ``int`` bitset, over any other
-    field a column list.
+    Over GF(2) that stored `pivot` is an ``int`` bitset, over Q the
+    ``(pos, neg)`` bitsets of a ±1 column or a primitive integer list, over
+    any other field a column list.
     """
     death: Generator
     birth: Generator
     lifetime: int
-    pivot: Union[SparseColumn, int]  # as stored by `reducer`, over positions in `rows`
+    pivot: Union[SparseColumn, int, tuple]  # as stored by `reducer`, over positions in `rows`
     rows: Sequence[int]      # position -> gid, one degree below
-    reducer: Union[ColumnReducer, BitReducer]
+    reducer: Union[ColumnReducer, BitReducer, SignReducer]
 
     @property
     def cycle(self) -> SparseColumn:
@@ -159,7 +166,10 @@ def decompose(c: FilteredChainComplex) -> tuple[Pairing, Barcode]:
     """Reduce the complex into essential generators and pairs, plus its barcode."""
     c.ensure_valid()
     field = c.field
-    bitwise = not isinstance(field, RationalField) and field.p == 2
+    over_q = isinstance(field, RationalField)
+    if over_q:
+        from .signs import SignReducer  # only this field runs it (see its module)
+    bitwise = not over_q and field.p == 2
     # one order per degree: the columns of d_n and the rows of d_(n+1)
     orders = {n: _level_order(c.gens(n)) for n in c.degrees()}
     # paired[n][gid] is 1 once generator gid of degree n is paired
@@ -179,7 +189,7 @@ def decompose(c: FilteredChainComplex) -> tuple[Pairing, Barcode]:
             position = [0] * len(rows)
             for k, gid in enumerate(rows):
                 position[gid] = k
-        reducer = BitReducer() if bitwise else ColumnReducer(field)
+        reducer = SignReducer() if over_q else BitReducer() if bitwise else ColumnReducer(field)
         open_row = 0  # first row still an essential candidate (module docstring)
         for gid in order:
             col = columns[gid]

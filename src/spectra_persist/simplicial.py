@@ -162,9 +162,10 @@ def simplicial_to_chain(fsc: FilteredSimplicialComplex, field: FieldSpec) -> Fil
     """One generator per simplex; the usual alternating-sign boundary."""
     from .complexes import FilteredChainComplex, Generator
     # a column's faces are distinct and its signs +-1 nonzero in every field,
-    # so its entries in position order make it canonical
+    # so its entries in position order make it canonical: the complex adopts
+    # them unchecked, as parse_complex does; over Q the signs are ints
     level = {value: k for k, value in enumerate(fsc.levels)}
-    signs = (field.one, field.normalize(-1))
+    signs = (field.parse("1"), field.parse("-1"))
     by_degree: dict[int, list[Generator]] = {}
     boundary: dict[int, list[list]] = {}
     first: dict[int, int] = {}  # position of each degree's first simplex
@@ -175,11 +176,10 @@ def simplicial_to_chain(fsc: FilteredSimplicialComplex, field: FieldSpec) -> Fil
         if not gens:
             first[n] = k
         gens.append(Generator(len(gens), n, level[value], label))
-        if n:
-            below = first[n - 1]
-            boundary.setdefault(n, []).append(
-                [(f - below, signs[sign]) for f, sign in _signed_faces(faces)])
-    c = FilteredChainComplex(field, by_degree, boundary)
+        below = first.get(n - 1)  # a vertex has no faces
+        boundary.setdefault(n, []).append(
+            [(f - below, signs[sign]) for f, sign in _signed_faces(faces)])
+    c = FilteredChainComplex._adopt(field, by_degree, boundary)
     c.ensure_valid()
     return c
 

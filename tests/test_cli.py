@@ -620,24 +620,28 @@ SIMP = FIXTURES / "triangle.simp"
 @pytest.mark.parametrize("argv, needed, absent", [
     # rips loads no module of the package beyond cli, errors, fields and simplicial
     (["rips", FIXTURES / "circle8.pts"], ["simplicial"],
-     ["ingest", "complexes", "linalg", "spectral", "persistence", "randomgen", "json",
+     ["ingest", "complexes", "linalg", "signs", "spectral", "persistence", "randomgen", "json",
       "fractions", "decimal"]),
     (["rips", FIXTURES / "circle8.pts", "--field", "q"], ["simplicial"],
-     ["ingest", "complexes", "linalg", "spectral", "persistence", "randomgen", "json",
+     ["ingest", "complexes", "linalg", "signs", "spectral", "persistence", "randomgen", "json",
       "fractions", "decimal"]),
+    # only decompose over Q loads signs
     (["barcode", FIXTURES / "triangle.fcc"], ["persistence"],
-     ["spectral", "randomgen", "json", "simplicial", "fractions"]),
-    (["barcode", SIMP], ["simplicial", "persistence"], ["spectral", "randomgen", "json"]),
+     ["signs", "spectral", "randomgen", "json", "simplicial", "fractions"]),
+    (["barcode", SIMP], ["simplicial", "persistence"], ["signs", "spectral", "randomgen", "json"]),
+    (["barcode", SIMP, "--field", "q"], ["simplicial", "persistence", "signs"],
+     ["spectral", "randomgen", "json", "fractions", "decimal"]),
     (["betti", FIXTURES / "triangle.fcc", "--n", "0", "--i", "0", "--j", "1"], ["persistence"],
-     ["spectral", "randomgen", "json", "simplicial", "fractions"]),
+     ["signs", "spectral", "randomgen", "json", "simplicial", "fractions"]),
     (["verify", FIXTURES / "triangle.fcc"], ["spectral"],
-     ["randomgen", "json", "simplicial", "fractions"]),
+     ["signs", "randomgen", "json", "simplicial", "fractions"]),
     (["pages", FIXTURES / "triangle.fcc"], ["spectral", "persistence"],
-     ["randomgen", "json", "simplicial", "fractions"]),
+     ["signs", "randomgen", "json", "simplicial", "fractions"]),
     # only --format json and recover load json
     (["recover", FIXTURES / "triangle.pages"], ["spectral", "json"],
      ["randomgen", "simplicial", "ingest", "fractions"]),
-], ids=["rips", "rips-q", "barcode", "barcode-simp", "betti", "verify", "pages", "recover"])
+], ids=["rips", "rips-q", "barcode", "barcode-simp", "barcode-simp-q", "betti", "verify", "pages",
+        "recover"])
 def test_a_command_loads_only_the_modules_it_runs(argv, needed, absent):
     proc = subprocess.run([sys.executable, "-c", LIST_MODULES, *map(str, argv)],
                           capture_output=True, text=True, timeout=60,
@@ -658,7 +662,8 @@ HALVES = "gen a 0 0\ngen b 0 0\ngen e 1 1\nbnd e 1/2 a -1/2 b\n"
 @pytest.mark.parametrize("field", ["2", "q"])
 def test_a_process_loads_fractions_only_for_a_fraction(field):
     # fractions loads decimal and numbers with it; over Q a whole coefficient
-    # stays an int from rips's text to the last check, and GF(p) makes no Fraction
+    # stays an int from rips's text, or a simp file, to the last check, and
+    # GF(p) makes no Fraction
     env = {**os.environ, "PYTHONPATH": str(SRC)}
 
     def fraction_modules(argv, text="", code=0):
@@ -672,6 +677,10 @@ def test_a_process_loads_fractions_only_for_a_fraction(field):
     assert loaded == set() and "\nbnd " in rips_text
     for command in ("barcode", "verify"):
         assert fraction_modules([command, "-", "--field", field], rips_text)[1] == set()
+    # a simp input's signs are ints too
+    simp_text, loaded = fraction_modules(
+        ["barcode", str(FIXTURES / "triangle.simp"), "--field", field])
+    assert loaded == set() and simp_text
     # a coefficient 1/2 is a Fraction over Q, and no GF(2) scalar
     over_q = field == "q"
     assert fraction_modules(["barcode", "-", "--field", field], HALVES, 0 if over_q else 1)[1] \

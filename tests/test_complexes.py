@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectra_persist import complexes
-from spectra_persist.complexes import FilteredChainComplex, homology_dims_by_level
+from spectra_persist.complexes import FilteredChainComplex, Generator, homology_dims_by_level
 from spectra_persist.errors import InvalidComplexError, UsageError
 from spectra_persist.fields import PrimeField, RationalField
+from spectra_persist.ingest import parse_complex
 from spectra_persist.linalg import rank
 from spectra_persist.randomgen import permute_generators, random_complex, random_nonzero_scalar
 
@@ -237,6 +238,20 @@ def test_structural_errors():
         FilteredChainComplex.from_named(Q, [("a", 1, 0)], {"a": [(1, "zz")]})
 
 
+@pytest.mark.parametrize("field", corpus_fields(), ids=str)
+def test_a_stored_zero_coefficient_is_rejected_and_the_readers_drop_zeros(field):
+    gens = {0: [Generator(0, 0, 0, "a"), Generator(1, 0, 0, "b")], 1: [Generator(0, 1, 1, "e")]}
+    for zero in {0, field.zero}:  # over Q the int and the Fraction
+        with pytest.raises(UsageError,
+                           match=r"^degree 1: boundary row 0 stores a zero coefficient$"):
+            FilteredChainComplex(field, gens, {1: [[(0, zero), (1, field.one)]]})
+    named = FilteredChainComplex.from_named(
+        field, [("a", 0, 0), ("b", 0, 0), ("e", 1, 1)], {"e": [(0, "a"), (1, "b")]})
+    text = parse_complex("gen a 0 0\ngen b 0 0\ngen e 1 1\nbnd e 0 a 1 b\n", field)
+    for c in (named, text):
+        assert c.column(1, 0) == [(1, field.one)] and c.validate() == []
+
+
 def composites_on_the_path_of_the_entries(c: FilteredChainComplex) -> list:
     """``(degree, gid)`` of each generator ``validate`` finds with d∘d ≠ 0 over
     Q, checked against the oracle, and whether it summed in the integer
@@ -305,3 +320,30 @@ def test_whole_composites_match_the_general_path(seed, size):
     broken, general = composites_on_the_path_of_the_entries(changed)
     assert not general
     assert composites_on_the_path_of_the_entries(fractional_basis(changed))[0] == broken
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40))
+def test_whole_composites_with_large_coefficients_match_the_oracle(seed, size):
+    # each d_n of a whole Q complex times its own factor past 2**64 leaves
+    # d∘d zero, with its entries a mix of ints and whole Fractions; a copy
+    # with one entry moved by 1 breaks it; both sum numerators and flag what
+    # the oracle does
+    rng = random.Random(seed)
+    c = whole_basis(random_complex(rng, size, Q))
+    boundary = {n: [[(r, v * (3**41 + n)) for r, v in col] for col in cols]
+                for n, cols in c.boundary.items()}
+    for cols in boundary.values():
+        for col in cols:
+            col[:] = [(r, v.numerator if rng.random() < 0.5 else v) for r, v in col]
+    big = FilteredChainComplex(Q, c.generators, boundary)
+    assert composites_on_the_path_of_the_entries(big) == ([], False)
+    entries = [(n, j, k) for n in big.degrees() for j, col in enumerate(big.boundary[n])
+               for k in range(len(col))]
+    if entries:
+        n, j, k = rng.choice(entries)
+        moved = {m: [list(col) for col in cols] for m, cols in boundary.items()}
+        r, v = moved[n][j][k]
+        moved[n][j][k] = (r, v + rng.choice([-1, 1]))
+        assert not composites_on_the_path_of_the_entries(
+            FilteredChainComplex(Q, c.generators, moved))[1]

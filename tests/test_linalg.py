@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from spectra_persist.errors import UsageError
 from spectra_persist.fields import PrimeField, RationalField
 from spectra_persist.linalg import (BitReducer, ColumnReducer, SparseMatrix, axpy, canonical,
                                    kernel, rank)
+from spectra_persist.signs import SignReducer
 
 from oracles import column_by_sum, dense_kernel, dense_rank, subquotient_dim
 
@@ -265,12 +267,90 @@ def test_bit_reducer_matches_the_list_reducer_over_gf2():
     assert outcomes["fresh", True] > 100 and outcomes["sum", True] == 0
 
 
+def test_sign_reducer_matches_the_list_reducer_over_q(monkeypatch):
+    # int +-1 columns, ones with an entry forced to +-2, fractional ones, zero
+    # ones, repeats (maybe negated) and sums of earlier columns, on up to 150
+    # rows: both reducers leave the same column through scalars, record the
+    # same pivot rows and hold the same pivots; sign columns that meet a step
+    # putting +-2 on a row go on as lists
+    switched = []
+    reduce_list = SignReducer._reduce_list
+    monkeypatch.setattr(SignReducer, "_reduce_list", lambda self, col, above: (
+        switched.append(above != inf) or reduce_list(self, col, above)))
+    rng = random.Random(17)
+    outcomes = Counter()
+    for trial in range(150):
+        n_rows = rng.randint(1, 150)
+        lists, signs = ColumnReducer(Q), SignReducer()
+        seen = []
+        for _ in range(rng.randint(1, 30)):
+            kind = rng.choice(["signs", "signs", "signs", "two", "fraction", "zero", "repeat",
+                               "sum"] if seen else ["signs"])
+            density = rng.choice([0.05, 0.2, 0.5])
+            rows = [r for r in range(n_rows) if rng.random() < density]
+            if kind == "signs":
+                entries = {r: rng.choice([1, -1]) for r in rows}
+            elif kind == "two":
+                entries = {r: rng.choice([1, -1]) for r in rows} or {0: 1}
+                entries[rng.choice(list(entries))] = rng.choice([2, -2])
+            elif kind == "fraction":
+                entries = {r: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) for r in rows}
+            elif kind == "zero":
+                entries = {}
+            elif kind == "repeat":
+                sign = rng.choice([1, -1])
+                entries = {r: sign * v for r, v in rng.choice(seen).items()}
+            else:
+                entries = Counter()
+                for earlier in rng.sample(seen, rng.randint(1, min(3, len(seen)))):
+                    sign = rng.choice([1, -1])
+                    entries.update({r: sign * v for r, v in earlier.items()})
+            entries = {r: v for r, v in entries.items() if v}
+            seen.append(entries)
+            col = lists.reduce(sorted(entries.items()))
+            x = signs.reduce(sorted(entries.items()))
+            assert (x == []) == (col == []), trial
+            outcomes[kind, type(x).__name__] += 1
+            if col:
+                assert signs.scalars(x) == lists.scalars(col), trial
+                assert signs.add_pivot(x) == lists.add_pivot(col), trial
+        assert ({r: signs.scalars(x) for r, x in signs.pivots.items()}
+                == {r: lists.scalars(x) for r, x in lists.pivots.items()}), trial
+        # every stored pivot leads with 1, or with a positive int as a list
+        assert all(x[0] >> r & 1 if type(x) is tuple else x[-1][1] > 0
+                   for r, x in signs.pivots.items()), trial
+    assert outcomes["zero", "tuple"] == outcomes["repeat", "tuple"] == 0
+    assert all(outcomes[kind, "list"] > 20 for kind in ("signs", "two", "fraction", "zero",
+                                                         "repeat", "sum"))
+    assert outcomes["signs", "tuple"] > 100 and outcomes["fraction", "tuple"] == 0
+    assert switched.count(True) > 50 and switched.count(False) > 50
+
+
+def test_a_sign_step_adds_or_subtracts_the_pivot_by_the_sign_it_hits(monkeypatch):
+    # the pivot of (0, 1), (2, -1) is stored as its negative, leading with 1;
+    # columns hitting row 2 at 1 or at -1 then meet no +-2, so neither leaves
+    # the sign path
+    monkeypatch.setattr(SignReducer, "_reduce_list", None)
+    signs = SignReducer()
+    assert signs.add_pivot(signs.reduce([(0, 1), (2, -1)])) == 2
+    assert signs.pivots[2] == (0b100, 0b001)
+    assert signs.reduce([(1, 1), (2, 1)]) == (0b011, 0)
+    assert signs.reduce([(1, 1), (2, -1)]) == (0b001, 0b010)  # -(col + pivot)
+    assert signs.reduce([(0, -1), (2, 1)]) == signs.reduce([(0, 1), (2, -1)]) == []
+
+
 def test_a_pivot_that_does_not_clear_its_row_raises():
     # a pivot stored under row 1 with no entry there: each step adds it and
     # row 1 stays, so without the check reduce would loop forever
     lists, bits = ColumnReducer(PrimeField(5)), BitReducer()
+    signs, empty, mixed = SignReducer(), SignReducer(), SignReducer()
     lists.pivots[1] = [(0, 1), (2, 1)]
     bits.pivots[1], bits._mask = 0b101, 0b010
-    for reducer, col in ((lists, [(1, 1)]), (bits, 0b010)):
+    signs.pivots[1], signs._mask = (0b101, 0), 0b010
+    empty.pivots[1], empty._mask = (0, 0), 0b010  # its step never meets a +-2
+    mixed.pivots[1], mixed._mask = [(0, 2), (2, 1)], 0b010  # the list path's step
+    for reducer, col in ((lists, [(1, 1)]), (bits, 0b010), (signs, [(1, 1)]),
+                         (signs, [(1, -1)]), (empty, [(1, 1)]), (mixed, [(1, 1)]),
+                         (mixed, [(1, Fraction(1, 2))])):
         with pytest.raises(RuntimeError, match="stored pivot is broken"):
             reducer.reduce(col)

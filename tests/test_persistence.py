@@ -16,6 +16,7 @@ from spectra_persist.linalg import BitReducer, ColumnReducer, kernel, rank
 from spectra_persist.persistence import (INF, Barcode, BarEntry, betti,
                                          decompose, multiplicity)
 from spectra_persist.randomgen import permute_generators, random_complex
+from spectra_persist.signs import SignReducer
 from spectra_persist.spectral import _coboundary_pairs, pages_direct, verify
 
 from helpers import (corpus_fields, essential_count, model_essential, model_pair, triangle,
@@ -287,7 +288,7 @@ def _grid_rips(rows: int, cols: int, field):
 def _count_reduce_calls(monkeypatch) -> list:
     """The reducer class of each ``reduce`` call, in call order."""
     calls = []
-    for cls in (ColumnReducer, BitReducer):
+    for cls in (ColumnReducer, BitReducer, SignReducer):
         def counted(self, col, reduce=cls.reduce):
             calls.append(type(self))
             return reduce(self, col)
@@ -338,7 +339,7 @@ def test_open_row_bound_edge_cases(monkeypatch, field, gens, bnd, bars, reduced)
     c = FilteredChainComplex.from_named(field, gens, bnd)
     calls = _count_reduce_calls(monkeypatch)
     _, b = decompose(c)
-    assert calls == [BitReducer if field == GF2 else ColumnReducer] * reduced
+    assert calls == [{GF2: BitReducer, Q: SignReducer}.get(field, ColumnReducer)] * reduced
     assert b == Barcode({BarEntry(*bar): m for bar, m in bars.items()})
     assert b == barcode_by_rank(c)
 
@@ -458,6 +459,41 @@ def test_gf2_decompose_pairs_as_the_coboundary_engine_on_rips_complexes(monkeypa
         for p in pairs:
             assert all(v == 1 for _, v in p.cycle) and dict(p.cycle)[p.birth.gid] == 1
     assert paths[:2] == [{range}] * 2 and all(list in rows for rows in paths[2:])
+
+
+def test_q_decompose_pairs_as_the_coboundary_engine_on_rips_complexes(monkeypatch):
+    # over Q the same cases, from simplicial_to_chain and from text (int signs
+    # both ways): decompose reduces them as sign bitsets, and on some a step
+    # puts +-2 on a row and its column goes on as a list; its pairs are those
+    # of the coboundary pairing, which runs only ColumnReducer
+    rng = random.Random(5)
+    run = _count_reduce_calls(monkeypatch)
+    switched = []
+    reduce_list = SignReducer._reduce_list
+    monkeypatch.setattr(SignReducer, "_reduce_list", lambda self, col, above: (
+        switched.append(above) or reduce_list(self, col, above)))
+    cases = [_grid_rips(4, 5, Q)]
+    for points, threshold in ((14, 0.45), (50, 0.25)):
+        cloud = PointCloud.from_points([(rng.random(), rng.random()) for _ in range(points)])
+        cases.append(parse_complex(serialize_simplicial(rips(cloud, 2, threshold), Q), Q))
+    cases += [permute_generators(rng, c) for c in cases]
+    paths, lists = [], []
+    for c in cases:
+        assert all(type(v) is int for cols in c.boundary.values() for col in cols for _, v in col)
+        del run[:], switched[:]
+        pairs = decompose(c)[0].pairs
+        assert set(run) == {SignReducer} and INF not in switched
+        lists.append(len(switched))
+        paths.append({type(p.rows) for p in pairs})
+        del run[:]
+        want = sorted(_coboundary_pairs(c))
+        assert run and set(run) == {ColumnReducer}
+        assert sorted((p.death.degree, p.birth.gid, p.death.gid) for p in pairs) == want
+        for p in pairs:
+            assert all(type(v) is Fraction for _, v in p.cycle)
+            assert dict(p.cycle)[p.birth.gid] == 1
+    assert paths[:3] == [{range}] * 3 and all(list in rows for rows in paths[3:])
+    assert any(lists), lists
 
 
 def test_gf2_page_engine_ranks_and_kernels_reduce_lists(monkeypatch):
