@@ -43,8 +43,11 @@ def _read_text(path: str) -> str:
 
 
 def _load_complex(args) -> FilteredChainComplex:
+    # every command that reads a complex takes --random
+    if args.random is not None and args.input is not None:
+        raise UsageError("give either an input path or --random, not both")
     field = field_from_text(args.field)
-    if getattr(args, "random", None) is not None:
+    if args.random is not None:
         from random import Random
 
         from .randomgen import random_complex

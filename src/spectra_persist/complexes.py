@@ -106,10 +106,6 @@ class FilteredChainComplex:
         return c
 
     @classmethod
-    def empty(cls, field: FieldSpec) -> "FilteredChainComplex":
-        return cls(field, {}, {})
-
-    @classmethod
     def from_named(
         cls,
         field: FieldSpec,

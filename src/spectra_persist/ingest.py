@@ -14,7 +14,7 @@ one, and it must name the field the file is read over, since a GF(3)
 residue such as ``2`` is a different number over GF(5).
 
 The simplicial half of the text formats (``simp`` files, point clouds, the
-Rips filtration and its writers) is in :mod:`~spectra_persist.simplicial`,
+Rips filtration and its writer) is in :mod:`~spectra_persist.simplicial`,
 so a command that reads a chain complex never compiles it, and ``rips``
 compiles no chain reader.  This module still serves each of those names on
 first use (PEP 562), loading that module then.
@@ -32,9 +32,9 @@ if TYPE_CHECKING:
     from .complexes import FilteredChainComplex
 
 _MOVED = frozenset({
-    "FilteredSimplicialComplex", "PointCloud", "_labels", "_real", "_signed_faces",
-    "make_simplicial", "parse_point_cloud", "parse_simplicial", "rips",
-    "serialize_simplicial", "simplicial_to_chain"})
+    "FilteredSimplicialComplex", "PointCloud", "_real", "make_simplicial",
+    "parse_point_cloud", "parse_simplicial", "rips", "serialize_simplicial",
+    "simplicial_to_chain"})
 
 
 def __getattr__(name: str):

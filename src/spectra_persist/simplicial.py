@@ -9,10 +9,12 @@ simplex containing them; missing faces of dimension >= 1 are an error.
 A simplicial complex keeps each simplex's faces as positions
 (``FilteredSimplicialComplex.faces``), found where closure and face order
 are checked: by ``make_simplicial`` for a ``simp`` file, and by ``rips``
-as it makes each simplex.  The two writers, ``simplicial_to_chain`` and
-``serialize_simplicial``, read them and look no face up.
-``serialize_simplicial`` writes the chain-complex text format of
-:mod:`~spectra_persist.ingest`, which the reading stage of a pipe checks.
+as it makes each simplex.  ``serialize_simplicial`` reads them, looks no
+face up, and writes the chain-complex text format of
+:mod:`~spectra_persist.ingest`.  That text is the one way from simplices to
+a complex: the reading stage of a ``rips`` pipe parses and checks it, and
+``simplicial_to_chain`` reads it back in process, so a ``simp`` file and a
+pipe reach the same reader and the same validation.
 
 Point clouds are either ``pt <x1> ... <xd>`` lines (equal dimension) or one
 ``dist <n>`` header followed by an n-by-n symmetric matrix, one row per
@@ -30,8 +32,8 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 from .errors import ClosureError, ParseError, UsageError, shorten
 from .fields import FieldSpec, _data_lines, parse_int
 
-# complexes (and with it linalg) is imported by simplicial_to_chain, the one
-# function that builds a complex, so the ``rips`` command never loads it
+# ingest, and with it complexes and linalg, is imported by simplicial_to_chain,
+# the one function that builds a complex, so the ``rips`` command never loads it
 if TYPE_CHECKING:
     from .complexes import FilteredChainComplex
 
@@ -65,7 +67,7 @@ class FilteredSimplicialComplex(NamedTuple):
     and has sign (-1)^i (a vertex has none), so the last face is the
     simplex less its last vertex.  ``make_simplicial`` and ``rips`` find the
     faces where they check closure and face order; build the complex
-    through them, as the writers trust ``faces``.
+    through them, as ``serialize_simplicial`` trusts ``faces``.
     """
     simplices: tuple  # tuple[(verts tuple, value float)], canonical order
     levels: tuple     # tuple[float]
@@ -140,69 +142,41 @@ def parse_simplicial(text: str) -> FilteredSimplicialComplex:
         raise ParseError(str(exc)) from None
 
 
-def _labels(fsc: FilteredSimplicialComplex) -> list:
-    """Each simplex's generator name: ``s`` and its vertices joined by ``_``,
-    made from the name of its last face, which drops the last vertex."""
-    labels: list[str] = []
-    for (verts, _), faces in zip(fsc.simplices, fsc.faces):
-        labels.append(f"{labels[faces[-1]]}_{verts[-1]}" if faces else f"s{verts[0]}")
-    return labels
-
-
-def _signed_faces(faces: tuple) -> list:
-    """``(position, i & 1)`` of each face i, in position order: within a
-    degree positions follow (level, id), the order of a column's rows."""
-    return sorted(zip(faces, _PARITY))
-
-
-_PARITY = (0, 1) * 32  # a simplex with more vertices has over 2**64 faces
-
-
 def simplicial_to_chain(fsc: FilteredSimplicialComplex, field: FieldSpec) -> FilteredChainComplex:
-    """One generator per simplex; the usual alternating-sign boundary."""
-    from .complexes import FilteredChainComplex, Generator
-    # a column's faces are distinct and its signs +-1 nonzero in every field,
-    # so its entries in position order make it canonical: the complex adopts
-    # them unchecked, as parse_complex does; over Q the signs are ints
-    level = {value: k for k, value in enumerate(fsc.levels)}
-    signs = (field.parse("1"), field.parse("-1"))
-    by_degree: dict[int, list[Generator]] = {}
-    boundary: dict[int, list[list]] = {}
-    first: dict[int, int] = {}  # position of each degree's first simplex
-    for k, ((verts, value), faces, label) in enumerate(
-            zip(fsc.simplices, fsc.faces, _labels(fsc))):
-        n = len(verts) - 1
-        gens = by_degree.setdefault(n, [])
-        if not gens:
-            first[n] = k
-        gens.append(Generator(len(gens), n, level[value], label))
-        below = first.get(n - 1)  # a vertex has no faces
-        boundary.setdefault(n, []).append(
-            [(f - below, signs[sign]) for f, sign in _signed_faces(faces)])
-    c = FilteredChainComplex._adopt(field, by_degree, boundary)
-    c.ensure_valid()
-    return c
+    """One generator per simplex, with the alternating-sign boundary: the
+    complex ``parse_complex`` reads, and validates, from the text
+    ``serialize_simplicial`` writes."""
+    from .ingest import parse_complex
+    return parse_complex(serialize_simplicial(fsc, field), field)
 
 
 def serialize_simplicial(fsc: FilteredSimplicialComplex, field: FieldSpec,
                          comments: Sequence[str] = ()) -> str:
-    """``serialize_complex(simplicial_to_chain(fsc, field), comments)``, written
-    straight from the simplices, with no complex built or checked.
+    """The chain-complex text of ``fsc`` over ``field``: a generator per
+    simplex, named ``s`` and its vertices joined by ``_``, at its dimension
+    and level (its value's index in ``fsc.levels``), whose ``bnd`` line gives
+    face i the sign (-1)**i.  No complex is built or checked: ``parse_complex``
+    validates the text where it is read.
 
     ``fsc.simplices`` is already in (degree, level, id) order, and a simplex's
     id within its degree is its position among them, so a face's position in
-    ``fsc.simplices`` orders the faces of a ``bnd`` line by (level, id).  The
-    text is checked where it is read: ``parse_complex`` validates it.
+    ``fsc.simplices`` orders the faces of a ``bnd`` line by (level, id), the
+    order of a column's rows.
     """
     level = {value: k for k, value in enumerate(fsc.levels)}
-    signs = (field.format(1), field.format(-1))
+    # face i has sign (-1)**i; a simplex of over 64 vertices has over 2**64 faces
+    signs = (field.format(1), field.format(-1)) * 32
     lines = [f"# {comment}" for comment in comments]
     lines.append(f"field {field.token()}")
-    labels = _labels(fsc)
+    # each name is made from its last face's, which drops the last vertex
+    labels: list[str] = []
+    for (verts, _), faces in zip(fsc.simplices, fsc.faces):
+        labels.append(f"{labels[faces[-1]]}_{verts[-1]}" if faces else f"s{verts[0]}")
     lines += [f"gen {label} {len(verts) - 1} {level[value]}"
               for label, (verts, value) in zip(labels, fsc.simplices)]
-    lines += [f"bnd {label} " + " ".join([f"{signs[sign]} {labels[f]}"
-                                          for f, sign in _signed_faces(faces)])
+    # a simplex's faces are distinct, so the sort reads no sign
+    lines += [f"bnd {label} " + " ".join([f"{sign} {labels[f]}"
+                                          for f, sign in sorted(zip(faces, signs))])
               for label, faces in zip(labels, fsc.faces) if faces]
     lines.append("")  # the final newline, without a copy of the text to add it
     return "\n".join(lines)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spectra_persist
-from spectra_persist import ingest, simplicial
+from spectra_persist import cli, ingest, simplicial
 from spectra_persist.cli import main
 from spectra_persist.complexes import FilteredChainComplex
 from spectra_persist.errors import InvalidComplexError, ParseError, shorten
@@ -219,6 +219,19 @@ def test_rips_reads_its_field_before_its_input(capsys, monkeypatch):
     for command in ("rips", "barcode"):
         assert run(capsys, command, "/nonexistent", "--field", "4") == (
             2, "", "error: modulus 4 is not prime\n")
+
+
+@pytest.mark.parametrize("command", ["barcode", "betti", "pages", "verify"])
+def test_an_input_path_with_random_is_a_usage_error(capsys, monkeypatch, command):
+    # as rips's --dist: neither source is dropped, and neither the field nor the
+    # input is read first
+    extra = ["--n", "0", "--i", "0", "--j", "1"] if command == "betti" else []
+    monkeypatch.setattr(cli, "_read_text", lambda path: pytest.fail("input read"))
+    for path in (FIXTURES / "triangle.fcc", "/nonexistent", "-"):
+        assert run(capsys, command, path, "--random", "3", "--field", "4", *extra) == (
+            2, "", "error: give either an input path or --random, not both\n")
+    code, out, err = run(capsys, command, "--random", "3", *extra)
+    assert (code, err) == (0, "") and out
 
 
 @pytest.mark.parametrize("command, name, text, message", [
@@ -529,7 +542,8 @@ TRIANGLE_SIMP = ["simp 0 0", "simp 0 1", "simp 0 2", "simp 1 0 1", "simp 1 0 2",
 def test_the_input_kind_is_read_off_the_first_data_line_alone(
         capsys, tmp_path, monkeypatch, head, end, simp):
     # the first data line says whether the input is a simp file; finding it
-    # splits no line after it, so the whole text is split once, by its reader
+    # splits no line after it, so the whole text is split once, by its reader;
+    # a simp input's reader then splits the chain text it writes, once
     from spectra_persist import fields
     if simp:
         body, want = end.join(TRIANGLE_SIMP) + end, "simp"
@@ -542,7 +556,8 @@ def test_the_input_kind_is_read_off_the_first_data_line_alone(
     split, numbered = [], fields.numbered_lines
     monkeypatch.setattr(fields, "numbered_lines", lambda t: split.append(t) or numbered(t))
     code, out, err = run(capsys, "barcode", path, "--field", "2")
-    assert (code, err) == (0, "") and len(split) == 1
+    assert (code, err) == (0, "")
+    assert [t.startswith("field 2\n") for t in split] == ([False, True] if simp else [False])
     # the hollow simp triangle's loop is born at level 1, the chain one's at 2
     assert out == f"0 0 1 2\n0 0 inf 1\n1 {1 if simp else 2} inf 1\n"
 
@@ -628,8 +643,9 @@ SIMP = FIXTURES / "triangle.simp"
     # only decompose over Q loads signs
     (["barcode", FIXTURES / "triangle.fcc"], ["persistence"],
      ["signs", "spectral", "randomgen", "json", "simplicial", "fractions"]),
-    (["barcode", SIMP], ["simplicial", "persistence"], ["signs", "spectral", "randomgen", "json"]),
-    (["barcode", SIMP, "--field", "q"], ["simplicial", "persistence", "signs"],
+    (["barcode", SIMP], ["simplicial", "ingest", "persistence"],
+     ["signs", "spectral", "randomgen", "json"]),
+    (["barcode", SIMP, "--field", "q"], ["simplicial", "ingest", "persistence", "signs"],
      ["spectral", "randomgen", "json", "fractions", "decimal"]),
     (["betti", FIXTURES / "triangle.fcc", "--n", "0", "--i", "0", "--j", "1"], ["persistence"],
      ["signs", "spectral", "randomgen", "json", "simplicial", "fractions"]),
@@ -719,9 +735,9 @@ def test_every_public_name_resolves_to_its_home_module():
 
 
 # the simplicial half of ingest, which ingest still serves by name
-MOVED = ["FilteredSimplicialComplex", "PointCloud", "_labels", "_real", "_signed_faces",
-         "make_simplicial", "parse_point_cloud", "parse_simplicial", "rips",
-         "serialize_simplicial", "simplicial_to_chain"]
+MOVED = ["FilteredSimplicialComplex", "PointCloud", "_real", "make_simplicial",
+         "parse_point_cloud", "parse_simplicial", "rips", "serialize_simplicial",
+         "simplicial_to_chain"]
 
 
 def test_ingest_serves_each_moved_name_as_the_same_object(monkeypatch):

@@ -68,7 +68,7 @@ def test_pages_direct_model():
 
 
 def test_pages_direct_empty():
-    t = pages_direct(FilteredChainComplex.empty(Q), 3)
+    t = pages_direct(FilteredChainComplex(Q, {}, {}), 3)
     assert not t and t.support() == set()
 
 
@@ -412,7 +412,7 @@ def test_verify_builds_no_second_complex(monkeypatch):
     for r_max in (1, c.filtration_span + 1):
         assert verify(c, r_max).all_passed
     assert not calls
-    FilteredChainComplex.empty(Q).validate()  # the counters do count
+    FilteredChainComplex(Q, {}, {}).validate()  # the counters do count
     assert calls == {"init": 1}
 
 
@@ -499,7 +499,7 @@ def test_pages_equal_counts_a_mismatch_without_expanding_it(monkeypatch, span):
 
 
 def test_verify_empty_passes_vacuously():
-    report = verify(FilteredChainComplex.empty(PrimeField(2)), 2)
+    report = verify(FilteredChainComplex(PrimeField(2), {}, {}), 2)
     assert report.all_passed
 
 
