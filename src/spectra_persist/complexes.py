@@ -14,7 +14,8 @@ which sums d(d(g)) exactly over GF(p) and Q; this module only names the
 generators it reports.
 
 :func:`homology_dims_by_level` reads the level blocks of the associated
-graded complex straight off a complex's columns, with no graded copy built.
+graded complex straight off a complex's columns, with no graded copy built,
+and ranks them with one reducer per degree.
 
 Only finite presentations are representable, so local finiteness and a
 lower bound on the filtration hold automatically.
@@ -26,7 +27,8 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 from .errors import InvalidComplexError, UsageError, shorten
 from .fields import FieldSpec
 # axpy is not called here; it stays bound because perfbench's tracer wraps it by name
-from .linalg import SparseColumn, SparseMatrix, axpy, canonical, nonzero_composites, rank
+from .linalg import (ColumnReducer, SparseColumn, SparseMatrix, axpy, canonical,
+                     nonzero_composites, rank)
 
 
 class Generator(NamedTuple):
@@ -253,19 +255,24 @@ def homology_dims_by_level(c: FilteredChainComplex) -> dict[tuple[int, int], int
     """Per-(degree, level) homology of Gr C, for any valid complex ``c``.
 
     Gr C (see :meth:`FilteredChainComplex.associated_graded`) splits as a
-    direct sum over levels, so its homology is computed blockwise, each
-    block read off ``c``'s columns less their entries at a lower level.
-    Returns a dim for every (degree, level) holding a generator; absent
-    keys are zero.
+    direct sum over levels.  Its d_n is read off ``c``'s columns less their
+    entries at a lower level, and reduced with one reducer per degree: the
+    level-s block's rows are the level-s generators one degree below, so its
+    columns only ever meet its own pivots, and each level-s column that
+    survives adds one to the rank of that block.  That rank leaves homology
+    at (n, s) and at (n-1, s).  Returns a dim for every (degree, level)
+    holding a generator; absent keys are zero.
     """
     c.ensure_valid()
-    # (degree, level) -> the Gr C columns of the generators there
-    blocks: dict[tuple[int, int], list[SparseColumn]] = {}
-    for n in c.degrees():
+    dims: dict[tuple[int, int], int] = {}
+    for n in c.degrees():  # rising, so (n-1, s) is counted before d_n reaches it
+        reducer = ColumnReducer(c.field)
         for g, col in zip(c.gens(n), c._graded_columns(n)):
-            blocks.setdefault((n, g.filtration), []).append(col)
-    # each block is ranked once: its rank leaves homology at (n, s) and (n-1, s)
-    ranks = {(n, s): rank(SparseMatrix(c.n_gens(n - 1), cols), c.field)
-             for (n, s), cols in blocks.items()}
-    return {(n, s): len(cols) - ranks[(n, s)] - ranks.get((n + 1, s), 0)
-            for (n, s), cols in blocks.items()}
+            key = (n, g.filtration)
+            dims[key] = dims.get(key, 0) + 1
+            col = reducer.reduce(col)
+            if col:
+                reducer.add_pivot(col)
+                dims[key] -= 1
+                dims[(n - 1, g.filtration)] -= 1
+    return dims

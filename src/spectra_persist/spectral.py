@@ -39,8 +39,11 @@ the pairs.
 
 Each engine builds one ``PageTable``, which keeps each cell as runs over r,
 so neither the work nor the memory of building or checking one grows with
-r_max.  ``verify`` builds each engine's table once and runs every check on
-those two, comparing them run by run.
+r_max.  ``verify`` builds two tables, one per engine, and runs every check on
+those two, comparing them run by run.  Its barcode round trip needs the pages
+of the barcode recovered from the direct table: when that barcode is
+``decompose``'s, they are the barcode engine's table, and only a barcode that
+differs gets a table of its own.
 """
 from __future__ import annotations
 
@@ -55,6 +58,8 @@ from .errors import (InconsistentTableError, InsufficientRMaxError, ParseError,
                      UsageError, shorten)
 from .fields import is_int, numbered_lines, parse_int
 from .linalg import ColumnReducer
+# betti and multiplicity are not called here; they stay bound because perfbench's
+# tracer wraps them by name
 from .persistence import INF, Barcode, BarEntry, betti, decompose, multiplicity
 
 PageIndex = float  # int >= 1, or math.inf
@@ -407,6 +412,24 @@ def recover_barcode(p: PageTable, s_min: int) -> Barcode:
 
     for birth levels s_min..(top level of the support), degrees from the
     lowest in the support to one above the highest, and 1 <= m < r_max.
+    A negative value means the table is not the page table of any complex;
+    a cell whose r_max dimension has not yet reached the limit means r_max
+    was too small to see every bar die.  The recursion reads the birth
+    cells only, so the result must also give back the whole table: the
+    pages of a barcode are the pages of a complex (a sum of interval
+    complexes), so a table passes iff some complex has it.  That round
+    trip builds the result's own table with :func:`pages_from_barcode`
+    and compares it run by run, so it does not grow with the span.
+    """
+    result = _recursion(p, s_min)
+    _round_trip(p, pages_from_barcode(result, p.r_max))
+    return result
+
+
+def _recursion(p: PageTable, s_min: int) -> Barcode:
+    """The barcode :func:`recover_barcode`'s recursion reads off ``p``'s
+    birth cells, before the round trip.
+
     A term is zero unless the cell drops between pages m and m+1 or
     nu[n-1, s-m, m] is nonzero, so only those triples are visited: the
     drops read off the runs (a run starting at page m+1 <= r_max), and each
@@ -414,13 +437,7 @@ def recover_barcode(p: PageTable, s_min: int) -> Barcode:
     when s+m is above the top level, as the full walk leaves it).  They are
     visited in (s, n, m) order, the order of the recursion, taking the
     levels off a heap, so the first negative value is the same one the full
-    walk meets.  A negative value means the table is not the page table of
-    any complex; a cell whose r_max dimension has not yet reached the limit
-    means r_max was too small to see every bar die.  The recursion reads the
-    birth cells only, so the result must also give back the whole table:
-    the pages of a barcode are the pages of a complex (a sum of interval
-    complexes), so a table passes iff some complex has it.  The comparison
-    is run by run, so it does not grow with the span.
+    walk meets.
     """
     support = p.support()
     if not support:
@@ -459,13 +476,17 @@ def recover_barcode(p: PageTable, s_min: int) -> Barcode:
                     if s + m not in todo:
                         heappush(levels, s + m)
                     todo.setdefault(s + m, []).append((n + 1, m))
-    result = Barcode(counts)
-    back = pages_from_barcode(result, p.r_max)
+    return Barcode(counts)
+
+
+def _round_trip(p: PageTable, back: PageTable) -> None:
+    """Refuse ``p`` unless ``back``, the pages of the barcode recovered from
+    it, gives back every cell of it."""
     if back != p:
-        n, s = min(key for key in support | back.support() if p.steps(*key) != back.steps(*key))
+        n, s = min(key for key in p.support() | back.support()
+                   if p.steps(*key) != back.steps(*key))
         raise InconsistentTableError(
             f"no complex has this table: its bars give other pages at (n={n}, s={s})")
-    return result
 
 
 class CheckResult(NamedTuple):
@@ -497,11 +518,18 @@ def verify(c: FilteredChainComplex, r_max: int) -> VerifyReport:
 
     Each engine's table is built once, at r_max or at span + 1 if deeper, so
     that every bar dies within it and the barcode is recovered from the
-    direct one; page one is checked against Gr C read off ``c`` itself."""
+    direct one; page one is checked against Gr C read off ``c`` itself.
+
+    So one call builds two tables.  The round trip compares the direct table
+    with the pages of the barcode recovered from it; when that barcode is
+    ``decompose``'s, those pages are the barcode engine's table, already
+    built at the same depth, and only a barcode that differs gets a table of
+    its own."""
     _check_depth(r_max)
     c.ensure_valid()
     _, barcode = decompose(c)
-    start, top = (c.min_level, c.max_level) if c.generators else (0, 0)
+    levels = [g.filtration for gens in c.generators.values() for g in gens]
+    start, top = (min(levels), max(levels)) if levels else (0, 0)
     depth = max(r_max, top - start + 1)
     from_bars = pages_from_barcode(barcode, depth)
     direct = pages_direct(c, depth)
@@ -538,15 +566,21 @@ def verify(c: FilteredChainComplex, r_max: int) -> VerifyReport:
     # pages: the row totals; bars: the essential bars of degree n and the
     # finite bars of degrees n and n-1 that last r levels or more.  Both are
     # step functions of r, so they are compared where either one steps.
+    # Each bar is read once: essentials[n] is betti(barcode, n, top, top), and
+    # a finite bar's multiplicity, multiplicity(barcode, n, s, s + m), is its own.
+    essentials: Counter = Counter()
+    finite: dict[int, list] = {}  # degree -> [(lifetime, multiplicity)]
+    for e, k in barcode.entries():
+        if e.birth <= top and (e.is_essential or e.birth + e.lifetime > top):
+            essentials[e.degree] += k
+        if not e.is_essential:
+            finite.setdefault(e.degree, []).append((e.lifetime, k))
     bad = []
-    finite = [(e, multiplicity(barcode, e.degree, e.birth, e.birth + e.lifetime))
-              for e, _ in barcode.entries() if not e.is_essential]
     for n in degrees:
-        essentials = betti(barcode, n, top, top)
-        bars = [(e.lifetime, k) for e, k in finite if e.degree in (n, n - 1)]
+        bars = finite.get(n, []) + finite.get(n - 1, [])
         steps = {1, *(m + 1 for m, _ in bars), *(r for r, _ in direct._rows.get(n, []))}
         for r in sorted(r for r in steps if r <= depth):
-            lhs, rhs = direct.row_total(r, n), essentials + sum(k for m, k in bars if m >= r)
+            lhs, rhs = direct.row_total(r, n), essentials[n] + sum(k for m, k in bars if m >= r)
             if lhs != rhs:
                 bad.append((r, n, lhs, rhs))
                 break
@@ -556,8 +590,9 @@ def verify(c: FilteredChainComplex, r_max: int) -> VerifyReport:
           bad and f"first mismatch (r,n,pages,bars)={bad[0]}")
 
     try:
-        recovered = recover_barcode(direct, start)
+        recovered = _recursion(direct, start)
         ok = recovered == barcode
+        _round_trip(direct, from_bars if ok else pages_from_barcode(recovered, depth))
         detail = "" if ok else "recovered barcode differs"
     except (InconsistentTableError, InsufficientRMaxError) as exc:
         ok, detail = False, str(exc)

@@ -10,7 +10,7 @@ from spectra_persist.complexes import FilteredChainComplex, Generator, homology_
 from spectra_persist.errors import InvalidComplexError, UsageError
 from spectra_persist.fields import PrimeField, RationalField
 from spectra_persist.ingest import parse_complex
-from spectra_persist.linalg import rank
+from spectra_persist.linalg import ColumnReducer
 from spectra_persist.randomgen import permute_generators, random_complex, random_nonzero_scalar
 
 from helpers import (corpus_fields, counting_integral, fractional_basis, full_triangle,
@@ -195,18 +195,29 @@ def test_graded_homology_by_level_blocks():
 
 
 def test_graded_homology_ranks_each_level_block_once(monkeypatch):
-    c = random_complex(random.Random(33), 60, PrimeField(5)).associated_graded()
-    ranked = []
+    # one reducer per degree reduces each column of Gr C once, in degree and
+    # gid order; no level block is copied out and ranked on its own
+    c = random_complex(random.Random(33), 60, PrimeField(5))
+    reducers, reduced = [], []
 
-    def counting_rank(m, field):
-        ranked.append(m)  # kept alive, so the column ids below stay unique
-        return rank(m, field)
+    class CountingReducer(ColumnReducer):
+        def __init__(self, field):
+            reducers.append(field)
+            super().__init__(field)
 
-    monkeypatch.setattr(complexes, "rank", counting_rank)
+        def reduce(self, col):
+            reduced.append(col)
+            return super().reduce(col)
+
+    def no_rank(m, field):
+        raise AssertionError("a level block was ranked on its own")
+
+    monkeypatch.setattr(complexes, "ColumnReducer", CountingReducer)
+    monkeypatch.setattr(complexes, "rank", no_rank)
     homology_dims_by_level(c)
-    blocks = {(g.degree, g.filtration) for g in c.all_generators()}
-    keys = {tuple(map(id, m.columns)) for m in ranked}
-    assert len(ranked) == len(keys) == len(blocks)
+    assert reducers == [c.field] * len(c.degrees())
+    assert reduced == [col for n in c.degrees() for col in c._graded_columns(n)]
+    assert len(reduced) == c.total_gens()
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)

@@ -393,7 +393,8 @@ def test_the_reader_builds_the_columns_the_constructor_accepts(seed, source, fie
         text, expected = random_complex_text(rng, field)
     else:
         fsc = random_simplicial(rng, source)
-        text, expected = serialize_simplicial(fsc, field), simplicial_to_chain(fsc, field)
+        text = serialize_simplicial(fsc, field)
+        expected = simplicial_to_chain_by_entries(fsc, field)
     try:
         c = parse_complex(text, field)
     except InvalidComplexError as exc:
@@ -419,12 +420,14 @@ def test_the_reader_keeps_a_whole_coefficient_as_an_int():
     gf5 = parse_complex(f"{gens}bnd e -1 a 7 b\n", PrimeField(5)).column(1, 0)
     assert gf5 == [(0, 4), (1, 2)] and all(type(v) is int for _, v in gf5)
     # validate reads its path off the entries: whole ones sum numerators
-    # however the complex was built, and a fraction takes integral's columns
+    # however the complex was built, and a fraction takes integral's columns;
+    # the entry oracle's constructor keeps each ±1 as a whole Fraction
     fsc = rips(PointCloud.from_points([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0.5)]), 2)
     named = FilteredChainComplex.from_named(Q, [("a", 0, 0), ("b", 1, 0)], {"b": [(2, "a")]})
+    by_entries = simplicial_to_chain_by_entries(fsc, Q)
     built = random_complex(random.Random(1), 20, Q)
     for check, general in [(lambda: parse_complex(serialize_simplicial(fsc, Q), Q), False),
-                           (lambda: simplicial_to_chain(fsc, Q), False),
+                           (by_entries.validate, False),
                            (named.validate, False),
                            (lambda: parse_complex(f"{gens}bnd e 1/2 a -1/2 b\n", Q), True),
                            (built.validate, True)]:

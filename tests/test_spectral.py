@@ -360,12 +360,14 @@ def test_verify_ranks_each_boundary_matrix_once(monkeypatch):
 
 
 def test_verify_stores_each_table_once(monkeypatch):
-    # the barcode engine, the direct engine and recover_barcode's round trip,
-    # all at one depth, deep enough to recover from even when r_max is 1
+    # the barcode engine and the direct engine, both at one depth, deep enough
+    # to recover from even when r_max is 1; the recovered barcode is
+    # decompose's, so the round trip reads the barcode engine's table
     c = random_complex(random.Random(31), 40, PrimeField(5))
     store = PageTable._store
     stored = []
     direct = []
+    from_bars = []
 
     def counting_store(self, steps):
         stored.append(len(steps))
@@ -375,14 +377,20 @@ def test_verify_stores_each_table_once(monkeypatch):
         direct.append(r_max)
         return pages_direct(c, r_max)
 
+    def counting_from_barcode(b, r_max):
+        from_bars.append(r_max)
+        return pages_from_barcode(b, r_max)
+
     monkeypatch.setattr(PageTable, "_store", counting_store)
     monkeypatch.setattr(spectral, "pages_direct", counting_direct)
+    monkeypatch.setattr(spectral, "pages_from_barcode", counting_from_barcode)
     for r_max in (c.filtration_span + 1, 1):
         stored.clear()
         direct.clear()
+        from_bars.clear()
         assert verify(c, r_max).all_passed
-        assert len(stored) == 3 and all(stored), (r_max, stored)
-        assert direct == [c.filtration_span + 1], r_max
+        assert len(stored) == 2 and all(stored), (r_max, stored)
+        assert direct == from_bars == [c.filtration_span + 1], r_max
 
 
 def test_verify_builds_no_second_complex(monkeypatch):
@@ -472,6 +480,33 @@ def test_verify_names_the_first_mismatch_of_a_wrong_table(monkeypatch, fake, fai
     lines = verify(model_pair(Q, 0, 2, 3), 4).lines()
     assert [line[len("[FAIL] "):] for line in lines if line.startswith("[FAIL]")] == [
         *failures, "barcode-round-trip (recovered barcode differs)"]
+
+
+@pytest.mark.parametrize("last_page, at, failures", [
+    # the model's table less its death cell (1, 5): the recursion reads birth
+    # cells, so it recovers decompose's barcode, and only the round trip, on
+    # the barcode engine's own table, sees the cell missing
+    (3, "(n=1, s=5)",
+     ["pages-equal (3 differing cells, first (1, 1, 5, 1, 0))",
+      "totalized-dimension-identity (first mismatch (r,n,pages,bars)=(1, 1, 0, 1))"]),
+    # and its birth cell cut a page short too: the recovered bar (0, 2, 2)
+    # differs from decompose's, so the round trip reads that bar's own pages
+    (2, "(n=1, s=4)",
+     ["pages-equal (4 differing cells, first (1, 1, 5, 1, 0))",
+      "totalized-dimension-identity (first mismatch (r,n,pages,bars)=(3, 0, 0, 1))"]),
+])
+def test_verify_round_trip_names_the_first_cell_the_bars_do_not_give(
+        monkeypatch, last_page, at, failures):
+    fake = PageTable(4, {(r, 0, 2): 1 for r in range(1, last_page + 1)})
+    monkeypatch.setattr(spectral, "pages_direct", lambda c, r_max: fake)
+    assert verify(model_pair(Q, 0, 2, 3), 4).lines() == [
+        f"[FAIL] {failures[0]}",
+        "[FAIL] page-one-is-graded-homology (first mismatch (n,s,page,graded)=(1, 5, 0, 1))",
+        "[PASS] limit-row-is-total-homology",
+        f"[FAIL] {failures[1]}",
+        "[FAIL] barcode-round-trip (no complex has this table: "
+        f"its bars give other pages at {at})",
+        "1/5 checks passed"]
 
 
 @pytest.mark.parametrize("span", [10, 10**12])
