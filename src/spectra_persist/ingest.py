@@ -157,12 +157,22 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
 
 def serialize_complex(c: FilteredChainComplex, comments: Sequence[str] = ()) -> str:
     """Canonical text form: the field line, then generators sorted by
-    (degree, filtration, id)."""
+    (degree, filtration, id).  A ``UsageError`` refuses text ``parse_complex``
+    could not read back: a comment with a line break, or a label that is not
+    one token free of ``#`` or repeats another (a name may be a default label)."""
+    for comment in comments:
+        if "\n" in comment or "\r" in comment:
+            raise UsageError(f"cannot write comment {shorten(comment)!r}: it holds a line break")
     lines = [f"# {comment}" for comment in comments]
     lines.append(f"field {c.field.token()}")
     ordered = sorted(c.all_generators(), key=lambda g: (g.degree, g.filtration, g.gid))
+    labels: set = set()
     for g in ordered:
-        lines.append(f"gen {g.label()} {g.degree} {g.filtration}")
+        label = g.label()
+        if "#" in label or label.split() != [label] or label in labels:
+            raise UsageError(f"cannot write label {shorten(label)!r}: not a unique token free of #")
+        labels.add(label)
+        lines.append(f"gen {label} {g.degree} {g.filtration}")
     texts: dict = {}  # each distinct coefficient is formatted once
     for g in ordered:
         col = c.column(g.degree, g.gid)

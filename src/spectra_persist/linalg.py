@@ -9,18 +9,17 @@ extended by their combination vectors, so no second elimination is needed
 to track them.  It also drives the direct page engine, and the persistence
 pairing over GF(p) for odd p.
 
-Over GF(2) the persistence pairing runs :class:`BitReducer` instead, which
-has the same interface on columns held as ``int`` bitsets (bit r set for an
-entry on row r): the pivot row is a ``bit_length`` and an elimination one
-XOR (the column representation of PHAT, Bauer, Kerber, Reininghaus &
-Wagner, JSC 2017, and of Ripser, Bauer, JACT 2021).  Over Q it runs
-:class:`~spectra_persist.signs.SignReducer`, which holds a column of
-``int`` ±1 entries, as every simplicial boundary is, as two such bitsets,
-one per sign, and eliminates with a few bit operations; a step that would
-leave ±2 on a row and a column that is not ±1 on arrival (fractional, as
-in the random corpus, or whole but larger) go on as integer lists through
-the step of :class:`ColumnReducer`, the one reduction code the two share.
-It has a module of its own, which only that pairing loads.  ``rank``,
+Over GF(2) the persistence pairing runs :class:`BitReducer` instead, and
+over Q :class:`~spectra_persist.signs.SignReducer`, in a module of its own
+that only that pairing loads.  The three reducers share one contract:
+``reduce`` takes a sorted ``(row, coeff)`` list and converts it to the
+reducer's own form, which ``add_pivot`` stores and ``scalars`` reads back.
+``BitReducer`` holds ``int`` bitsets (bit r set for an entry on row r), so
+the pivot row is a ``bit_length`` and an elimination one XOR (the column
+representation of PHAT, Bauer, Kerber, Reininghaus & Wagner, JSC 2017, and
+of Ripser, Bauer, JACT 2021); ``SignReducer`` holds a ±1 column as two,
+one per sign, and goes on with any other column through the step of
+:class:`ColumnReducer`, the one reduction code the two share.  ``rank``,
 ``kernel`` and the direct page engine stay on the list kernel on purpose:
 ``verify`` compares the barcode's page table with the direct engine's and
 the homology ranks, so over GF(2) and Q the two sides share no reduction
@@ -34,21 +33,17 @@ its highest entry on a pivot row and clears it, until there is none.  The
 field decides only that clearing step, through a flag the reducer sets
 once, from the field.  Over GF(p) the step is :func:`axpy` on canonical
 residues: they are already small ints, so there is no ``Fraction`` cost to
-remove, and ``perfbench`` traces and counts the field calls made there.  Over Q columns are primitive
-integer vectors and the step is :func:`_int_eliminate`, ``col <- a*col -
-b*pivot`` with ``a/b`` the pivot's lead over the hit entry in lowest terms,
-then divided by their content, so no ``Fraction`` is made while reducing.
-Because the elimination is exhaustive, every reduced column is the
-Fraction one up to a nonzero scalar; :meth:`ColumnReducer.scalars` turns a
-column back into field scalars with a unit lead where a caller reads it.
-The rest of the column code that depends on the field is here too:
-:func:`canonical`, for the text reader and ``from_named``, and
-:func:`nonzero_composites`, the d∘d sum of ``complexes``.  Over GF(2) that
-sum XORs bitsets.  Over Q it picks its path from the entries it is given.
-When all of them are whole, as in every text ``rips`` writes, however the
-complex was built, it sums their numerators as the GF(p) sum does its
-residues.  Otherwise it works in the integer columns made by
-:func:`integral`.
+remove, and ``perfbench`` traces and counts the field calls made there.
+Over Q columns are primitive integer vectors and the step is
+:func:`_int_eliminate`, ``col <- a*col - b*pivot`` with ``a/b`` the pivot's
+lead over the hit entry in lowest terms, then divided by their content, so
+no ``Fraction`` is made while reducing.  Because the elimination is
+exhaustive, every reduced column is the Fraction one up to a nonzero
+scalar; :meth:`ColumnReducer.scalars` turns a column back into field
+scalars with a unit lead where a caller reads it.  The rest of the column
+code that depends on the field is here too: :func:`canonical`, for the
+text reader and ``from_named``, and :func:`nonzero_composites`, the d∘d
+sum of ``complexes``, whose docstring says how each field sums it.
 """
 from __future__ import annotations
 
@@ -318,21 +313,22 @@ class ColumnReducer:
 
 
 class BitReducer:
-    """:class:`ColumnReducer` over GF(2), on columns held as ``int`` bitsets.
+    """:class:`ColumnReducer` over GF(2), with columns held as ``int`` bitsets.
 
-    Bit r of a column is set when it has an entry on row r, so a column's
-    last row is its ``bit_length() - 1``.  ``reduce`` finds the highest entry
-    on a pivot row as the top bit of the column and the mask of pivot rows,
-    and clears it by XOR with that row's pivot; a stored pivot is its own
-    unit-lead scalar column.  :meth:`scalars` gives the ``(row, 1)`` list.
+    ``reduce`` takes a sorted ``(row, 1)`` list, as the other reducers do, and
+    converts it with :func:`bitset`.  It finds the highest entry on a pivot
+    row as the top bit of the column and the mask of pivot rows, and clears
+    it by XOR with that row's pivot; a stored pivot is its own unit-lead
+    scalar column.  :meth:`scalars` gives a bitset's ``(row, 1)`` list.
     """
 
     def __init__(self):
         self.pivots: dict[int, int] = {}
         self._mask = 0  # bit r set when row r is a pivot row
 
-    def reduce(self, col: int) -> int:
-        """Clear every bit of ``col`` on a pivot row."""
+    def reduce(self, col: SparseColumn) -> int:
+        """Clear every entry of ``col`` on a pivot row; the result is a bitset."""
+        col = bitset(col)
         pivots, mask = self.pivots, self._mask
         above = col.bit_length()  # each row hit lies strictly below the one hit before it
         hit = col & mask

@@ -30,20 +30,13 @@ one order serves as the columns of d_n and the rows of d_(n+1).  Where the
 ids already run in it, as in every complex ``serialize_complex`` or the
 ``rips`` command writes once read back, the stored columns are reduced as
 they are, with no reindexed copy; otherwise each column is reindexed
-through a position list.  Which generators are paired is one bytearray of
-flags per degree, and the barcode is counted on plain tuples, so one
-``BarEntry`` is made per distinct bar.
+through a position list and sorted.  Which generators are paired is one
+bytearray of flags per degree, and the barcode is counted on plain
+tuples, so one ``BarEntry`` is made per distinct bar.
 
-Over GF(2) the columns are reduced as ``int`` bitsets by
-:class:`~spectra_persist.linalg.BitReducer`, with the same bound.  A
-stored column is converted only once the bound has not skipped it, and a
-reindexed one is OR-ed into its bits, which needs no sort.  Over Q they
-are reduced by :class:`~spectra_persist.signs.SignReducer`, which holds
-a column of ``int`` ±1 entries, as every simplicial boundary is, as two
-bitsets, and any other column as a primitive integer list.  The direct
-page engine and the homology ranks keep the list reducer, so over GF(2)
-and Q ``verify`` checks this pairing with reduction code it does not
-share, but for the rare list step over Q (see ``linalg``).
+Every field runs that one column path, and only the reducer differs (see
+``linalg``): each one's ``reduce`` takes the sorted ``(row, coeff)`` list and
+converts it to its own form, so a column the bound skips is never converted.
 
 ``BarEntry``, ``Pair`` and ``Pairing`` are ``NamedTuple`` records; a
 ``BarEntry`` checks its lifetime however it is made.
@@ -58,7 +51,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 from .complexes import FilteredChainComplex, Generator
 from .errors import UsageError, shorten
 from .fields import RationalField, checked
-from .linalg import BitReducer, ColumnReducer, SparseColumn, bitset
+from .linalg import BitReducer, ColumnReducer, SparseColumn
 
 if TYPE_CHECKING:
     from .signs import SignReducer
@@ -127,11 +120,9 @@ class Pair(NamedTuple):
 
     `cycle` is the reduced boundary of `death` (unit coefficient at the
     birth generator's row), written over the generators one degree below.
-    No command reads it, so a pair keeps the reducer's stored column and
-    builds a new `cycle` list, in field scalars, each time it is read.
-    Over GF(2) that stored `pivot` is an ``int`` bitset, over Q the
-    ``(pos, neg)`` bitsets of a ±1 column or a primitive integer list, over
-    any other field a column list.
+    No command reads it, so a pair keeps `pivot` in the form `reducer`
+    stored it, and `reducer.scalars` builds a new `cycle` list, in field
+    scalars, each time it is read.
     """
     death: Generator
     birth: Generator
@@ -169,7 +160,6 @@ def decompose(c: FilteredChainComplex) -> tuple[Pairing, Barcode]:
     over_q = isinstance(field, RationalField)
     if over_q:
         from .signs import SignReducer  # only this field runs it (see its module)
-    bitwise = not over_q and field.p == 2
     # one order per degree: the columns of d_n and the rows of d_(n+1)
     orders = {n: _level_order(c.gens(n)) for n in c.degrees()}
     # paired[n][gid] is 1 once generator gid of degree n is paired
@@ -189,20 +179,16 @@ def decompose(c: FilteredChainComplex) -> tuple[Pairing, Barcode]:
             position = [0] * len(rows)
             for k, gid in enumerate(rows):
                 position[gid] = k
-        reducer = SignReducer() if over_q else BitReducer() if bitwise else ColumnReducer(field)
+        reducer = SignReducer() if over_q else BitReducer() if field.p == 2 else ColumnReducer(field)
         open_row = 0  # first row still an essential candidate (module docstring)
         for gid in order:
             col = columns[gid]
-            if position is not None:  # a bitset needs its rows in no order
-                col = [(position[r], v) for r, v in col]
-                col = bitset(col) if bitwise else sorted(col)
+            if position is not None:
+                col = sorted([(position[r], v) for r, v in col])
             while open_row < len(rows) and closed[rows[open_row]]:
                 open_row += 1
-            last = col.bit_length() - 1 if type(col) is int else col[-1][0] if col else -1
-            if last < open_row:
+            if not col or col[-1][0] < open_row:
                 continue  # reduces to zero: the generator stays an essential candidate
-            if bitwise and position is None:
-                col = bitset(col)  # only now: most columns of the top degree are skipped
             col = reducer.reduce(col)
             if not col:
                 continue  # the generator stays an essential candidate

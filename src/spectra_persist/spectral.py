@@ -97,7 +97,7 @@ class PageTable:
         for pages in cells.values():
             for r in [r for r in pages if r < r_max]:
                 pages.setdefault(r + 1, 0)
-        self._store({key: sorted(pages.items()) for key, pages in cells.items()})
+        self._store(_check_ints({key: sorted(pages.items()) for key, pages in cells.items()}))
 
     @classmethod
     def _of_depth(cls, r_max: int) -> "PageTable":
@@ -107,19 +107,13 @@ class PageTable:
         return table
 
     def _store(self, steps: Mapping) -> "PageTable":
-        """Keep {(n, s): [(page, dim), ...]}, pages rising over 1..r_max, inf."""
+        """Keep {(n, s): [(page, dim), ...]}, pages rising over 1..r_max, inf, of
+        ints: the engines compute them, the constructor checks outside input."""
         self._runs: dict[tuple[int, int], list] = {}
         deltas: dict[int, dict] = {}  # degree -> page -> change of the row total
-        # ``type(x) is int`` spares the is_int call on plain ints; the rest go through it
         for (n, s), points in steps.items():
-            if type(n) is not int and not is_int(n) or type(s) is not int and not is_int(s):
-                raise UsageError(f"cell (n={shorten(repr(n))}, s={shorten(repr(s))}) "
-                                 "is not indexed by integers")
             runs, delta = [], deltas.setdefault(n, {})
             for r, d in points:
-                if type(d) is not int and not is_int(d):
-                    raise UsageError(f"dimension {shorten(repr(d))} at {_cell(r, n, s)} "
-                                     "is not an integer")
                 if d < 0:
                     raise UsageError(f"negative dimension at {_cell(r, n, s)}")
                 before = runs[-1][1] if runs else 0
@@ -135,7 +129,7 @@ class PageTable:
         return self
 
     def _check_r(self, r: PageIndex) -> None:
-        # as in ``_store``, a plain int in range is spared the is_int call
+        # a plain int in range is spared the is_int call
         if type(r) is int and 1 <= r <= self.r_max or r == INF:
             return
         if not is_int(r) or not 1 <= r <= self.r_max:
@@ -259,6 +253,22 @@ def _put_cell(dims: dict, key: tuple, dim, line_no: Optional[int] = None) -> Non
     if key in dims:
         raise ParseError(f"repeated page cell {_cell(*key)}", line_no)
     dims[key] = dim
+
+
+def _check_ints(steps: dict) -> dict:
+    """``steps``, refusing a cell index or dimension that is not an integer in
+    ``_store``'s order, up to the first negative dimension, which it refuses."""
+    for (n, s), points in steps.items():
+        if not is_int(n) or not is_int(s):
+            raise UsageError(f"cell (n={shorten(repr(n))}, s={shorten(repr(s))}) "
+                             "is not indexed by integers")
+        for r, d in points:
+            if not is_int(d):
+                raise UsageError(f"dimension {shorten(repr(d))} at {_cell(r, n, s)} "
+                                 "is not an integer")
+            if d < 0:
+                return steps
+    return steps
 
 
 def _check_depth(r_max) -> int:
@@ -518,13 +528,9 @@ def verify(c: FilteredChainComplex, r_max: int) -> VerifyReport:
 
     Each engine's table is built once, at r_max or at span + 1 if deeper, so
     that every bar dies within it and the barcode is recovered from the
-    direct one; page one is checked against Gr C read off ``c`` itself.
-
-    So one call builds two tables.  The round trip compares the direct table
-    with the pages of the barcode recovered from it; when that barcode is
-    ``decompose``'s, those pages are the barcode engine's table, already
-    built at the same depth, and only a barcode that differs gets a table of
-    its own."""
+    direct one; page one is checked against Gr C read off ``c`` itself.  The
+    round trip reuses the barcode engine's table (see the module docstring).
+    """
     _check_depth(r_max)
     c.ensure_valid()
     _, barcode = decompose(c)
@@ -548,7 +554,7 @@ def verify(c: FilteredChainComplex, r_max: int) -> VerifyReport:
     graded = homology_dims_by_level(c)
     bad = []
     for key in set(graded) | direct.support():
-        page, want = direct.dim(1, *key), graded.get(key, 0)
+        page, want = _at(direct._runs.get(key, ()), 1), graded.get(key, 0)
         if page != want:
             bad.append((*key, page, want))
     check("page-one-is-graded-homology", bad,

@@ -205,6 +205,39 @@ def test_field_line_is_written_once_and_checked_on_parse():
     assert parse_complex(plain, gf5).column(1, 0) == [(0, 2)]
 
 
+@pytest.mark.parametrize("gens", [
+    [Generator(0, 0, 0, "a#b")], [Generator(0, 0, 0, "a b")], [Generator(0, 0, 0, "")],
+    [Generator(0, 0, 0, "a\nb")], [Generator(0, 0, 0, "a\u2028b")],
+    [Generator(0, 0, 0, "x"), Generator(1, 0, 0, "x")],
+    # a name equal to the default label of an unnamed generator
+    [Generator(0, 0, 0, "g0_1"), Generator(1, 0, 0)],
+], ids=["hash", "blank", "empty", "newline", "line-separator", "repeat", "default-label"])
+def test_serialize_complex_refuses_labels_the_reader_cannot_read_back(gens):
+    c = FilteredChainComplex(Q, {0: gens}, {0: [[] for _ in gens]})
+    label = gens[-1].label()
+    with pytest.raises(UsageError) as err:
+        serialize_complex(c)
+    assert str(err.value) == f"cannot write label {label!r}: not a unique token free of #"
+    # each is a label the reader refuses or reads as another
+    with pytest.raises(ParseError):
+        parse_complex("\n".join(f"gen {g.label()} 0 0" for g in gens), Q)
+
+
+def test_serialize_complex_refuses_comments_with_line_breaks_and_quotes_labels_short():
+    c = FilteredChainComplex.from_named(Q, [("a", 0, 0)])
+    for comment in ("two\nlines", "two\rlines", "two\r\nlines"):
+        with pytest.raises(UsageError, match=r"^cannot write comment .*: it holds a line break$"):
+            serialize_complex(c, ["fine", comment])
+    text = serialize_complex(c, ["tab\tand # and \u2028 stay"])
+    assert text.startswith("# tab\tand") and serialize_complex(parse_complex(text, Q)) == (
+        serialize_complex(c))
+    long = FilteredChainComplex.from_named(Q, [("x" * 100 + " y", 0, 0)])
+    with pytest.raises(UsageError) as err:
+        serialize_complex(long)
+    assert str(err.value) == (f"cannot write label {'x' * 40 + '… (102 characters)'!r}: "
+                              "not a unique token free of #")
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 25),
        field=st.sampled_from([PrimeField(2), PrimeField(5), Q]))

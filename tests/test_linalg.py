@@ -234,8 +234,8 @@ def test_canonical_sums_like_a_dict(seed, field):
 
 def test_bit_reducer_matches_the_list_reducer_over_gf2():
     # fresh columns, zero columns, repeats and sums of earlier columns, on up
-    # to 150 rows (past one machine word): both reducers leave the same
-    # column, record the same pivot rows and hold the same pivots
+    # to 150 rows (past one machine word): given the same list, both reducers
+    # leave the same column, record the same pivot rows and hold the same pivots
     rng = random.Random(13)
     outcomes = Counter()
     for trial in range(150):
@@ -255,8 +255,8 @@ def test_bit_reducer_matches_the_list_reducer_over_gf2():
                 for earlier in rng.sample(seen, rng.randint(1, len(seen))):
                     rows ^= earlier
             seen.append(rows)
-            col = lists.reduce([(r, 1) for r in sorted(rows)])
-            x = bits.reduce(sum(1 << r for r in rows))
+            given = [(r, 1) for r in sorted(rows)]
+            col, x = lists.reduce(given), bits.reduce(given)
             assert type(x) is int and BitReducer.scalars(x) == col, trial
             outcomes[kind, bool(col)] += 1
             if col:
@@ -349,7 +349,7 @@ def test_a_pivot_that_does_not_clear_its_row_raises():
     signs.pivots[1], signs._mask = (0b101, 0), 0b010
     empty.pivots[1], empty._mask = (0, 0), 0b010  # its step never meets a +-2
     mixed.pivots[1], mixed._mask = [(0, 2), (2, 1)], 0b010  # the list path's step
-    for reducer, col in ((lists, [(1, 1)]), (bits, 0b010), (signs, [(1, 1)]),
+    for reducer, col in ((lists, [(1, 1)]), (bits, [(1, 1)]), (signs, [(1, 1)]),
                          (signs, [(1, -1)]), (empty, [(1, 1)]), (mixed, [(1, 1)]),
                          (mixed, [(1, Fraction(1, 2))])):
         with pytest.raises(RuntimeError, match="stored pivot is broken"):

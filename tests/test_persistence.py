@@ -3,6 +3,7 @@ import time
 from collections import Counter
 from copy import copy
 from fractions import Fraction
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -432,6 +433,31 @@ def test_both_engines_pair_as_the_pairing_lemma_says():
         assert sorted(_coboundary_pairs(c)) == want, k
         cancelled += sum(p.cancelled for p in pairs)
     assert cancelled
+
+
+@pytest.mark.parametrize("field", corpus_fields(), ids=str)
+def test_every_reducer_takes_a_sorted_list_from_decompose(monkeypatch, field):
+    # a rips complex read back from text runs its stored rows, a shuffled copy
+    # is reindexed; either way, over every field, decompose hands each reducer
+    # a (row, coeff) list with strictly increasing rows
+    given = []
+    for cls in (ColumnReducer, BitReducer, SignReducer):
+        def recorded(self, col, reduce=cls.reduce):
+            given.append(col)
+            return reduce(self, col)
+
+        monkeypatch.setattr(cls, "reduce", recorded)
+    rng = random.Random(8)
+    cloud = PointCloud.from_points([(rng.random(), rng.random()) for _ in range(14)])
+    text = parse_complex(serialize_simplicial(rips(cloud, 2, 0.45), field), field)
+    paths = []
+    for c in (text, permute_generators(rng, text)):
+        del given[:]
+        pairs = decompose(c)[0].pairs
+        paths.append({type(p.rows) for p in pairs})
+        assert given and all(type(col) is list and col for col in given)
+        assert all(a < b for col in given for (a, _), (b, _) in pairwise(col))
+    assert paths[0] == {range} and list in paths[1]
 
 
 # -- over GF(2) decompose reduces bitsets; the page engine keeps the lists ----

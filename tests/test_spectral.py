@@ -646,6 +646,11 @@ def test_page_table_rejects_non_integer_cells():
             PageTable(3, {(1, 0, 0): d})
     with pytest.raises(UsageError, match=r"^negative dimension at \(r=2, n=0, s=0\)$"):
         PageTable(3, {(2, 0, 0): -1})
+    # the first bad cell, in the table's order of cells and pages, is the one named
+    with pytest.raises(UsageError, match=r"^negative dimension at \(r=1, n=0, s=0\)$"):
+        PageTable(3, {(2, 0, 0): 1.5, (1, 0, 0): -1, (1, 0, 1): 1.5})
+    with pytest.raises(UsageError, match=r"^dimension 1.5 at \(r=1, n=0, s=1\) is not"):
+        PageTable(3, {(1, 0, 1): 1.5, (1, 0, 0): -1})
     with pytest.raises(UsageError):
         PageTable(3, {(True, 0, 0): 1})
     with pytest.raises(UsageError):
