@@ -66,6 +66,9 @@ def _load_complex(args) -> FilteredChainComplex:
 # text, because argparse's int also takes '1_0' and non-ASCII digits
 _INT_OPTIONS = {"r_max": 1, "random": 0, "seed": None, "s_min": None, "max_dim": None,
                "n": None, "i": None, "j": None}
+# the most generators --random builds: random_complex's time grows faster than
+# linearly in them, about 1 s at 10,000 and 5-6 s at 30,000 on a 2-vCPU Xeon VM
+RANDOM_MAX = 50_000
 
 
 def _parse_int_options(args) -> None:
@@ -80,6 +83,8 @@ def _parse_int_options(args) -> None:
             raise UsageError(f"{flag} must be an integer, got {shorten(text)!r}") from None
         if least is not None and value < least:
             raise UsageError(f"{flag} must be >= {least}")
+        if dest == "random" and value > RANDOM_MAX:
+            raise UsageError(f"--random must be <= {RANDOM_MAX}")
         setattr(args, dest, value)
 
 
@@ -400,6 +405,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # only where the allocator refuses: an OOM kill ends the process
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

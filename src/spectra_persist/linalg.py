@@ -17,21 +17,22 @@ reducer's own form, which ``add_pivot`` stores and ``scalars`` reads back.
 ``BitReducer`` holds ``int`` bitsets (bit r set for an entry on row r), so
 the pivot row is a ``bit_length`` and an elimination one XOR (the column
 representation of PHAT, Bauer, Kerber, Reininghaus & Wagner, JSC 2017, and
-of Ripser, Bauer, JACT 2021); ``SignReducer`` holds a ±1 column as two,
-one per sign, and goes on with any other column through the step of
-:class:`ColumnReducer`, the one reduction code the two share.  ``rank``,
+of Ripser, Bauer, JACT 2021); ``SignReducer`` is a :class:`ColumnReducer`
+over Q that holds a ±1 column as two, one per sign.  ``rank``,
 ``kernel`` and the direct page engine stay on the list kernel on purpose:
 ``verify`` compares the barcode's page table with the direct engine's and
-the homology ranks, so over GF(2) and Q the two sides share no reduction
-loop, and a bug in either reducer shows as a failed check instead of
-bending both tables alike.  All three reducers raise on a step that does
-not move down a row, so a broken pivot fails at once instead of looping.
+the homology ranks.  Over GF(2) the two sides share no reduction code, and
+over Q only the list loop a rare column falls back to, so a bug in either
+reducer shows as a failed check instead of bending both tables alike.  All
+three reducers raise on a step that does not move down a row, so a broken
+pivot fails at once instead of looping.
 
-In :class:`ColumnReducer` one loop, :meth:`~ColumnReducer.reduce`, does
-every elimination, for every field: it scans the column from the top for
-its highest entry on a pivot row and clears it, until there is none.  The
-field decides only that clearing step, through a flag the reducer sets
-once, from the field.  Over GF(p) the step is :func:`axpy` on canonical
+One loop, ``ColumnReducer._reduce``, does every elimination on a list
+column, for every field, ``SignReducer``'s lists included: it scans the
+column from the top for its highest entry on a pivot row and clears it,
+until there is none.  The field decides only that clearing step,
+``_step``, which ``__init__`` sets once: it is the one slot where a field's
+kernel plugs in.  Over GF(p) the step is :func:`axpy` on canonical
 residues: they are already small ints, so there is no ``Fraction`` cost to
 remove, and ``perfbench`` traces and counts the field calls made there.
 Over Q columns are primitive integer vectors and the step is
@@ -266,12 +267,19 @@ class ColumnReducer:
         self.pivots: dict[int, SparseColumn] = {}
         self._integral = isinstance(field, RationalField)
 
+        def step(col, v, pivot):  # axpy by its global name, which perfbench's tracer wraps
+            return axpy(field, col, field.neg(v), pivot)
+        self._step = _int_eliminate if self._integral else step  # the field's kernel
+
     def reduce(self, col: SparseColumn) -> SparseColumn:
         """Eliminate every entry of ``col`` on a pivot row (over Q, as integers)."""
-        field, pivots, over_q = self.field, self.pivots, self._integral
-        if over_q:
+        if self._integral:
             col = _primitive(integral(col)[1])
-        above = inf  # each row hit lies strictly below the one hit before it
+        return self._reduce(col, inf)
+
+    def _reduce(self, col: SparseColumn, above) -> SparseColumn:
+        """The one loop: ``_step`` clears each hit, strictly below row ``above``."""
+        pivots, step = self.pivots, self._step
         while col:
             for idx in range(len(col) - 1, -1, -1):
                 r, v = col[idx]
@@ -282,10 +290,7 @@ class ColumnReducer:
             if r >= above:
                 raise _stuck(r)
             above = r
-            if over_q:
-                col = _int_eliminate(col, v, pivots[r])
-            else:
-                col = axpy(field, col, field.neg(v), pivots[r])
+            col = step(col, v, pivots[r])
         return col
 
     def add_pivot(self, col: SparseColumn) -> int:
@@ -309,7 +314,10 @@ class ColumnReducer:
         ones callers read (stored pivots, kernel vectors) already lead with
         one, so they are returned as they are.
         """
-        return _unit_lead(col) if self._integral else col
+        if not self._integral:
+            return col
+        lead, fraction = col[-1][1], type(RationalField.one)  # Q's one is a Fraction
+        return [(r, fraction(v, lead)) for r, v in col]
 
 
 class BitReducer:
@@ -352,12 +360,6 @@ class BitReducer:
     def scalars(col: int) -> SparseColumn:
         """A bitset as a ``(row, 1)`` column, rows increasing."""
         return [(r, 1) for r, bit in enumerate(bin(col)[:1:-1]) if bit == "1"]
-
-
-def _unit_lead(col: list) -> SparseColumn:
-    """An integer column as ``Fraction``s, divided by its lead."""
-    lead, fraction = col[-1][1], type(RationalField.one)  # Q's one is a Fraction
-    return [(r, fraction(v, lead)) for r, v in col]
 
 
 def rank(m: SparseMatrix, field: FieldSpec) -> int:

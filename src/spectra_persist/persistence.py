@@ -46,15 +46,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import pairwise
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .complexes import FilteredChainComplex, Generator
 from .errors import UsageError, shorten
 from .fields import RationalField, checked
 from .linalg import BitReducer, ColumnReducer, SparseColumn
-
-if TYPE_CHECKING:
-    from .signs import SignReducer
 
 INF = math.inf
 
@@ -129,7 +126,7 @@ class Pair(NamedTuple):
     lifetime: int
     pivot: Union[SparseColumn, int, tuple]  # as stored by `reducer`, over positions in `rows`
     rows: Sequence[int]      # position -> gid, one degree below
-    reducer: Union[ColumnReducer, BitReducer, SignReducer]
+    reducer: Union[ColumnReducer, BitReducer]
 
     @property
     def cycle(self) -> SparseColumn:

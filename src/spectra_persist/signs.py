@@ -4,8 +4,9 @@ Every simplicial boundary has ``int`` ±1 entries, and reducing such
 columns mostly leaves them so.  :class:`SignReducer` holds each as the
 bitsets of its rows at 1 and at -1, so finding a pivot row and eliminating
 take a few ``int`` operations, as :class:`~spectra_persist.linalg.BitReducer`
-does over GF(2).  Any other column goes on as a primitive integer list
-through the elimination step of :class:`~spectra_persist.linalg.ColumnReducer`.
+does over GF(2).  It is a :class:`~spectra_persist.linalg.ColumnReducer`
+over Q, so any other column goes on as a primitive integer list through
+that reducer's one loop, with a step that reads a sign pivot as a list.
 
 Only ``decompose`` over Q imports this module, so a process over GF(p)
 compiles none of it, and a Q process compiles it after its input is read.
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 from math import inf
 
-from .linalg import (BitReducer, SparseColumn, _int_eliminate, _primitive, _stuck, _unit_lead,
+from .fields import RationalField
+from .linalg import (BitReducer, ColumnReducer, SparseColumn, _int_eliminate, _primitive, _stuck,
                      integral)
 
 
@@ -41,27 +43,34 @@ def _sign_list(pos: int, neg: int) -> list:
     return sorted(BitReducer.scalars(pos) + [(r, -1) for r, _ in BitReducer.scalars(neg)])
 
 
-class SignReducer:
+def _sign_step(col: list, v: int, pivot) -> list:
+    """``_int_eliminate`` on a pivot stored as sign bitsets or as a list."""
+    return _int_eliminate(col, v, pivot if type(pivot) is list else _sign_list(*pivot))
+
+
+class SignReducer(ColumnReducer):
     """``ColumnReducer`` over Q, with each ``int`` ±1 column held as the
     bitsets ``(pos, neg)`` of its rows at 1 and at -1.
 
     Stored pivots lead with 1, so the step on a column hitting row r is
     ``col ∓ pivots[r]`` in bit operations, found and checked as in
-    ``BitReducer``.  A step that would put ±2 on a row, a pivot that is not
-    a sign column, and a column that is not one on arrival go on as
-    primitive integer lists through ``_int_eliminate``, as in
-    ``ColumnReducer``; :meth:`scalars` reads either form.
+    ``BitReducer``.  A column that is not a sign column on arrival, or that
+    meets a step putting ±2 on a row or a pivot that is not a sign column,
+    goes on as a primitive integer list through ``ColumnReducer``'s loop,
+    whose step here reads a sign pivot as a list; :meth:`scalars` reads
+    either form.
     """
 
     def __init__(self):
-        self.pivots: dict = {}  # row -> (pos, neg), or a primitive integer list
+        super().__init__(RationalField())
+        self._step = _sign_step
         self._mask = 0  # bit r set when row r is a pivot row
 
     def reduce(self, col: SparseColumn):
         """Eliminate every entry of ``col`` on a pivot row; ``[]`` when none is left."""
         signs = _signs(col)
         if signs is None:
-            return self._reduce_list(_primitive(integral(col)[1]), inf)
+            return self._reduce(_primitive(integral(col)[1]), inf)
         pos, neg = signs
         pivots, mask = self.pivots, self._mask
         above = (pos | neg).bit_length()  # each row hit lies strictly below the one before
@@ -74,30 +83,13 @@ class SignReducer:
             if neg >> row & 1:
                 pos, neg = neg, pos  # -col leads with 1 on row too
             if type(pivot) is list or pos & pivot[1] or neg & pivot[0]:
-                return self._reduce_list(_sign_list(pos, neg), above)
+                return self._reduce(_sign_list(pos, neg), above)
             ppos, pneg = pivot
             cut = pos & ppos | neg & pneg  # the rows where col - pivot cancels
             pos, neg = (pos | pneg) ^ cut, (neg | ppos) ^ cut
             above = row
             hit = (pos | neg) & mask
         return (pos, neg) if pos | neg else []
-
-    def _reduce_list(self, col: list, above) -> list:
-        """:meth:`reduce` on a primitive integer column, below row ``above``."""
-        pivots = self.pivots
-        while col:
-            for idx in range(len(col) - 1, -1, -1):
-                r, v = col[idx]
-                if r in pivots:
-                    break
-            else:
-                return col
-            if r >= above:
-                raise _stuck(r)
-            above = r
-            pivot = pivots[r]
-            col = _int_eliminate(col, v, pivot if type(pivot) is list else _sign_list(*pivot))
-        return col
 
     def add_pivot(self, col) -> int:
         """Record a reduced, nonzero column, with a lead of 1 (a sign column
@@ -117,7 +109,6 @@ class SignReducer:
         self._mask |= 1 << row
         return row
 
-    @staticmethod
-    def scalars(col) -> SparseColumn:
+    def scalars(self, col) -> SparseColumn:
         """A stored pivot or reduced column in ``Fraction``s, with a unit lead."""
-        return _unit_lead(_sign_list(*col) if type(col) is tuple else col)
+        return super().scalars(_sign_list(*col) if type(col) is tuple else col)

@@ -234,6 +234,31 @@ def test_an_input_path_with_random_is_a_usage_error(capsys, monkeypatch, command
     assert (code, err) == (0, "") and out
 
 
+def test_random_is_capped_before_a_complex_is_built(capsys, monkeypatch):
+    # one past the cap is a usage error naming it; at the cap a stub stands in
+    # for random_complex, so no complex of that size is built
+    from spectra_persist import randomgen
+
+    build = randomgen.random_complex
+    monkeypatch.setattr(randomgen, "random_complex", lambda *args: pytest.fail("built"))
+    for command in ("barcode", "pages", "verify"):
+        assert run(capsys, command, "--random", cli.RANDOM_MAX + 1) == (
+            2, "", f"error: --random must be <= {cli.RANDOM_MAX}\n")
+    asked = []
+    monkeypatch.setattr(randomgen, "random_complex", lambda rng, n, field: (
+        asked.append(n) or build(rng, 3, field)))
+    code, out, err = run(capsys, "barcode", "--random", cli.RANDOM_MAX)
+    assert (code, err, asked) == (0, "", [cli.RANDOM_MAX]) and out
+
+
+def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_load_complex", exhausted)
+    assert run(capsys, "barcode", FIXTURES / "triangle.fcc") == (1, "", "error: out of memory\n")
+
+
 @pytest.mark.parametrize("command, name, text, message", [
     ("barcode", "f.fcc", "gen a 0 0\x0c\ngen b 0\u20280\ngen a 0 1\n",
      "duplicate generator 'a'"),

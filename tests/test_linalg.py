@@ -274,9 +274,9 @@ def test_sign_reducer_matches_the_list_reducer_over_q(monkeypatch):
     # same pivot rows and hold the same pivots; sign columns that meet a step
     # putting +-2 on a row go on as lists
     switched = []
-    reduce_list = SignReducer._reduce_list
-    monkeypatch.setattr(SignReducer, "_reduce_list", lambda self, col, above: (
-        switched.append(above != inf) or reduce_list(self, col, above)))
+    loop = ColumnReducer._reduce
+    monkeypatch.setattr(ColumnReducer, "_reduce", lambda self, col, above: (
+        type(self) is SignReducer and switched.append(above != inf) or loop(self, col, above)))
     rng = random.Random(17)
     outcomes = Counter()
     for trial in range(150):
@@ -329,14 +329,75 @@ def test_sign_reducer_matches_the_list_reducer_over_q(monkeypatch):
 def test_a_sign_step_adds_or_subtracts_the_pivot_by_the_sign_it_hits(monkeypatch):
     # the pivot of (0, 1), (2, -1) is stored as its negative, leading with 1;
     # columns hitting row 2 at 1 or at -1 then meet no +-2, so neither leaves
-    # the sign path
-    monkeypatch.setattr(SignReducer, "_reduce_list", None)
+    # the sign path for the list loop
+    monkeypatch.setattr(ColumnReducer, "_reduce", None)
     signs = SignReducer()
     assert signs.add_pivot(signs.reduce([(0, 1), (2, -1)])) == 2
     assert signs.pivots[2] == (0b100, 0b001)
     assert signs.reduce([(1, 1), (2, 1)]) == (0b011, 0)
     assert signs.reduce([(1, 1), (2, -1)]) == (0b001, 0b010)  # -(col + pivot)
     assert signs.reduce([(0, -1), (2, 1)]) == signs.reduce([(0, 1), (2, -1)]) == []
+
+
+@pytest.mark.parametrize("field", [GF2, PrimeField(5), Q], ids=str)
+def test_every_list_step_runs_in_the_one_loop_through_its_fields_step(monkeypatch, field):
+    # ColumnReducer on GF(2) lists, over GF(5) and over Q, and SignReducer's
+    # list fallback over Q: each elimination is an axpy over GF(p) and an
+    # _int_eliminate over Q, made inside ColumnReducer._reduce, once per
+    # ColumnReducer.reduce and once per fallback
+    inside, steps, loops = [], Counter(), Counter()
+    loop = ColumnReducer._reduce
+
+    def counted_loop(self, col, above):
+        loops[type(self)] += 1
+        inside.append(type(self))
+        try:
+            return loop(self, col, above)
+        finally:
+            inside.pop()
+
+    def counted(name, fn):
+        def step(*args):
+            assert inside, f"{name} ran outside ColumnReducer._reduce"
+            steps[inside[-1], name] += 1
+            return fn(*args)
+        return step
+
+    monkeypatch.setattr(ColumnReducer, "_reduce", counted_loop)
+    originals = {name: getattr(linalg, name) for name in ("axpy", "_int_eliminate")}
+    for target in ("linalg.axpy", "linalg._int_eliminate", "signs._int_eliminate"):
+        name = target.split(".")[1]
+        monkeypatch.setattr(f"spectra_persist.{target}", counted(name, originals[name]))
+    rng = random.Random(str(field))
+    values = [1, -1, 1, -1, 2, Fraction(1, 3)] if field == Q else range(1, field.p)
+    reducers = [ColumnReducer(field)] + ([SignReducer()] if field == Q else [])
+    reduced = Counter()
+    for trial in range(40):
+        n_rows, seen = rng.randint(1, 40), []
+        for red in reducers:
+            red.pivots.clear()
+            if type(red) is SignReducer:
+                red._mask = 0
+        for _ in range(rng.randint(1, 20)):
+            entries = Counter({r: rng.choice(values) for r in range(n_rows) if rng.random() < 0.3})
+            for earlier in rng.sample(seen, min(len(seen), rng.randint(0, 2))):
+                entries.update({r: v * rng.choice(values) for r, v in earlier.items()})
+            entries = {r: v if field == Q else v % field.p for r, v in entries.items()}
+            entries = {r: v for r, v in entries.items() if v}
+            seen.append(entries)
+            for red in reducers:
+                col = red.reduce(sorted(entries.items()))
+                reduced[type(red)] += 1
+                if col:
+                    red.add_pivot(col)
+    step = "_int_eliminate" if field == Q else "axpy"
+    assert loops[ColumnReducer] == reduced[ColumnReducer]
+    assert set(steps) == {(type(red), step) for red in reducers}, steps
+    assert all(n > 20 for n in steps.values()), steps
+    if field == Q:
+        # the sign path clears some rows with bit operations, none twice
+        assert 0 < loops[SignReducer] < reduced[SignReducer]
+        assert steps[SignReducer, step] < steps[ColumnReducer, step]
 
 
 def test_a_pivot_that_does_not_clear_its_row_raises():

@@ -495,9 +495,9 @@ def test_q_decompose_pairs_as_the_coboundary_engine_on_rips_complexes(monkeypatc
     rng = random.Random(5)
     run = _count_reduce_calls(monkeypatch)
     switched = []
-    reduce_list = SignReducer._reduce_list
-    monkeypatch.setattr(SignReducer, "_reduce_list", lambda self, col, above: (
-        switched.append(above) or reduce_list(self, col, above)))
+    loop = ColumnReducer._reduce
+    monkeypatch.setattr(ColumnReducer, "_reduce", lambda self, col, above: (
+        type(self) is SignReducer and switched.append(above) or loop(self, col, above)))
     cases = [_grid_rips(4, 5, Q)]
     for points, threshold in ((14, 0.45), (50, 0.25)):
         cloud = PointCloud.from_points([(rng.random(), rng.random()) for _ in range(points)])
