@@ -33,6 +33,8 @@ JSON_FORMAT = "spectra-persist/1"
 def _read_text(path: str) -> str:
     try:
         if path == "-":
+            if sys.stdin is None:  # the process was started with stdin closed
+                raise ParseError("cannot read -: standard input is closed")
             return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -67,7 +69,8 @@ def _load_complex(args) -> FilteredChainComplex:
 _INT_OPTIONS = {"r_max": 1, "random": 0, "seed": None, "s_min": None, "max_dim": None,
                "n": None, "i": None, "j": None}
 # the most generators --random builds: random_complex's time grows faster than
-# linearly in them, about 1 s at 10,000 and 5-6 s at 30,000 on a 2-vCPU Xeon VM
+# linearly in them, about 0.5-0.8 s at 10,000 and 2.5-3.5 s at 30,000 (GF(2)-Q)
+# on a 2-vCPU Xeon VM
 RANDOM_MAX = 50_000
 
 
@@ -93,7 +96,7 @@ def _default_r_max(args, c: FilteredChainComplex) -> int:
 
 
 def _emit(lines) -> None:
-    """Write lines in batches as they come, so a long page table is never held whole."""
+    """Write lines in batches as they come, so a long output is never held whole."""
     lines = iter(lines)
     while batch := list(islice(lines, 4096)):
         sys.stdout.write("\n".join(batch) + "\n")
@@ -222,7 +225,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rips(args) -> int:
-    from .simplicial import _real, parse_point_cloud, rips, serialize_simplicial
+    from .simplicial import _real, _simplicial_lines, parse_point_cloud, rips
     if args.dist is not None and args.input is not None:
         raise UsageError("give either an input path or --dist, not both")
     path = args.dist if args.dist is not None else args.input
@@ -241,8 +244,8 @@ def cmd_rips(args) -> int:
     comments = [f"rips: {len(pc)} points, max_dim={args.max_dim}, "
                 f"threshold={args.threshold}"]
     comments += [f"level {k} = {v}" for k, v in enumerate(fsc.levels)]
-    # the reading stage validates the text; this one only writes it
-    sys.stdout.write(serialize_simplicial(fsc, field, comments))
+    # the reading stage validates the text; this one only writes it, as it is made
+    _emit(_simplicial_lines(fsc, field, comments))
     return 0
 
 
@@ -415,6 +418,10 @@ def entry() -> None:
     # cyclic collector would only rescan the generators, columns and tuples
     # ingest keeps alive.  main() called in-process leaves the collector on.
     gc.disable()
+    # stdin decodes as a path is read, strictly, so bytes that are not UTF-8
+    # end in _read_text's one error line (its default keeps them as surrogates)
+    if sys.stdin is not None:
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
     sys.exit(main())
 
 

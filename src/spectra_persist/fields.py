@@ -62,8 +62,17 @@ def numbered_lines(text: str):
     A line ends at ``\n``, ``\r\n`` or ``\r`` only, so the numbers are the
     ones an editor or ``wc -l`` shows: ``str.splitlines`` also breaks at a
     form feed, U+2028 and other separators a line may hold.
+
+    Each line is held once: the split list is consumed as it is read, so a
+    reader frees a line once it has read it, and holds no second copy of
+    the text beside the caller's.
     """
-    return enumerate(_newlines(text).split("\n"), start=1)
+    lines = _newlines(text).split("\n")
+    lines.reverse()
+    line_no = 0
+    while lines:
+        line_no += 1
+        yield line_no, lines.pop()
 
 
 def _newlines(text: str) -> str:

@@ -52,6 +52,10 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
     error they hold is raised before any ``bnd`` error, and keeps of each
     ``bnd`` line only its number and text; the second splits each kept line
     again and drops its tokens once its entries are appended to the column.
+    Each line is held once: :func:`~spectra_persist.fields.numbered_lines`
+    frees a line once the first pass has read it, and the second pass pops
+    each kept ``bnd`` line as it reads it, so beside the caller's text the
+    reader holds only the lines it has yet to read.
 
     The columns are built canonical: each coefficient comes from
     ``field.parse`` or ``field.add``, each row is a generator one degree
@@ -115,7 +119,9 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
     # each distinct coefficient token is parsed once; a bad one raises where first met
     coeffs: dict[str, Scalar] = {}
     zeros = False  # whether some coefficient token is zero
-    for line_no, line in pending:
+    pending.reverse()  # popped in file order, so each line is freed once read
+    while pending:
+        line_no, line = pending.pop()
         toks = line.split()
         if len(toks) < 4 or len(toks) % 2 != 0:
             raise ParseError(
@@ -144,7 +150,6 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
                     f"boundary of {shorten(source)!r} (degree {src.degree}) cannot hit "
                     f"{shorten(target)!r} (degree {tgt.degree})", line_no)
             col.append((tgt.gid, coeff))
-    del pending  # the lines are read: free them before the check below runs
     for cols in boundary.values():
         for gid, col in enumerate(cols):
             if col:

@@ -43,8 +43,11 @@ def random_complex(rng: random.Random, n_gens: int, field: FieldSpec) -> Filtere
             cycles_below = []
             cols = [[] for _ in gens]
         else:
+            # the cycles at or below each level, in kernel order, listed once
+            eligible_at = {s: [col for lvl, col in cycles_below if lvl <= s]
+                           for s in {g.filtration for g in gens}}
             for g in gens:
-                eligible = [col for lvl, col in cycles_below if lvl <= g.filtration]
+                eligible = eligible_at[g.filtration]
                 col: list = []
                 if eligible and rng.random() > ZERO_COLUMN_CHANCE:
                     picks = rng.sample(eligible, rng.randint(1, min(3, len(eligible))))

@@ -162,24 +162,36 @@ def serialize_simplicial(fsc: FilteredSimplicialComplex, field: FieldSpec,
     id within its degree is its position among them, so a face's position in
     ``fsc.simplices`` orders the faces of a ``bnd`` line by (level, id), the
     order of a column's rows.
+
+    The text is the lines of :func:`_simplicial_lines`, each held once, joined
+    with the final newline; the ``rips`` command writes those lines as they
+    are made and never holds the text.
     """
+    return "\n".join([*_simplicial_lines(fsc, field, comments), ""])
+
+
+def _simplicial_lines(fsc: FilteredSimplicialComplex, field: FieldSpec,
+                      comments: Sequence[str] = ()):
+    """The lines of ``serialize_simplicial``'s text, without line ends, made
+    one at a time.  The labels, levels and signs are all made before the
+    first line is given, so once output has begun only a write can fail."""
     level = {value: k for k, value in enumerate(fsc.levels)}
     # face i has sign (-1)**i; a simplex of over 64 vertices has over 2**64 faces
     signs = (field.format(1), field.format(-1)) * 32
-    lines = [f"# {comment}" for comment in comments]
-    lines.append(f"field {field.token()}")
     # each name is made from its last face's, which drops the last vertex
     labels: list[str] = []
     for (verts, _), faces in zip(fsc.simplices, fsc.faces):
         labels.append(f"{labels[faces[-1]]}_{verts[-1]}" if faces else f"s{verts[0]}")
-    lines += [f"gen {label} {len(verts) - 1} {level[value]}"
-              for label, (verts, value) in zip(labels, fsc.simplices)]
+    for comment in comments:
+        yield f"# {comment}"
+    yield f"field {field.token()}"
+    for label, (verts, value) in zip(labels, fsc.simplices):
+        yield f"gen {label} {len(verts) - 1} {level[value]}"
     # a simplex's faces are distinct, so the sort reads no sign
-    lines += [f"bnd {label} " + " ".join([f"{sign} {labels[f]}"
-                                          for f, sign in sorted(zip(faces, signs))])
-              for label, faces in zip(labels, fsc.faces) if faces]
-    lines.append("")  # the final newline, without a copy of the text to add it
-    return "\n".join(lines)
+    for label, faces in zip(labels, fsc.faces):
+        if faces:
+            yield f"bnd {label} " + " ".join([f"{sign} {labels[f]}"
+                                              for f, sign in sorted(zip(faces, signs))])
 
 
 # -- point clouds and the Rips filtration -------------------------------------

@@ -513,6 +513,33 @@ def test_non_utf8_input_is_a_data_error(capsys, tmp_path):
     assert_one_line_data_error(*run(capsys, "barcode", path))
 
 
+def test_stdin_refuses_the_bytes_a_path_refuses(tmp_path):
+    # the console entry point reads stdin as strict UTF-8, as it opens a path;
+    # Python's own stdin would keep the stray byte as a surrogate and exit 0
+    path = tmp_path / "bad.fcc"
+    path.write_bytes(b"gen a 0 0 # caf\xe9\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def barcode(source, stdin):
+        return subprocess.run([sys.executable, "-m", "spectra_persist.cli", "barcode", source],
+                              stdin=stdin, capture_output=True, timeout=60, env=env)
+    by_path = barcode(str(path), subprocess.DEVNULL)
+    with open(path, "rb") as fh:
+        piped = barcode("-", fh)
+    for proc, name in [(by_path, str(path)), (piped, "-")]:
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.decode() == f"error: cannot read {shorten(name)}: not UTF-8 text\n"
+
+
+def test_closed_stdin_is_one_error_line():
+    proc = subprocess.run([sys.executable, "-m", "spectra_persist.cli", "barcode", "-"],
+                          stdin=subprocess.DEVNULL, capture_output=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          preexec_fn=lambda: os.close(0))
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"error: cannot read -: standard input is closed\n"
+
+
 @pytest.mark.parametrize("command, text", [
     ("barcode", "simp nan 0\n"),
     ("barcode", "simp inf 0\n"),
