@@ -260,8 +260,10 @@ def homology_dims_by_level(c: FilteredChainComplex) -> dict[tuple[int, int], int
     level-s block's rows are the level-s generators one degree below, so its
     columns only ever meet its own pivots, and each level-s column that
     survives adds one to the rank of that block.  That rank leaves homology
-    at (n, s) and at (n-1, s).  Returns a dim for every (degree, level)
-    holding a generator; absent keys are zero.
+    at (n, s) and at (n-1, s).  An empty column, as every column of the
+    lowest degree is, cannot survive, so it is counted without being
+    reduced.  Returns a dim for every (degree, level) holding a generator;
+    absent keys are zero.
     """
     c.ensure_valid()
     dims: dict[tuple[int, int], int] = {}
@@ -270,8 +272,7 @@ def homology_dims_by_level(c: FilteredChainComplex) -> dict[tuple[int, int], int
         for g, col in zip(c.gens(n), c._graded_columns(n)):
             key = (n, g.filtration)
             dims[key] = dims.get(key, 0) + 1
-            col = reducer.reduce(col)
-            if col:
+            if col and (col := reducer.reduce(col)):
                 reducer.add_pivot(col)
                 dims[key] -= 1
                 dims[(n - 1, g.filtration)] -= 1

@@ -4,9 +4,10 @@ Columns are sorted lists of ``(row, coeff)`` with strictly increasing rows
 and no stored zeros.  Everything works column-at-a-time through a reducer
 that keeps a map from pivot row to an already-reduced column and
 eliminates every entry a column has on a pivot row.  ``rank`` counts the
-columns that survive :class:`ColumnReducer`; ``kernel`` runs it on columns
-extended by their combination vectors, so no second elimination is needed
-to track them.  It also drives the direct page engine, and the persistence
+columns that survive :class:`ColumnReducer`, passing over an empty one
+unreduced; ``kernel`` runs it on every column, extended by its combination
+vector (an empty column is a kernel vector), so no second elimination is
+needed to track them.  It also drives the direct page engine, and the persistence
 pairing over GF(p) for odd p.
 
 Over GF(2) the persistence pairing runs :class:`BitReducer` instead, and
@@ -366,8 +367,7 @@ def rank(m: SparseMatrix, field: FieldSpec) -> int:
     red = ColumnReducer(field)
     r = 0
     for col in m.columns:
-        reduced = red.reduce(col)
-        if reduced:
+        if col and (reduced := red.reduce(col)):  # an empty column adds nothing
             red.add_pivot(reduced)
             r += 1
     return r

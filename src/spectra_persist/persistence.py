@@ -180,11 +180,13 @@ def decompose(c: FilteredChainComplex) -> tuple[Pairing, Barcode]:
         open_row = 0  # first row still an essential candidate (module docstring)
         for gid in order:
             col = columns[gid]
+            if not col:
+                continue  # the generator stays an essential candidate
             if position is not None:
                 col = sorted([(position[r], v) for r, v in col])
             while open_row < len(rows) and closed[rows[open_row]]:
                 open_row += 1
-            if not col or col[-1][0] < open_row:
+            if col[-1][0] < open_row:
                 continue  # reduces to zero: the generator stays an essential candidate
             col = reducer.reduce(col)
             if not col:

@@ -281,6 +281,19 @@ def parse_point_cloud(text: str) -> PointCloud:
         raise ParseError(str(exc)) from None
 
 
+# the most simplices rips makes, over all dimensions: with no threshold, n points
+# give up to 2^n - 1 of them.  The rips process takes about 400 bytes and 4 µs
+# a simplex (30-50 planar points, --max-dim 3, on a 2-vCPU Xeon VM), so about
+# 0.4 GB and 4 s at the cap, 64 times the 15.7k simplices of perfbench's
+# largest workload
+RIPS_MAX = 1_000_000
+
+
+def _too_many(dim: int) -> UsageError:
+    return UsageError(f"the Rips complex passes {RIPS_MAX} simplices at dimension "
+                      f"{dim}; lower the max dimension or the threshold")
+
+
 def rips(pc: PointCloud, max_dim: int, threshold: Optional[float] = None) -> FilteredSimplicialComplex:
     """All simplices of dimension <= max_dim with diameter <= threshold.
 
@@ -299,6 +312,12 @@ def rips(pc: PointCloud, max_dim: int, threshold: Optional[float] = None) -> Fil
     read from a ``{v: position}`` map of that face's cofaces, kept only for
     the dimension being extended.  Each dimension is made in lexicographic
     order and sorted once, stably by diameter.
+
+    The simplices of a dimension are the candidates built for it while the
+    dimension below is made, so a running count of the simplices and of
+    those candidate lists, added to as each list is built, refuses with a
+    ``UsageError`` the first dimension that would take the complex past
+    ``RIPS_MAX`` simplices, before any of its simplices is made.
     """
     if max_dim < 0:
         raise UsageError("max_dim must be >= 0")
@@ -314,6 +333,9 @@ def rips(pc: PointCloud, max_dim: int, threshold: Optional[float] = None) -> Fil
     layer = [((u,), 0.0, u, (), [(v, row[v]) for v in range(u + 1, n) if row[v] <= bound])
              for u, row in enumerate(dist)]
     cofaces: dict[int, dict[int, int]] = {}
+    count = n + sum(len(cands) for *_, cands in layer)  # the simplices up to dimension 1
+    if max_dim and count > RIPS_MAX:
+        raise _too_many(1)
     for dim in range(1, max_dim + 1):
         extend = dim < max_dim
         # the new simplices, in lexicographic order: vertices, diameters,
@@ -329,8 +351,12 @@ def rips(pc: PointCloud, max_dim: int, threshold: Optional[float] = None) -> Fil
             maps = [cofaces[f] for f in below] if below else [range(n)]
             made_faces += zip(*[[m[v] for v in tops] for m in maps], repeat(pos))
             if extend:
-                onward += [[(w, d if d > r else r) for w, r in cands[i + 1:]
-                            if (d := dist[v][w]) <= bound] for i, v in enumerate(tops)]
+                more = [[(w, d if d > r else r) for w, r in cands[i + 1:]
+                         if (d := dist[v][w]) <= bound] for i, v in enumerate(tops)]
+                onward += more
+                count += sum(map(len, more))
+                if count > RIPS_MAX:
+                    raise _too_many(dim + 1)
         if not made:  # no simplex of this dimension, so none above it
             break
         # a stable sort by diameter keeps ties in lexicographic order

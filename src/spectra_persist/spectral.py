@@ -1,9 +1,16 @@
 """Spectral-sequence page dimensions by two independent routes.
 
-``pages_from_barcode`` expands each bar into its closed-form page
-contributions: an essential bar (n, s, inf) puts one dimension at (n, s)
-on every page; a finite bar (n, s, m) puts one dimension at (n, s) and one
-at (n+1, s+m) on pages 1..m and nothing afterwards.
+Both engines see a cell (n, s) of the table the same way: it gains some
+dimensions at page 1 and loses each again from the page on which it
+leaves, or at the limit when that page is past r_max.  So each engine only
+emits those changes, as a dict ``{(n, s, page): change}``, and one builder,
+``PageTable._store``, turns the dict into each cell's runs and each
+degree's row totals in one sorted pass.
+
+``pages_from_barcode`` emits the closed form: an essential bar (n, s, inf)
+adds its multiplicity to (n, s) at page 1 and keeps it there; a finite bar
+(n, s, m) adds it to (n, s) and to (n+1, s+m) at page 1 and takes both away
+at page m+1 (at the limit, when m >= r_max).
 
 ``pages_direct`` never looks at a barcode.  It counts the classical
 subquotient description of the pages: with
@@ -34,16 +41,19 @@ b = s and t <= s + r - 1.  So
 that is, a pair of d_n leaves the cells (n, t) and (n-1, b) from page
 t - b + 1 on (a zero-length pair from page 1).  Since d_r leaves the
 filtration once r > filtration span, the infinity row subtracts every pair.
-One reduction per degree, of the anti-transposed (coboundary) matrix, gives
-the pairs.
+So the engine emits +1 per generator at page 1 and -1 for each end of each
+pair at page t - b + 1, or at the limit when t - b >= r_max.  One reduction
+per degree, of the anti-transposed (coboundary) matrix, gives the pairs; a
+degree with no boundary entry has none and is not reduced.
 
 Each engine builds one ``PageTable``, which keeps each cell as runs over r,
 so neither the work nor the memory of building or checking one grows with
-r_max.  ``verify`` builds two tables, one per engine, and runs every check on
-those two, comparing them run by run.  Its barcode round trip needs the pages
-of the barcode recovered from the direct table: when that barcode is
-``decompose``'s, they are the barcode engine's table, and only a barcode that
-differs gets a table of its own.
+r_max: an engine emits one change per cell at page 1 and at most one per
+end of a bar or pair.  ``verify`` builds two tables, one per engine, and
+runs every check on those two, comparing them run by run.  Its barcode
+round trip needs the pages of the barcode recovered from the direct table:
+when that barcode is ``decompose``'s, they are the barcode engine's table,
+and only a barcode that differs gets a table of its own.
 """
 from __future__ import annotations
 
@@ -97,7 +107,9 @@ class PageTable:
         for pages in cells.values():
             for r in [r for r in pages if r < r_max]:
                 pages.setdefault(r + 1, 0)
-        self._store(_check_ints({key: sorted(pages.items()) for key, pages in cells.items()}))
+        steps = _check_ints({key: sorted(pages.items()) for key, pages in cells.items()})
+        self._store({(n, s, r): d - before for (n, s), points in steps.items()
+                     for (r, d), (_, before) in zip(points, [(0, 0), *points])})
 
     @classmethod
     def _of_depth(cls, r_max: int) -> "PageTable":
@@ -106,26 +118,32 @@ class PageTable:
         table.r_max = _check_depth(r_max)
         return table
 
-    def _store(self, steps: Mapping) -> "PageTable":
-        """Keep {(n, s): [(page, dim), ...]}, pages rising over 1..r_max, inf, of
-        ints: the engines compute them, the constructor checks outside input."""
+    def _store(self, deltas: Mapping) -> "PageTable":
+        """Keep the table whose dimensions start at zero and change by ``deltas``,
+        {(n, s, page): change at that page}, pages in 1..r_max and inf: the
+        engines emit them, the constructor derives them from a checked table.
+
+        One pass over the changes in (n, s, page) order builds each cell's
+        runs, skipping a zero change, and adds each change to its degree's
+        row total at that page.
+        """
         self._runs: dict[tuple[int, int], list] = {}
-        deltas: dict[int, dict] = {}  # degree -> page -> change of the row total
-        for (n, s), points in steps.items():
-            runs, delta = [], deltas.setdefault(n, {})
-            for r, d in points:
-                if d < 0:
-                    raise UsageError(f"negative dimension at {_cell(r, n, s)}")
-                before = runs[-1][1] if runs else 0
-                if d != before:
-                    runs.append((r, d))
-                    delta[r] = delta.get(r, 0) + d - before
-            if runs:
-                self._runs[(n, s)] = runs
+        changes: dict[int, dict] = {}  # degree -> page -> change of the row total
+        cell = None
+        for (n, s, r), d in sorted(deltas.items()):
+            if not d:
+                continue
+            if cell != (n, s):
+                cell, value = (n, s), 0
+                runs = self._runs[cell] = []
+                row = changes.setdefault(n, {})
+            value += d
+            runs.append((r, value))
+            row[r] = row.get(r, 0) + d
         self._rows = {}
-        for n, delta in deltas.items():
-            pages = sorted(delta)
-            self._rows[n] = list(zip(pages, accumulate(delta[r] for r in pages)))
+        for n, row in changes.items():
+            pages = sorted(row)
+            self._rows[n] = list(zip(pages, accumulate(row[r] for r in pages)))
         return self
 
     def _check_r(self, r: PageIndex) -> None:
@@ -256,8 +274,8 @@ def _put_cell(dims: dict, key: tuple, dim, line_no: Optional[int] = None) -> Non
 
 
 def _check_ints(steps: dict) -> dict:
-    """``steps``, refusing a cell index or dimension that is not an integer in
-    ``_store``'s order, up to the first negative dimension, which it refuses."""
+    """``steps``, {(n, s): [(page, dim), ...]}, refusing the first cell index
+    or dimension that is not an integer or is negative, cell by cell."""
     for (n, s), points in steps.items():
         if not is_int(n) or not is_int(s):
             raise UsageError(f"cell (n={shorten(repr(n))}, s={shorten(repr(s))}) "
@@ -267,7 +285,7 @@ def _check_ints(steps: dict) -> dict:
                 raise UsageError(f"dimension {shorten(repr(d))} at {_cell(r, n, s)} "
                                  "is not an integer")
             if d < 0:
-                return steps
+                raise UsageError(f"negative dimension at {_cell(r, n, s)}")
     return steps
 
 
@@ -327,24 +345,21 @@ def parse_page_table(text: str) -> PageTable:
 # -- engine 1: pages from the barcode ---------------------------------------
 
 def pages_from_barcode(b: Barcode, r_max: int) -> PageTable:
-    """Runs of the closed form: a bar adds its multiplicity to its birth cell
-    from page 1 on and, when finite with lifetime m, to its death cell too,
-    taking both away again after page m (at the limit, when m >= r_max)."""
+    """The closed form as changes for :meth:`PageTable._store`: a bar adds its
+    multiplicity to its birth cell at page 1 and, when finite with lifetime m,
+    to its death cell too, taking both away again at page m + 1 (at the
+    limit, when m >= r_max)."""
     table = PageTable._of_depth(r_max)
-    delta: Counter = Counter()
-    for entry, mult in b.entries():
-        n, s, m = entry.degree, entry.birth, entry.lifetime
-        delta[(n, s, 1)] += mult
-        if not entry.is_essential:
+    deltas: dict = {}
+    get = deltas.get
+    for (n, s, m), k in b._counts.items():
+        deltas[(n, s, 1)] = get((n, s, 1), 0) + k
+        if m != INF:
             end = m + 1 if m < r_max else INF
-            delta[(n, s, end)] -= mult
-            delta[(n + 1, s + m, 1)] += mult
-            delta[(n + 1, s + m, end)] -= mult
-    steps: dict[tuple[int, int], list] = {}
-    for (n, s, r), d in sorted(delta.items()):
-        runs = steps.setdefault((n, s), [])
-        runs.append((r, (runs[-1][1] if runs else 0) + d))
-    return table._store(steps)
+            deltas[(n, s, end)] = get((n, s, end), 0) - k
+            deltas[(n + 1, s + m, 1)] = get((n + 1, s + m, 1), 0) + k
+            deltas[(n + 1, s + m, end)] = get((n + 1, s + m, end), 0) - k
+    return table._store(deltas)
 
 
 # -- engine 2: pages straight from the complex -------------------------------
@@ -357,21 +372,27 @@ def _coboundary_pairs(c: FilteredChainComplex) -> Iterator[tuple[int, int, int]]
     anti-transposed (coboundary) matrix, bottom row first: row p becomes
     column n_rows-1-p and column j becomes row n_cols-1-j, which maps
     lower-left blocks to lower-left blocks and so pairs to pairs.  It is not
-    the reduction ``decompose`` runs, so the engines stay independent.
+    the reduction ``decompose`` runs, so the engines stay independent.  A
+    degree with no boundary entry has no pair, so it is neither ordered nor
+    reduced, and an empty cocolumn cannot pivot, so it is not reduced.
     """
-    orders = {n: sorted(range(len(gens)), key=lambda i: (gens[i].filtration, i))
-              for n, gens in c.generators.items()}
-    for n, order in orders.items():
-        row_order = orders.get(n - 1, [])
+    orders: dict[int, list] = {}  # degree -> its gids in (filtration, gid) order
+    for n, columns in c.boundary.items():
+        if not any(columns):
+            continue
+        for k in (n, n - 1):
+            if k not in orders:
+                gens = c.gens(k)
+                orders[k] = sorted(range(len(gens)), key=lambda i: gens[i].filtration)  # stable
+        order, row_order = orders[n], orders[n - 1]
         flip = {gid: len(row_order) - 1 - k for k, gid in enumerate(row_order)}
         cocols: list = [[] for _ in row_order]
         for i, gid in enumerate(reversed(order)):
-            for r, v in c.column(n, gid):
+            for r, v in columns[gid]:
                 cocols[flip[r]].append((i, v))
         reducer = ColumnReducer(c.field)
         for q, col in enumerate(cocols):
-            col = reducer.reduce(col)
-            if col:
+            if col and (col := reducer.reduce(col)):
                 yield n, row_order[-1 - q], order[-1 - reducer.add_pivot(col)]
 
 
@@ -379,25 +400,25 @@ def pages_direct(c: FilteredChainComplex, r_max: int) -> PageTable:
     """Page dimensions counted off the engine's own pairing, never a barcode.
 
     A pair (b, t) of d_n leaves its cells (n, t) and (n-1, b) from page
-    t - b + 1 on (see the module docstring), so each cell is its generators
-    minus the pairs that have left it: a run at page 1, one at each leave
-    page up to r_max, and the limit, which every pair has left.
+    t - b + 1 on (see the module docstring), so each generator adds one to
+    its cell at page 1, and each end of a pair takes one away at its leave
+    page, or at the limit when that is past r_max: changes for
+    :meth:`PageTable._store`.
     """
     table = PageTable._of_depth(r_max)
     c.ensure_valid()
-    gens = Counter((g.degree, g.filtration) for g in c.all_generators())
-    leaves: dict = {key: [] for key in gens}
+    deltas: dict = {}
+    get = deltas.get
+    for n, gens in c.generators.items():
+        for g in gens:
+            key = (n, g.filtration, 1)
+            deltas[key] = get(key, 0) + 1
     for n, row, col in _coboundary_pairs(c):
         b, t = c.gens(n - 1)[row].filtration, c.gens(n)[col].filtration
-        leaves[(n, t)].append(t - b + 1)
-        leaves[(n - 1, b)].append(t - b + 1)
-    steps = {}
-    for key, count in gens.items():
-        pages = sorted(leaves[key])
-        steps[key] = [*((k, count - bisect_right(pages, k))
-                        for k in sorted({1, *pages}) if k <= r_max),
-                      (INF, count - len(pages))]
-    return table._store(steps)
+        page = t - b + 1 if t - b < r_max else INF
+        for key in ((n, t, page), (n - 1, b, page)):
+            deltas[key] = get(key, 0) - 1
+    return table._store(deltas)
 
 
 # -- collapse, recovery, verification ----------------------------------------
@@ -576,11 +597,11 @@ def verify(c: FilteredChainComplex, r_max: int) -> VerifyReport:
     # a finite bar's multiplicity, multiplicity(barcode, n, s, s + m), is its own.
     essentials: Counter = Counter()
     finite: dict[int, list] = {}  # degree -> [(lifetime, multiplicity)]
-    for e, k in barcode.entries():
-        if e.birth <= top and (e.is_essential or e.birth + e.lifetime > top):
-            essentials[e.degree] += k
-        if not e.is_essential:
-            finite.setdefault(e.degree, []).append((e.lifetime, k))
+    for (n, s, m), k in barcode._counts.items():  # in no order: only sums are read
+        if s <= top and s + m > top:  # an essential bar too, as inf > top
+            essentials[n] += k
+        if m != INF:
+            finite.setdefault(n, []).append((m, k))
     bad = []
     for n in degrees:
         bars = finite.get(n, []) + finite.get(n - 1, [])

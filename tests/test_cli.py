@@ -2,6 +2,7 @@ import errno
 import gc
 import importlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -249,6 +250,24 @@ def test_random_is_capped_before_a_complex_is_built(capsys, monkeypatch):
         asked.append(n) or build(rng, 3, field)))
     code, out, err = run(capsys, "barcode", "--random", cli.RANDOM_MAX)
     assert (code, err, asked) == (0, "", [cli.RANDOM_MAX]) and out
+
+
+@pytest.mark.parametrize("max_dim, top", [(1, 1), (2, 2), (5, 5), (64, 5)])
+def test_rips_is_capped_at_a_simplex_count(capsys, monkeypatch, tmp_path, max_dim, top):
+    # with no threshold, 6 points make C(6, k + 1) simplices of dimension k;
+    # a cap of exactly their count lets the run through, and one below it
+    # refuses the top dimension before any line is written
+    path = tmp_path / "six.pts"
+    path.write_text("".join(f"pt {x} {x * x}\n" for x in range(6)), encoding="utf-8")
+    total = sum(math.comb(6, k + 1) for k in range(top + 1))
+    monkeypatch.setattr(simplicial, "RIPS_MAX", total)
+    code, out, err = run(capsys, "rips", path, "--max-dim", max_dim)
+    assert (code, err) == (0, "")
+    assert sum(line.startswith("gen ") for line in out.splitlines()) == total
+    monkeypatch.setattr(simplicial, "RIPS_MAX", total - 1)
+    assert run(capsys, "rips", path, "--max-dim", max_dim) == (
+        2, "", f"error: the Rips complex passes {total - 1} simplices at dimension {top}; "
+               "lower the max dimension or the threshold\n")
 
 
 def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch):

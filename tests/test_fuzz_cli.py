@@ -6,7 +6,8 @@ command on stdin.  Whatever the input, the command must end with exit
 code 0, 1 or 2, raise nothing, and write at most one line of at most 1000
 bytes to stderr, however long the tokens it quotes.  Integers stay small
 so that no input asks for a huge filtration span, whose page tables are
-large by design.
+large by design.  ``rips`` also gets small clouds at any ``--max-dim`` up to
+64 with no threshold, under a cap lowered so that some of them hit it.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from spectra_persist import simplicial
 from spectra_persist.cli import main
 
 # names and small integers are listed twice to draw them more often
@@ -65,6 +67,13 @@ def _run(argv, stdin):
     return code, err.getvalue()
 
 
+def assert_fails_closed(code, err):
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err
+    assert err == "" or (err.count("\n") == 1 and err.endswith("\n")), err
+    assert len(err.encode()) <= 1000
+
+
 CASES = [(command, field) for command in COMMANDS if command != "recover"
          for field in ("2", "5", "q")] + [("recover", None)]  # tables carry no field
 
@@ -77,8 +86,30 @@ def test_cli_fails_closed_on_token_soup(command, field, text):
     argv = list(COMMANDS[command])
     if field is not None:
         argv += ["--field", field]
-    code, err = _run(argv, text)
-    assert code in (0, 1, 2), (code, err)
-    assert "Traceback" not in err
-    assert err == "" or (err.count("\n") == 1 and err.endswith("\n")), err
-    assert len(err.encode()) <= 1000
+    assert_fails_closed(*_run(argv, text))
+
+
+# coordinates that mostly parse (listed twice), so that many clouds have
+# enough points to pass a low cap, and a few that do not
+VALID = ("0", "1", "2", "3", "-1", "0.5", "2.5", "1e3", "-0.25")
+COORDS = (*VALID, *VALID, "nan", "x")
+CLOUDS = st.lists(st.lists(st.sampled_from(COORDS), min_size=2, max_size=2),
+                  max_size=8).map(lambda pts: "".join(f"pt {x} {y}\n" for x, y in pts))
+
+
+def test_rips_fails_closed_at_any_max_dim():
+    # 6 points make 41 simplices up to dimension 2, so a cap of 40 refuses
+    # every cloud of 6 or more points at --max-dim 2 or above
+    outcomes = []
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(text=CLOUDS, max_dim=st.integers(0, 64))
+    def fuzz(text, max_dim):
+        code, err = _run(["rips", "-", "--max-dim", str(max_dim)], text)
+        assert_fails_closed(code, err)
+        outcomes.append("capped" if "simplices at dimension" in err else code)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplicial, "RIPS_MAX", 40)
+        fuzz()
+    assert {"capped", 0} <= set(outcomes), outcomes

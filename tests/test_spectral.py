@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -309,25 +310,26 @@ def test_pages_direct_reduces_each_degree_once(monkeypatch):
 
 
 def test_pages_direct_work_is_bounded_by_pairs_not_pages(monkeypatch):
-    # each cell gets a run at page 1, one per pair that leaves it and one at
-    # the limit; a per-page loop would hand over cells * (r_max + 1) of them
+    # the engine hands the builder one change per cell at page 1 and one per
+    # page that some pair end leaves a cell at; a per-page loop would hand
+    # over cells * (r_max + 1) of them
     rng = random.Random(25)
     pc = PointCloud.from_points([(rng.random(), rng.random()) for _ in range(14)])
     c = simplicial_to_chain(rips(pc, 2, 0.45), PrimeField(2))
     r_max = c.filtration_span + 1
     cells = len({(g.degree, g.filtration) for g in c.all_generators()})
     pairs = len(decompose(c)[0].pairs)
-    assert 0 < 2 * cells + 2 * pairs < cells * (r_max + 1)
+    assert 0 < cells + 2 * pairs < cells * (r_max + 1)
     handed = []
     store = PageTable._store
 
-    def counting_store(self, steps):
-        handed.extend(point for points in steps.values() for point in points)
-        return store(self, steps)
+    def counting_store(self, deltas):
+        handed.extend(deltas)
+        return store(self, deltas)
 
     monkeypatch.setattr(PageTable, "_store", counting_store)
     pages_direct(c, r_max)
-    assert 0 < len(handed) <= 2 * cells + 2 * pairs
+    assert 0 < len(handed) <= cells + 2 * pairs
 
 
 def test_pages_direct_truncates_to_smaller_r_max():
@@ -342,6 +344,97 @@ def test_pages_direct_truncates_to_smaller_r_max():
         for r_max in range(1, deep_r):
             cut = {(r, n, s): d for r, n, s, d in deep.cells() if r == INF or r <= r_max}
             assert pages_direct(c, r_max) == PageTable(r_max, cut), (trial, r_max)
+
+
+def assert_runs_are_canonical(t: PageTable):
+    # pages rise within 1..r_max and inf, each run changes the dimension (so
+    # no cell is all zero), and the limit has a run only where it differs
+    # from page r_max
+    for n, s in t.support():
+        steps = t.steps(n, s)
+        pages = [r for r, _ in steps]
+        assert steps and pages == sorted(set(pages)), steps
+        assert all(r == INF or 1 <= r <= t.r_max for r in pages), steps
+        assert all(d != prev for (_, d), (_, prev) in zip(steps, [(0, 0), *steps])), steps
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32), size=st.integers(0, 14),
+       field=st.sampled_from(corpus_fields()))
+def test_both_engines_give_the_dense_tables_at_every_depth(seed, size, field):
+    # each engine emits page changes, a leave page past r_max landing at the
+    # limit; at every r_max up to span + 1 both tables read as the dense
+    # four-term formula, cell by cell and row total by row total
+    c = random_complex(random.Random(seed), size, field)
+    _, b = decompose(c)
+    span = c.filtration_span
+    full = dense_pages_direct(c, span + 1)
+    degrees = {n for n, _ in full.support()} | {n + 1 for n, _ in full.support()}
+    for r_max in range(1, span + 2):
+        dense = DensePageTable(r_max, {(r, n, s): d for r, n, s, d in full.cells()
+                                       if r == INF or r <= r_max})
+        pages = [*range(1, r_max + 1), INF]
+        for t in (pages_direct(c, r_max), pages_from_barcode(b, r_max)):
+            assert t.cells() == dense.cells(), r_max
+            for n in degrees:
+                assert ([t.row_total(r, n) for r in pages]
+                        == [dense.row_total(r, n) for r in pages]), (r_max, n)
+            assert_runs_are_canonical(t)
+
+
+def watch_reducers(monkeypatch) -> tuple[list, list]:
+    """Wrap every reducer class: ``built`` gets (class, the function that
+    built it) per reducer, ``handed`` the length of each column ``reduce`` gets."""
+    from spectra_persist.linalg import BitReducer
+    from spectra_persist.signs import SignReducer
+
+    built, handed = [], []
+    for cls in (ColumnReducer, BitReducer, SignReducer):
+        def init(self, *args, _cls=cls, _init=cls.__init__):
+            if type(self) is _cls:  # a SignReducer once, not again as a ColumnReducer
+                built.append((_cls, sys._getframe(1).f_code.co_name))
+            _init(self, *args)
+
+        def reduce(self, col, _reduce=cls.reduce):
+            handed.append(len(col))
+            return _reduce(self, col)
+        monkeypatch.setattr(cls, "__init__", init)
+        monkeypatch.setattr(cls, "reduce", reduce)
+    return built, handed
+
+
+@pytest.mark.parametrize("field, kernel", [(PrimeField(2), "BitReducer"),
+                                           (PrimeField(5), "ColumnReducer"),
+                                           (Q, "SignReducer")], ids=["gf2", "gf5", "q"])
+def test_only_decompose_builds_a_field_kernel(monkeypatch, field, kernel):
+    # the direct engine and the homology ranks reduce with the plain list
+    # reducer, so over GF(2) and Q they check decompose with code it does not run
+    rng = random.Random(39)
+    pc = PointCloud.from_points([(rng.random(), rng.random()) for _ in range(12)])
+    inputs = [simplicial_to_chain(rips(pc, 2, 0.5), field),
+              *(random_complex(rng, rng.randint(5, 40), field) for _ in range(10))]
+    built, _ = watch_reducers(monkeypatch)
+    for c in inputs:
+        assert verify(c, c.filtration_span + 1).all_passed
+    assert {cls.__name__ for cls, caller in built if caller == "decompose"} == {kernel}
+    assert {(cls, caller) for cls, caller in built if caller != "decompose"} == {
+        (ColumnReducer, "_coboundary_pairs"), (ColumnReducer, "homology_dims_by_level"),
+        (ColumnReducer, "rank")}
+
+
+def test_no_reducer_is_handed_an_empty_column(monkeypatch):
+    # an empty column cannot pivot, so no step of verify reduces one, and the
+    # direct engine builds a reducer only for a degree with a boundary entry
+    rng = random.Random(43)
+    corpus = [random_complex(rng, rng.randint(5, 50), corpus_fields()[k % 4])
+              for k in range(40)]
+    built, handed = watch_reducers(monkeypatch)
+    for c in corpus:
+        built.clear()
+        assert verify(c, c.filtration_span + 1).all_passed
+        coboundary = [caller for _, caller in built].count("_coboundary_pairs")
+        assert coboundary == sum(1 for cols in c.boundary.values() if any(cols))
+    assert handed and 0 not in handed
 
 
 def test_verify_ranks_each_boundary_matrix_once(monkeypatch):
@@ -360,18 +453,19 @@ def test_verify_ranks_each_boundary_matrix_once(monkeypatch):
 
 
 def test_verify_stores_each_table_once(monkeypatch):
-    # the barcode engine and the direct engine, both at one depth, deep enough
-    # to recover from even when r_max is 1; the recovered barcode is
-    # decompose's, so the round trip reads the barcode engine's table
+    # one build per engine, the barcode engine's and the direct engine's, both
+    # at one depth, deep enough to recover from even when r_max is 1; the
+    # recovered barcode is decompose's, so the round trip reads the barcode
+    # engine's table and builds none of its own
     c = random_complex(random.Random(31), 40, PrimeField(5))
     store = PageTable._store
     stored = []
     direct = []
     from_bars = []
 
-    def counting_store(self, steps):
-        stored.append(len(steps))
-        return store(self, steps)
+    def counting_store(self, deltas):
+        stored.append(len(deltas))
+        return store(self, deltas)
 
     def counting_direct(c, r_max):
         direct.append(r_max)
@@ -620,7 +714,7 @@ def test_an_inconsistent_table_over_a_large_span_fails_fast():
     # the bar (0, 0, 10**12) read off the cell (0, 0) would also fill the
     # cell (1, 10**12), which the table leaves empty; the check compares runs
     span = 10**12
-    table = PageTable(span + 1)._store({(0, 0): [(1, 1), (span + 1, 0)]})
+    table = PageTable(span + 1)._store({(0, 0, 1): 1, (0, 0, span + 1): -1})
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -716,12 +810,7 @@ def test_page_table_runs_are_canonical():
     rng = random.Random(31)
     for trial in range(30):
         c = random_complex(rng, rng.randint(3, 30), corpus_fields()[trial % 4])
-        t = pages_direct(c, c.filtration_span + 2)
-        for n, s in t.support():
-            steps = t.steps(n, s)
-            assert steps and all(d != prev for (_, d), (_, prev)
-                                 in zip(steps, [(0, 0), *steps]))
-            assert steps == sorted(steps, key=lambda step: step[0])
+        assert_runs_are_canonical(pages_direct(c, c.filtration_span + 2))
 
 
 def two_bars(span):
