@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (ClosureError, InvalidComplexError, PageTableError,
                      SHORT, ParseError, UsageError, shorten)
-from .fields import _first_word, field_from_text, parse_int
+from .fields import _first_word, field_from_text, line_batches, parse_int
 
 # ingest, simplicial, persistence, spectral, randomgen and json are imported
 # by the commands that run them, and complexes by the readers that build one,
@@ -97,9 +97,8 @@ def _default_r_max(args, c: FilteredChainComplex) -> int:
 
 def _emit(lines) -> None:
     """Write lines in batches as they come, so a long output is never held whole."""
-    lines = iter(lines)
-    while batch := list(islice(lines, 4096)):
-        sys.stdout.write("\n".join(batch) + "\n")
+    for batch in line_batches(lines):
+        sys.stdout.write(batch)
 
 
 class _Streamed(list):

@@ -19,10 +19,12 @@ that only moves whole coefficients over Q never imports it, and one over
 GF(p) never does.
 
 The text readers of the package share the line splitting here:
-:func:`numbered_lines` numbers lines as an editor or ``wc -l`` does, and
-``_lines``/``_data_lines`` strip comments and blanks from them.
-``_first_word`` reads the first word of the first data line, which tells
-a ``simp`` file from a chain complex, without splitting the rest.
+:func:`numbered_lines` numbers lines as an editor or ``wc -l`` does, a
+chunk of the text at a time, and ``_lines``/``_data_lines`` strip comments
+and blanks from them.  ``_first_word`` reads the first word of the first
+data line, which tells a ``simp`` file from a chain complex, in place.  The
+writers share :func:`line_batches`, which joins their lines a batch at a
+time.
 
 The fields, like every record type of the package, are ``NamedTuple``
 subclasses, immutable and equal by value.  One with checks runs them in
@@ -31,6 +33,7 @@ subclasses, immutable and equal by value.  One with checks runs them in
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .errors import UsageError, shorten
@@ -56,23 +59,47 @@ def parse_int(token: str) -> int:
     return int(token)
 
 
+# numbered_lines splits its text about this many characters at a time
+_CHUNK = 1 << 16
+
+
 def numbered_lines(text: str):
     r"""``(line number, line)`` of each line of ``text``, from 1.
 
     A line ends at ``\n``, ``\r\n`` or ``\r`` only, so the numbers are the
     ones an editor or ``wc -l`` shows: ``str.splitlines`` also breaks at a
-    form feed, U+2028 and other separators a line may hold.
+    form feed, U+2028 and other separators a line may hold.  The lines are
+    those of ``_newlines(text).split("\n")``, the ``""`` after a final line
+    break included.
 
-    Each line is held once: the split list is consumed as it is read, so a
-    reader frees a line once it has read it, and holds no second copy of
-    the text beside the caller's.
+    The text is split a chunk at a time: at least ``_CHUNK`` characters, cut
+    just after a ``\n`` (so never inside a ``\r\n``), or the rest of the
+    text.  Each chunk's lines are consumed as they are read, so a reader
+    frees a line once it has read it, and holds beside the caller's text at
+    most the unread lines of one chunk: never a second copy of the text or
+    a list of all its lines.
     """
-    lines = _newlines(text).split("\n")
-    lines.reverse()
-    line_no = 0
-    while lines:
-        line_no += 1
-        yield line_no, lines.pop()
+    line_no = start = 0
+    while True:
+        cut = text.find("\n", start + _CHUNK)
+        lines = _newlines(text[start:] if cut < 0 else text[start:cut + 1]).split("\n")
+        if cut >= 0:
+            lines.pop()  # the "" after the chunk's last line break
+        lines.reverse()
+        while lines:  # popped in order, so a line is freed once read
+            line_no += 1
+            yield line_no, lines.pop()
+        if cut < 0:
+            return
+        start = cut + 1
+
+
+def line_batches(lines):
+    r"""The text of ``lines``, each ended by ``\n``, in pieces of up to 4,096
+    lines as they come, so a writer never holds a long output's lines whole."""
+    lines = iter(lines)
+    while batch := list(islice(lines, 4096)):
+        yield "\n".join(batch) + "\n"
 
 
 def _newlines(text: str) -> str:
@@ -98,16 +125,17 @@ def _data_lines(text: str):
 
 
 # lines each blank or only a comment, through their line ends
-_NO_DATA = re.compile(r"(?:[^\S\n]*(?:#[^\n]*)?\n)*")
+_NO_DATA = re.compile(r"(?:[^\S\r\n]*(?:#[^\r\n]*)?(?:\r\n|\r|\n))*")
+_LINE_END = re.compile(r"[\r\n]")
 
 
 def _first_word(text: str) -> str | None:
     """The first word of ``text``'s first data line, as ``_data_lines`` reads
-    it, found without splitting the lines after that one."""
-    text = _newlines(text)
+    it, found in place: no line after that one is split, and nothing of the
+    text but that line is copied."""
     start = _NO_DATA.match(text).end()
-    end = text.find("\n", start)
-    words = text[start:len(text) if end < 0 else end].split("#", 1)[0].split()
+    end = _LINE_END.search(text, start)
+    words = text[start:len(text) if end is None else end.start()].split("#", 1)[0].split()
     return words[0] if words else None
 
 

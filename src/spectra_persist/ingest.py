@@ -48,50 +48,103 @@ def __getattr__(name: str):
 def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
     """Parse and validate a chain complex; errors carry line numbers.
 
-    Two passes: the first reads the ``field`` and ``gen`` lines, so every
-    error they hold is raised before any ``bnd`` error, and keeps of each
-    ``bnd`` line only its number and text; the second splits each kept line
-    again and drops its tokens once its entries are appended to the column.
-    Each line is held once: :func:`~spectra_persist.fields.numbered_lines`
-    frees a line once the first pass has read it, and the second pass pops
-    each kept ``bnd`` line as it reads it, so beside the caller's text the
-    reader holds only the lines it has yet to read.
+    Two passes, one ``bnd`` resolver.  The first reads the ``field`` and
+    ``gen`` lines, so every error they hold is raised before any ``bnd``
+    error, and places each ``bnd`` line it can: one whose source and
+    targets are already defined and whose tokens are good.  It keeps of any
+    other ``bnd`` line only its number and text, and the second pass hands
+    those lines, in file order, to the same resolver, which raises the first
+    error among them at its line.  A line is placed whole or not at all, and
+    :func:`~spectra_persist.linalg.canonical` sorts and sums each column, so
+    the pass that places a line cannot change the column.  Each line is held
+    once: :func:`~spectra_persist.fields.numbered_lines` frees a line once
+    the first pass has read it, and the second pass pops each kept line as it
+    reads it, so beside the caller's text the reader holds only one chunk's
+    unread lines and the ``bnd`` lines it has yet to place.
+
+    Each distinct boundary entry is one tuple: the ``(row, coeff)`` of a
+    target and a coefficient token is made when first met, kept in a dict by
+    target degree, token and gid, and shared by every column that holds it.
+    So the cache grows with the distinct entries, not with the tokens times
+    the targets, and it is dropped before the columns are sorted.  The
+    columns stay separate lists and the tuples are immutable, so no caller
+    can see the sharing.
 
     The columns are built canonical: each coefficient comes from
     ``field.parse`` or ``field.add``, each row is a generator one degree
-    below, and :func:`~spectra_persist.linalg.canonical` sorts each column's
-    ``(row, coeff)`` list once, summing repeated rows and dropping zeros in
-    the same step.  So the complex adopts them without the constructor's copy
-    and entry check; ``ensure_valid`` still runs, since this is where a pipe's
-    text is trusted.  Over Q ``field.parse`` gives a whole coefficient as an
+    below, and ``canonical`` sorts each column's ``(row, coeff)`` list once,
+    summing repeated rows and dropping zeros in the same step.  So the
+    complex adopts them without the constructor's copy and entry check;
+    ``ensure_valid`` still runs, since this is where a pipe's text is
+    trusted.  Over Q ``field.parse`` gives a whole coefficient as an
     ``int``, which the column code reads as it reads a ``Fraction``.
     """
     from .complexes import FilteredChainComplex, Generator
     from .linalg import canonical
     gens: dict[str, Generator] = {}
     by_degree: dict[int, list[Generator]] = {}
-    pending: list[tuple[int, str]] = []  # (line number, text) of each bnd line
+    boundary: dict[int, list[list]] = {}
+    pending: list[tuple[int, str]] = []  # (line number, text) of each bnd line not yet placed
     written: Optional[FieldSpec] = None
     ints: dict[str, int] = {}  # each distinct degree or filtration token is parsed once
+    # each distinct coefficient token is parsed once; a bad one raises where first met
+    coeffs: dict[str, Scalar] = {}
+    zeros = False  # whether some coefficient token is zero
+    # target degree -> coefficient token -> gid -> the shared (gid, coeff) entry
+    entries: dict[int, dict[str, dict[int, tuple]]] = {}
+
+    def place(line_no: int, toks: list) -> None:
+        """Append a bnd line's entries to its source's column, or raise its first error."""
+        nonlocal zeros
+        if len(toks) < 4 or len(toks) % 2 != 0:
+            raise ParseError(
+                "expected 'bnd <source> <coeff> <target> [<coeff> <target> ...]'", line_no)
+        source = toks[1]
+        src = gens.get(source)
+        if src is None:
+            raise ParseError(f"boundary for unknown generator {shorten(source)!r}", line_no)
+        n = src.degree - 1
+        by_token = entries.get(n)
+        if by_token is None:
+            by_token = entries[n] = {}
+        row = []
+        for k in range(2, len(toks), 2):
+            tok = toks[k]
+            shared = by_token.get(tok)
+            if shared is None:
+                coeff = coeffs.get(tok)
+                if coeff is None:
+                    try:
+                        coeff = field.parse(tok)
+                    except UsageError as exc:
+                        raise ParseError(str(exc), line_no) from None
+                    coeffs[tok] = coeff
+                    zeros = zeros or field.is_zero(coeff)
+                shared = by_token[tok] = {}
+            target = toks[k + 1]
+            tgt = gens.get(target)
+            if tgt is None:
+                raise ParseError(
+                    f"boundary references unknown generator {shorten(target)!r}", line_no)
+            if tgt.degree != n:
+                raise ParseError(
+                    f"boundary of {shorten(source)!r} (degree {src.degree}) cannot hit "
+                    f"{shorten(target)!r} (degree {tgt.degree})", line_no)
+            gid = tgt.gid
+            entry = shared.get(gid)
+            if entry is None:
+                entry = shared[gid] = (gid, coeffs[tok])
+            row.append(entry)
+        boundary[src.degree][src.gid] += row
+
     for line_no, line in _lines(text):
         toks = line.split()
         kind = toks[0]
-        if kind == "field":
-            if len(toks) != 2:
-                raise ParseError("expected 'field <p|q>'", line_no)
+        if kind == "bnd":  # most lines of a complex, so tested first
             try:
-                declared = field_from_text(toks[1])
-            except UsageError as exc:
-                raise ParseError(str(exc), line_no) from None
-            if written is not None:
-                raise ParseError(
-                    f"second field line names {declared}, the first named {written}",
-                    line_no)
-            if declared != field:
-                raise ParseError(
-                    f"complex is written over {declared}, not the requested {field}",
-                    line_no)
-            written = declared
+                place(line_no, toks)
+            except ParseError:
+                pending.append((line_no, line))
         elif kind == "gen":
             if len(toks) != 4:
                 raise ParseError("expected 'gen <name> <degree> <filtration>'", line_no)
@@ -109,47 +162,32 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
                 raise ParseError("degree and filtration must be integers", line_no) from None
             g = Generator(len(by_degree.setdefault(degree, [])), degree, filtration, name)
             by_degree[degree].append(g)
+            boundary.setdefault(degree, []).append([])
             gens[name] = g
-        elif kind == "bnd":
-            pending.append((line_no, line))
+        elif kind == "field":
+            if len(toks) != 2:
+                raise ParseError("expected 'field <p|q>'", line_no)
+            try:
+                declared = field_from_text(toks[1])
+            except UsageError as exc:
+                raise ParseError(str(exc), line_no) from None
+            if written is not None:
+                raise ParseError(
+                    f"second field line names {declared}, the first named {written}",
+                    line_no)
+            if declared != field:
+                raise ParseError(
+                    f"complex is written over {declared}, not the requested {field}",
+                    line_no)
+            written = declared
         else:
             raise ParseError(f"unknown directive {shorten(kind)!r}", line_no)
 
-    boundary: dict[int, list[list]] = {n: [[] for _ in gs] for n, gs in by_degree.items()}
-    # each distinct coefficient token is parsed once; a bad one raises where first met
-    coeffs: dict[str, Scalar] = {}
-    zeros = False  # whether some coefficient token is zero
     pending.reverse()  # popped in file order, so each line is freed once read
     while pending:
         line_no, line = pending.pop()
-        toks = line.split()
-        if len(toks) < 4 or len(toks) % 2 != 0:
-            raise ParseError(
-                "expected 'bnd <source> <coeff> <target> [<coeff> <target> ...]'", line_no)
-        source = toks[1]
-        if source not in gens:
-            raise ParseError(f"boundary for unknown generator {shorten(source)!r}", line_no)
-        src = gens[source]
-        col = boundary[src.degree][src.gid]
-        for k in range(2, len(toks), 2):
-            coeff = coeffs.get(toks[k])
-            if coeff is None:
-                try:
-                    coeff = field.parse(toks[k])
-                except UsageError as exc:
-                    raise ParseError(str(exc), line_no) from None
-                coeffs[toks[k]] = coeff
-                zeros = zeros or field.is_zero(coeff)
-            target = toks[k + 1]
-            tgt = gens.get(target)
-            if tgt is None:
-                raise ParseError(
-                    f"boundary references unknown generator {shorten(target)!r}", line_no)
-            if tgt.degree != src.degree - 1:
-                raise ParseError(
-                    f"boundary of {shorten(source)!r} (degree {src.degree}) cannot hit "
-                    f"{shorten(target)!r} (degree {tgt.degree})", line_no)
-            col.append((tgt.gid, coeff))
+        place(line_no, line.split())
+    entries.clear()  # the shared tuples live on in the columns
     for cols in boundary.values():
         for gid, col in enumerate(cols):
             if col:

@@ -4,11 +4,11 @@ Columns are sorted lists of ``(row, coeff)`` with strictly increasing rows
 and no stored zeros.  Everything works column-at-a-time through a reducer
 that keeps a map from pivot row to an already-reduced column and
 eliminates every entry a column has on a pivot row.  ``rank`` counts the
-columns that survive :class:`ColumnReducer`, passing over an empty one
-unreduced; ``kernel`` runs it on every column, extended by its combination
-vector (an empty column is a kernel vector), so no second elimination is
-needed to track them.  It also drives the direct page engine, and the persistence
-pairing over GF(p) for odd p.
+columns that survive :class:`ColumnReducer`; ``kernel`` runs it on each
+column extended by its combination vector, so no second elimination is
+needed to track them.  Neither reduces an empty column: it adds nothing to
+the rank and is its own kernel vector.  The reducer also drives the direct
+page engine, and the persistence pairing over GF(p) for odd p.
 
 Over GF(2) the persistence pairing runs :class:`BitReducer` instead, and
 over Q :class:`~spectra_persist.signs.SignReducer`, in a module of its own
@@ -382,12 +382,16 @@ def kernel(m: SparseMatrix, field: FieldSpec) -> SparseMatrix:
     those rows alone is a kernel vector.  Columns are processed left to
     right, so each vector ends in ``(j, one)`` and is supported on earlier
     indices otherwise: kernel bases are prefix-adapted to any ordering the
-    caller baked into the columns.
+    caller baked into the columns.  An empty column is the vector
+    ``[(j, one)]`` as it stands, and is not reduced.
     """
     n_cols = m.n_cols
     red = ColumnReducer(field)
     out = []
     for j, col in enumerate(m.columns):
+        if not col:  # an empty column is its own kernel vector
+            out.append([(j, field.one)])
+            continue
         reduced = red.reduce([(j - n_cols, field.one)] + col)
         if reduced[-1][0] < 0:
             out.append([(r + n_cols, v) for r, v in red.scalars(reduced)])

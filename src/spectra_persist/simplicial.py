@@ -30,7 +30,7 @@ from itertools import combinations, repeat
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import ClosureError, ParseError, UsageError, shorten
-from .fields import FieldSpec, _data_lines, parse_int
+from .fields import FieldSpec, _data_lines, line_batches, parse_int
 
 # ingest, and with it complexes and linalg, is imported by simplicial_to_chain,
 # the one function that builds a complex, so the ``rips`` command never loads it
@@ -163,11 +163,12 @@ def serialize_simplicial(fsc: FilteredSimplicialComplex, field: FieldSpec,
     ``fsc.simplices`` orders the faces of a ``bnd`` line by (level, id), the
     order of a column's rows.
 
-    The text is the lines of :func:`_simplicial_lines`, each held once, joined
-    with the final newline; the ``rips`` command writes those lines as they
-    are made and never holds the text.
+    The text is the lines of :func:`_simplicial_lines`, each ended by a
+    newline, joined from :func:`~spectra_persist.fields.line_batches`, so the
+    lines are never all held beside the text; the ``rips`` command writes
+    those batches as they are made and never holds the text.
     """
-    return "\n".join([*_simplicial_lines(fsc, field, comments), ""])
+    return "".join(line_batches(_simplicial_lines(fsc, field, comments)))
 
 
 def _simplicial_lines(fsc: FilteredSimplicialComplex, field: FieldSpec,

@@ -1,6 +1,7 @@
 """Model complexes and small readers shared across test modules."""
 from __future__ import annotations
 
+import tracemalloc
 from contextlib import contextmanager
 from math import lcm
 
@@ -23,6 +24,18 @@ def corpus_fields() -> list:
 def essential_count(b: Barcode, degree: int) -> int:
     """Essential bars of one degree, counted with multiplicity."""
     return sum(m for e, m in b.entries() if e.degree == degree and e.is_essential)
+
+
+def traced(fn) -> tuple:
+    """``fn()`` run under tracemalloc: its result, then the bytes still traced
+    when it returns and the peak while it ran, both counted from its start."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
 
 
 def to_json_obj(table: PageTable) -> dict:

@@ -21,6 +21,8 @@ from spectra_persist.fields import RationalField
 from spectra_persist.ingest import parse_complex
 from spectra_persist.spectral import PageTable
 
+from helpers import traced
+
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -638,11 +640,27 @@ def test_the_input_kind_is_read_off_the_first_data_line_alone(
 @example("\x0c \u2028\n# x\x0csimp\n gen a 0 0")
 @example("#\u2028simp 0 0\rsimp 0 1")
 @example("  # c\r\n\t\r\nsimp")
+@example("\r\n\r\n# simp\r\n \r\n gen a 0 0\r\n")
+@example("\r\r# simp\r\t\rsimp 0 0\r")
+@example("# only\r\n#\tcomments\r\n")
+@example("# a comment\r")
 def test_first_word_keeps_the_line_rule_of_the_readers(text):
     # a form feed, \x1c or U+2028 ends no line, so a comment runs past it
     from spectra_persist import fields
     want = next(fields._data_lines(text), (0, [None]))[1][0]
     assert fields._first_word(text) == want
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_the_first_word_is_read_holding_only_its_prefix(end):
+    # the first data line is found in place: nothing of the text after it
+    # is copied, whatever its line ends (a 1 MB text once cost 1.76 MB)
+    from spectra_persist import fields
+    prefix = end.join(["# a comment", "", " \t", "# simp", " gen a 0 0"]) + end
+    text = prefix + ("bnd a 1 b" + end) * 100_000
+    word, _, peak = traced(lambda: fields._first_word(text))
+    assert word == "gen"
+    assert peak < 4096 + 2 * len(prefix)
 
 
 def garbage_per_command(capsys, tmp_path, points, complex_text) -> list:

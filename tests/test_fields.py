@@ -5,11 +5,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from spectra_persist import fields
 from spectra_persist.errors import UsageError
 from spectra_persist.fields import (_MR_BOUND, FieldSpec, PrimeField, RationalField,
-                                    _is_prime, field_from_text, numbered_lines, parse_int)
+                                    _is_prime, _newlines, field_from_text, numbered_lines,
+                                    parse_int)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GF2 = PrimeField(2)
@@ -138,6 +140,36 @@ def test_numbered_lines_break_only_where_an_editor_does():
     inside = "a\x0bb\x0cc\x1cd\x1de\x1ef\x85g\u2028h\u2029i"
     assert list(numbered_lines(inside + "\nj\r\nk\rl\n")) == \
         [(1, inside), (2, "j"), (3, "k"), (4, "l"), (5, "")]
+
+
+def split_lines(text: str) -> list:
+    """The numbered lines of ``text`` as the whole-text split gives them."""
+    return list(enumerate(_newlines(text).split("\n"), 1))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(text=st.text(alphabet="ab\r\n", max_size=40), chunk=st.integers(1, 8))
+@example(text="", chunk=1)
+@example(text="abab\n", chunk=4)                 # a break right at the cut
+@example(text="aba\r\nb\r\n", chunk=3)           # a \r\n across the cut
+@example(text="ab\nabababababab\nb", chunk=2)    # a line longer than a chunk
+@example(text="\n\n\r\r\n\n", chunk=1)
+def test_numbered_lines_split_a_chunk_at_a_time_as_the_whole_text(text, chunk):
+    # the chunked split gives exactly the lines and numbers of one split of
+    # the whole text, the "" after a final line break included
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "_CHUNK", chunk)
+        assert list(numbered_lines(text)) == split_lines(text)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("final", [True, False], ids=["final-break", "no-final-break"])
+def test_numbered_lines_match_the_whole_split_on_text_of_many_chunks(end, final):
+    # lines of many lengths up to two chunks, some of them longer than a chunk
+    lengths = [k * 4099 % (2 * fields._CHUNK) for k in range(40)]
+    text = end.join("x" * n for n in lengths) + (end if final else "")
+    assert len(text) > 10 * fields._CHUNK
+    assert list(numbered_lines(text)) == split_lines(text)
 
 
 def test_parse_int_takes_only_ascii_digits():

@@ -1,6 +1,5 @@
 import math
 import random
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -22,7 +21,7 @@ from spectra_persist.persistence import INF, Barcode, BarEntry, decompose
 from spectra_persist.randomgen import random_complex
 from spectra_persist.spectral import pages_direct
 
-from helpers import corpus_fields, counting_integral, whole_basis
+from helpers import corpus_fields, counting_integral, traced, whole_basis
 from oracles import (barcode_by_rank, column_by_sum, make_simplicial_by_lookup,
                      rips_by_cliques, serialize_simplicial_by_lookup,
                      simplicial_to_chain_by_entries)
@@ -155,21 +154,169 @@ def test_bad_coefficient_names_its_line_after_good_repeats(field, good, bad, mes
     assert err.value.line_no == 7 + 5 and str(err.value) == f"line 12: {message}"
 
 
+def by_name(c: FilteredChainComplex) -> dict:
+    """Each generator's degree, level and boundary, keyed by its label."""
+    out = {}
+    for g in c.all_generators():
+        below = c.gens(g.degree - 1)
+        out[g.label()] = (g.degree, g.filtration, sorted(
+            (below[r].label(), c.field.format(v)) for r, v in c.column(g.degree, g.gid)))
+    return out
+
+
+def shuffled_lines(rng: random.Random, text: str) -> list:
+    """The lines of a complex's text in a random order, the field line first;
+    about half the bnd lines of two or more entries are split in two."""
+    head, *body = text.splitlines()
+    lines = []
+    for line in body:
+        toks = line.split()
+        if toks[0] == "bnd" and len(toks) > 4 and rng.random() < 0.5:
+            k = 2 + 2 * rng.randrange(1, (len(toks) - 2) // 2)
+            lines += [" ".join(toks[:k]), " ".join(toks[:2] + toks[k:])]
+        else:
+            lines.append(line)
+    rng.shuffle(lines)
+    return [head, *lines]
+
+
+def test_bnd_lines_before_their_gen_lines_give_the_same_complex():
+    # a bnd line whose source or target is not yet defined waits for the
+    # second pass; the columns come out as from the text in written order
+    rng = random.Random(53)
+    early = 0
+    for trial in range(40):
+        field = corpus_fields()[trial % 4]
+        c = random_complex(rng, rng.randint(1, 30), field)
+        lines = shuffled_lines(rng, serialize_complex(c))
+        defined: set = set()
+        for line in lines:
+            toks = line.split()
+            if toks[0] == "gen":
+                defined.add(toks[1])
+            elif toks[0] == "bnd":
+                early += not defined.issuperset([toks[1], *toks[3::2]])
+        assert by_name(parse_complex("\n".join(lines) + "\n", field)) == by_name(c), trial
+    assert early > 100
+
+
+@pytest.mark.parametrize("field", corpus_fields(), ids=str)
+def test_bnd_errors_are_raised_at_their_line_whichever_pass_reads_it(field):
+    # two bnd lines of a shuffled text are broken: the earlier one's error is
+    # raised, whether its line was read before or after its gen lines, and a
+    # gen error after both comes first
+    rng = random.Random(str(field))
+    with pytest.raises(UsageError) as bad_coeff:
+        field.parse("x")
+
+    def unknown_target(toks):
+        return toks[:3] + ["nowhere"] + toks[4:], "boundary references unknown generator 'nowhere'"
+
+    def unknown_source(toks):
+        return toks[:1] + ["nowhere"] + toks[2:], "boundary for unknown generator 'nowhere'"
+
+    def bad_coefficient(toks):
+        return toks[:2] + ["x"] + toks[3:], str(bad_coeff.value)
+
+    def no_target(toks):
+        return toks[:2], "expected 'bnd <source> <coeff> <target> [<coeff> <target> ...]'"
+
+    def itself(toks):
+        n = degree[toks[1]]
+        return toks[:3] + toks[1:2] + toks[4:], (
+            f"boundary of {toks[1]!r} (degree {n}) cannot hit {toks[1]!r} (degree {n})")
+
+    breaks = [unknown_target, unknown_source, bad_coefficient, no_target, itself]
+    checked = 0
+    for trial in range(40):
+        c = random_complex(rng, rng.randint(3, 30), field)
+        degree = {g.label(): g.degree for g in c.all_generators()}
+        lines = shuffled_lines(rng, serialize_complex(c))
+        bnds = [i for i, line in enumerate(lines) if line.startswith("bnd")]
+        if len(bnds) < 2:
+            continue
+        messages = {}
+        for i in rng.sample(bnds, 2):
+            toks, messages[i] = rng.choice(breaks)(lines[i].split())
+            lines[i] = " ".join(toks)
+        first = min(messages)
+        with pytest.raises(ParseError) as err:
+            parse_complex("\n".join(lines) + "\n", field)
+        assert str(err.value) == f"line {first + 1}: {messages[first]}", trial
+        lines.append(next(line for line in lines if line.startswith("gen")))
+        with pytest.raises(ParseError) as err:
+            parse_complex("\n".join(lines) + "\n", field)
+        assert err.value.line_no == len(lines) and "duplicate generator" in str(err.value)
+        checked += 1
+    assert checked > 20
+
+
+def test_a_source_split_across_a_deferred_and_a_placed_line():
+    # e's first bnd line comes before e's gen line and waits for the second
+    # pass; its second comes after and is placed in the first: the column and
+    # the errors are those of the text with every gen line first
+    gf5 = PrimeField(5)
+    deferred_first = "gen a 0 0\nbnd e 1 a 2 b\ngen b 0 0\ngen e 1 1\nbnd e 1 b 4 a\n"
+    gens_first = "gen a 0 0\ngen b 0 0\ngen e 1 1\nbnd e 1 a 2 b\nbnd e 1 b 4 a\n"
+    for text in (deferred_first, gens_first):
+        assert parse_complex(text, gf5).column(1, 0) == [(1, 3)]  # a: 1 + 4 = 0
+        assert parse_complex(text, PrimeField(3)).column(1, 0) == [(0, 2)]  # b: 2 + 1 = 0
+    for bad, message in [("zz", "boundary references unknown generator 'zz'"),
+                         ("a 7", "expected 'bnd <source> <coeff> <target> [<coeff> <target> ...]'")]:
+        text = deferred_first.replace("2 b", f"2 {bad}")
+        with pytest.raises(ParseError) as err:
+            parse_complex(text, gf5)
+        assert str(err.value) == f"line 2: {message}"
+    with pytest.raises(ParseError) as err:
+        parse_complex(deferred_first.replace("2 b", "x b"), gf5)
+    assert str(err.value) == "line 2: 'x' is not a GF(5) scalar"
+
+
+def test_columns_share_each_boundary_entry_and_only_that():
+    # over GF(5): e and f have one boundary, so their columns hold the same
+    # two tuples; t and u share theirs; g's entries equal t's in value but
+    # sit one degree lower, and a's coefficient differs between e and g
+    text = ("gen a 0 0\ngen b 0 0\ngen e 1 1\ngen f 1 1\ngen g 1 1\ngen t 2 2\ngen u 2 2\n"
+            "bnd e 4 a 1 b\nbnd f 4 a\nbnd f 1 b\nbnd g 1 a 4 b\n"
+            "bnd t 1 e 4 f\nbnd u 4 f 1 e\n")
+    c = parse_complex(text, PrimeField(5))
+    (e, f, g), (t, u) = c.boundary[1], c.boundary[2]
+    assert e == f == [(0, 4), (1, 1)] and g == t == u == [(0, 1), (1, 4)]
+    assert e is not f and t is not u  # separate lists
+    assert all(x is y for x, y in zip(e, f)) and all(x is y for x, y in zip(t, u))
+    assert not any(x is y for x, y in zip(g, t))  # equal, but one degree apart
+    assert g[0] is not e[0] and g[1] is not e[1]  # one row, another coefficient
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), Q], ids=str)
+def test_the_entry_cache_grows_with_the_entries_not_tokens_times_targets(field):
+    # a cycle of 2,000 edges, every coefficient token distinct and the gen
+    # lines first, as serialize_complex writes them: the reader's transient
+    # grows with the text (about 12 times it here, one small dict per token;
+    # about 500 times it when each token kept a list over every target of
+    # its degree)
+    n = 2000
+    coeff = (lambda k: str(k)) if isinstance(field, PrimeField) else (lambda k: f"1/{k}")
+    text = ("".join(f"gen v{i} 0 0\n" for i in range(n))
+            + "".join(f"gen e{i} 1 1\n" for i in range(n))
+            + "".join(f"bnd e{i} {coeff(2 * i + 1)} v{i} {coeff(2 * i + 2)} v{(i + 1) % n}\n"
+                      for i in range(n)))
+    c, kept, peak = traced(lambda: parse_complex(text, field))
+    assert c.column(1, 0) == [(0, field.parse(coeff(1))), (1, field.parse(coeff(2)))]
+    assert peak - kept < 16 * len(text)
+
+
 @pytest.mark.parametrize("field", [GF2, Q])
 def test_parse_complex_holds_little_beyond_the_complex_it_returns(field):
     # no token list per bnd line and no dict per column is kept, and each line
     # is freed once read: the peak over what the complex retains stays under
-    # the text's length (0.5 times it; 3.2 times it when the split lines were
-    # kept through the first pass and the bnd lines through the second, 13.7
-    # times it when each line's tokens were kept until the second pass)
+    # the text's length (0.6-0.75 times it, one 64 KiB chunk's lines and the
+    # name dict; 3.2 times it when the split lines were kept through the
+    # first pass and the bnd lines through the second, 13.7 times it when
+    # each line's tokens were kept until the second pass)
     pc = PointCloud.from_points(cloud_40())
     text = serialize_simplicial(rips(pc, 2), field)
-    tracemalloc.start()
-    try:
-        c = parse_complex(text, field)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    c, kept, peak = traced(lambda: parse_complex(text, field))
     assert [c.n_gens(n) for n in c.degrees()] == [40, 780, 9880]
     assert peak - kept < len(text)
 
@@ -195,20 +342,12 @@ def test_rips_writes_its_text_holding_little_beyond_the_complex(tmp_path, monkey
     path = tmp_path / "cloud.pts"
     path.write_text("".join(f"pt {x!r} {y!r}\n" for x, y in cloud_40()))
     pc = parse_point_cloud(path.read_text())
-    tracemalloc.start()
-    try:
-        assert len(rips(pc, 2).simplices) == 10700
-        alone = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    fsc, _, alone = traced(lambda: rips(pc, 2))
+    assert len(fsc.simplices) == 10700
+    del fsc
     sink = _Sink()
     monkeypatch.setattr("sys.stdout", sink)
-    tracemalloc.start()
-    try:
-        code = cli.main(["rips", str(path), "--max-dim", "2", "--field", field])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, _, peak = traced(lambda: cli.main(["rips", str(path), "--max-dim", "2", "--field", field]))
     assert code == 0 and sink.size > 600_000 and sink.writes > 2
     assert peak - alone < sink.size
 

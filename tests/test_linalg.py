@@ -154,6 +154,20 @@ def test_kernel_basis_is_prefix_adapted():
         assert lasts == sorted(set(lasts))
 
 
+@pytest.mark.parametrize("field", [GF2, PrimeField(5), Q], ids=str)
+def test_kernel_reduces_no_empty_column(field, monkeypatch):
+    # an empty column is its own kernel vector, [(j, one)], as it stands
+    handed = []
+    reduce = ColumnReducer.reduce
+    monkeypatch.setattr(ColumnReducer, "reduce",
+                        lambda self, col: handed.append(col) or reduce(self, col))
+    m = SparseMatrix(2, [[], [(0, field.one)], [], [(0, field.one)], [(1, field.one)], []])
+    assert kernel(m, field).columns == [[(0, field.one)], [(2, field.one)],
+                                        [(1, field.neg(field.one)), (3, field.one)],
+                                        [(5, field.one)]]
+    assert [col[-1][0] for col in handed] == [0, 0, 1]  # columns 1, 3 and 4
+
+
 def _huge_or_small(rng):
     return rng.choice([Fraction(10**30, 7), Fraction(-7, 10**30), Fraction(-3, 10**20),
                        Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))])

@@ -4,7 +4,6 @@ import json
 import random
 import sys
 import time
-import tracemalloc
 from collections import Counter
 
 import pytest
@@ -25,7 +24,8 @@ from spectra_persist.spectral import (PageTable, _coboundary_pairs, collapse_pag
                                       pages_direct, pages_from_barcode,
                                       parse_page_table, recover_barcode, verify)
 
-from helpers import corpus_fields, model_essential, model_pair, to_json_obj, triangle
+from helpers import (corpus_fields, model_essential, model_pair, to_json_obj, traced,
+                     triangle)
 from oracles import (DensePageTable, collapse_page_dense, dense_pages_direct,
                      dense_pages_from_barcode, pages_direct_spans, persistent_betti,
                      recover_barcode_dense)
@@ -611,13 +611,8 @@ def test_pages_equal_counts_a_mismatch_without_expanding_it(monkeypatch, span):
     fake = pages_from_barcode(Barcode({BarEntry(0, 2, span): 1}), span + 1)
     monkeypatch.setattr(spectral, "pages_direct", lambda c, r_max: fake)
     c = model_pair(Q, 0, 2, 3)
-    tracemalloc.start()
     start = time.perf_counter()
-    try:
-        report = verify(c, span + 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, _, peak = traced(lambda: verify(c, span + 1))
     assert time.perf_counter() - start < 1.0
     assert peak < 2_000_000
     assert report.checks[0] == spectral.CheckResult(
@@ -715,14 +710,13 @@ def test_an_inconsistent_table_over_a_large_span_fails_fast():
     # cell (1, 10**12), which the table leaves empty; the check compares runs
     span = 10**12
     table = PageTable(span + 1)._store({(0, 0, 1): 1, (0, 0, span + 1): -1})
-    tracemalloc.start()
-    start = time.perf_counter()
-    try:
+
+    def fails():
         with pytest.raises(InconsistentTableError) as err:
             recover_barcode(table, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return err
+    start = time.perf_counter()
+    err, _, peak = traced(fails)
     assert time.perf_counter() - start < 1.0
     assert str(err.value) == f"no complex has this table: its bars give other pages at (n=1, s={span})"
     assert peak < 2_000_000
@@ -825,12 +819,7 @@ def test_verify_is_independent_of_the_filtration_span():
         assert t.steps(0, 0) == [(1, 1)] and t.steps(0, 10**12) == [(1, 1)]
         assert t.row_total(10**9, 0) == 2 and t.dim(INF, 0, 10**12) == 1
         assert collapse_page(t, 0, 0) == 1
-    tracemalloc.start()
-    try:
-        report = verify(c, r_max)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, _, peak = traced(lambda: verify(c, r_max))
     assert report.all_passed, report.lines()
     assert peak < 2_000_000
 
@@ -841,13 +830,7 @@ def test_a_pair_across_a_large_span_leaves_both_cells_at_once():
     span = 10**12
     c = parse_complex(f"gen a 0 0\ngen e 1 {span}\nbnd e 1 a\n", PrimeField(2))
     r_max = c.filtration_span + 1
-    tracemalloc.start()
-    try:
-        t = pages_direct(c, r_max)
-        report = verify(c, r_max)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (t, report), _, peak = traced(lambda: (pages_direct(c, r_max), verify(c, r_max)))
     assert t.steps(0, 0) == t.steps(1, span) == [(1, 1), (span + 1, 0)]
     assert t.support() == {(0, 0), (1, span)}
     assert report.all_passed and len(report.checks) == 5, report.lines()
@@ -879,12 +862,7 @@ def test_pages_streams_its_lines(monkeypatch, tmp_path):
     path.write_text(f"gen a 0 0\ngen b 0 {span}\n")
     sink = LineCounter()
     monkeypatch.setattr("sys.stdout", sink)
-    tracemalloc.start()
-    try:
-        code = main(["pages", str(path), "--engine", "both"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, _, peak = traced(lambda: main(["pages", str(path), "--engine", "both"]))
     assert code == 0 and sink.tail.endswith(f"\ninf 0 {span} 1\nDIFF: none\n")
     assert sink.lines == 2 * (1 + 2 * (span + 1) + 2) + 3
     assert peak < 2_000_000
@@ -919,15 +897,12 @@ def test_pages_json_is_written_as_it_is_encoded(monkeypatch, tmp_path):
     expected = {engine: hashlib.sha256((json.dumps(obj, indent=2) + "\n").encode()).hexdigest()
                 for engine, obj in envelopes.items()}
     del envelopes, tables
-    for engine, traced in (("both", False), ("barcode", True)):
+    for engine, trace in (("both", False), ("barcode", True)):
         sink = HashSink()
         monkeypatch.setattr("sys.stdout", sink)
-        if traced:
-            tracemalloc.start()
-        try:
-            code = main(["pages", str(path), "--engine", engine, "--format", "json"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        def pages(engine=engine):
+            return main(["pages", str(path), "--engine", engine, "--format", "json"])
+        code, _, peak = traced(pages) if trace else (pages(), 0, 0)
         assert code == 0 and sink.sha.hexdigest() == expected[engine]
     assert peak < 2_000_000
