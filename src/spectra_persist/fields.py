@@ -20,11 +20,11 @@ GF(p) never does.
 
 The text readers of the package share the line splitting here:
 :func:`numbered_lines` numbers lines as an editor or ``wc -l`` does, a
-chunk of the text at a time, and ``_lines``/``_data_lines`` strip comments
-and blanks from them.  ``_first_word`` reads the first word of the first
-data line, which tells a ``simp`` file from a chain complex, in place.  The
-writers share :func:`line_batches`, which joins their lines a batch at a
-time.
+chunk of the text at a time, and :func:`_data_lines` splits each of them
+once into its words, its comment cut and blank lines skipped.
+``_first_word`` reads the first word of the first data line, which tells a
+``simp`` file from a chain complex, in place.  The writers share
+:func:`line_batches`, which joins their lines a batch at a time.
 
 The fields, like every record type of the package, are ``NamedTuple``
 subclasses, immutable and equal by value.  One with checks runs them in
@@ -110,18 +110,16 @@ def _newlines(text: str) -> str:
     return text
 
 
-def _lines(text: str):
-    """(line number, text) of each line with its comment and blanks stripped,
-    empty lines skipped."""
-    for line_no, raw in numbered_lines(text):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line_no, line
-
-
 def _data_lines(text: str):
-    for line_no, line in _lines(text):
-        yield line_no, line.split()
+    """(line number, words) of each line that holds a word before its
+    comment: one ``split`` a line, and a comment cut only from a line that
+    holds ``#``."""
+    for line_no, line in numbered_lines(text):
+        if "#" in line:
+            line = line[:line.index("#")]
+        words = line.split()
+        if words:
+            yield line_no, words
 
 
 # lines each blank or only a comment, through their line ends

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import ParseError, UsageError, shorten
-from .fields import FieldSpec, Scalar, _lines, field_from_text, parse_int
+from .fields import FieldSpec, Scalar, _data_lines, field_from_text, parse_int
 
 # complexes (and with it linalg) is imported by the function that builds a
 # complex, so a process loads it only when it reads one
@@ -56,19 +56,26 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
     those lines, in file order, to the same resolver, which raises the first
     error among them at its line.  A line is placed whole or not at all, and
     :func:`~spectra_persist.linalg.canonical` sorts and sums each column, so
-    the pass that places a line cannot change the column.  Each line is held
-    once: :func:`~spectra_persist.fields.numbered_lines` frees a line once
-    the first pass has read it, and the second pass pops each kept line as it
-    reads it, so beside the caller's text the reader holds only one chunk's
-    unread lines and the ``bnd`` lines it has yet to place.
+    the pass that places a line cannot change the column.  The first pass
+    reads each line's words from :func:`~spectra_persist.fields._data_lines`,
+    one ``split`` a line, and each line is held once: the splitter frees a
+    line once the first pass has read it, a ``bnd`` line left for the second
+    pass is kept as the text of its words, and the second pass pops each
+    kept line, and splits it, as it reads it, so beside the caller's text
+    the reader holds only one chunk's unread lines and the ``bnd`` lines it
+    has yet to place.
 
     Each distinct boundary entry is one tuple: the ``(row, coeff)`` of a
     target and a coefficient token is made when first met, kept in a dict by
-    target degree, token and gid, and shared by every column that holds it.
-    So the cache grows with the distinct entries, not with the tokens times
-    the targets, and it is dropped before the columns are sorted.  The
-    columns stay separate lists and the tuples are immutable, so no caller
-    can see the sharing.
+    target degree, token and the target's name (the generator's own name
+    string, so the key adds none), and shared by every column that holds
+    it.  A later entry of that target and token from a source of the same
+    degree is one lookup: the target was found, and its degree checked, when
+    the entry was made.  Any other entry runs every check in turn: its
+    coefficient, its target, the target's degree.  So the cache grows with
+    the distinct entries, not with the tokens times the targets, and it is
+    dropped before the columns are sorted.  The columns stay separate lists
+    and the tuples are immutable, so no caller can see the sharing.
 
     The columns are built canonical: each coefficient comes from
     ``field.parse`` or ``field.add``, each row is a generator one degree
@@ -90,8 +97,9 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
     # each distinct coefficient token is parsed once; a bad one raises where first met
     coeffs: dict[str, Scalar] = {}
     zeros = False  # whether some coefficient token is zero
-    # target degree -> coefficient token -> gid -> the shared (gid, coeff) entry
-    entries: dict[int, dict[str, dict[int, tuple]]] = {}
+    # target degree -> coefficient token -> target name -> the shared (gid, coeff)
+    # entry, keyed by the generator's own name, so the key adds no string
+    entries: dict[int, dict[str, dict[str, tuple]]] = {}
 
     def place(line_no: int, toks: list) -> None:
         """Append a bnd line's entries to its source's column, or raise its first error."""
@@ -110,6 +118,7 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
         row = []
         for k in range(2, len(toks), 2):
             tok = toks[k]
+            target = toks[k + 1]
             shared = by_token.get(tok)
             if shared is None:
                 coeff = coeffs.get(tok)
@@ -121,7 +130,12 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
                     coeffs[tok] = coeff
                     zeros = zeros or field.is_zero(coeff)
                 shared = by_token[tok] = {}
-            target = toks[k + 1]
+            else:
+                # a hit: this target passed every check at this degree when first met
+                entry = shared.get(target)
+                if entry is not None:
+                    row.append(entry)
+                    continue
             tgt = gens.get(target)
             if tgt is None:
                 raise ParseError(
@@ -130,21 +144,17 @@ def parse_complex(text: str, field: FieldSpec) -> FilteredChainComplex:
                 raise ParseError(
                     f"boundary of {shorten(source)!r} (degree {src.degree}) cannot hit "
                     f"{shorten(target)!r} (degree {tgt.degree})", line_no)
-            gid = tgt.gid
-            entry = shared.get(gid)
-            if entry is None:
-                entry = shared[gid] = (gid, coeffs[tok])
+            entry = shared[tgt.name] = (tgt.gid, coeffs[tok])
             row.append(entry)
         boundary[src.degree][src.gid] += row
 
-    for line_no, line in _lines(text):
-        toks = line.split()
+    for line_no, toks in _data_lines(text):
         kind = toks[0]
         if kind == "bnd":  # most lines of a complex, so tested first
             try:
                 place(line_no, toks)
             except ParseError:
-                pending.append((line_no, line))
+                pending.append((line_no, " ".join(toks)))
         elif kind == "gen":
             if len(toks) != 4:
                 raise ParseError("expected 'gen <name> <degree> <filtration>'", line_no)

@@ -161,7 +161,8 @@ def serialize_simplicial(fsc: FilteredSimplicialComplex, field: FieldSpec,
     ``fsc.simplices`` is already in (degree, level, id) order, and a simplex's
     id within its degree is its position among them, so a face's position in
     ``fsc.simplices`` orders the faces of a ``bnd`` line by (level, id), the
-    order of a column's rows.
+    order of a column's rows.  An edge's or a triangle's faces are put in
+    that order by comparison, a larger simplex's by a sort.
 
     The text is the lines of :func:`_simplicial_lines`, each ended by a
     newline, joined from :func:`~spectra_persist.fields.line_batches`, so the
@@ -174,23 +175,57 @@ def serialize_simplicial(fsc: FilteredSimplicialComplex, field: FieldSpec,
 def _simplicial_lines(fsc: FilteredSimplicialComplex, field: FieldSpec,
                       comments: Sequence[str] = ()):
     """The lines of ``serialize_simplicial``'s text, without line ends, made
-    one at a time.  The labels, levels and signs are all made before the
-    first line is given, so once output has begun only a write can fail."""
+    one at a time.  The labels, levels and signed entries are all made
+    before the first line is given, so once output has begun only a write
+    can fail.
+
+    Each face's two entries, its label after ``field.format(1)`` and after
+    ``field.format(-1)``, are made once, for the simplices below the top dimension only, since no
+    other simplex is a face.  An edge's two faces and a triangle's three are
+    put in position order by comparison, and the line is one f-string; a
+    larger simplex sorts its ``(face, sign)`` pairs.  An edge's faces are
+    compared too: a vertex's position follows its value, not its id."""
     level = {value: k for k, value in enumerate(fsc.levels)}
+    plus, minus = field.format(1), field.format(-1)
     # face i has sign (-1)**i; a simplex of over 64 vertices has over 2**64 faces
-    signs = (field.format(1), field.format(-1)) * 32
+    signs = (plus, minus) * 32
     # each name is made from its last face's, which drops the last vertex
     labels: list[str] = []
     for (verts, _), faces in zip(fsc.simplices, fsc.faces):
         labels.append(f"{labels[faces[-1]]}_{verts[-1]}" if faces else f"s{verts[0]}")
+    # the simplices are in order of dimension, so the faces are a prefix
+    top = len(fsc.simplices[-1][0]) if fsc.simplices else 0
+    below = next((k for k, (verts, _) in enumerate(fsc.simplices) if len(verts) == top), 0)
+    pos = [f"{plus} {label}" for label in labels[:below]]
+    neg = [f"{minus} {label}" for label in labels[:below]]
     for comment in comments:
         yield f"# {comment}"
     yield f"field {field.token()}"
     for label, (verts, value) in zip(labels, fsc.simplices):
         yield f"gen {label} {len(verts) - 1} {level[value]}"
-    # a simplex's faces are distinct, so the sort reads no sign
     for label, faces in zip(labels, fsc.faces):
-        if faces:
+        k = len(faces)
+        if k == 2:
+            a, b = faces
+            yield (f"bnd {label} {pos[a]} {neg[b]}" if a < b
+                   else f"bnd {label} {neg[b]} {pos[a]}")
+        elif k == 3:
+            a, b, c = faces
+            if a < b:
+                if b < c:
+                    yield f"bnd {label} {pos[a]} {neg[b]} {pos[c]}"
+                elif a < c:
+                    yield f"bnd {label} {pos[a]} {pos[c]} {neg[b]}"
+                else:
+                    yield f"bnd {label} {pos[c]} {pos[a]} {neg[b]}"
+            elif a < c:
+                yield f"bnd {label} {neg[b]} {pos[a]} {pos[c]}"
+            elif b < c:
+                yield f"bnd {label} {neg[b]} {pos[c]} {pos[a]}"
+            else:
+                yield f"bnd {label} {pos[c]} {neg[b]} {pos[a]}"
+        elif k:
+            # a simplex's faces are distinct, so the sort reads no sign
             yield f"bnd {label} " + " ".join([f"{sign} {labels[f]}"
                                               for f, sign in sorted(zip(faces, signs))])
 
@@ -234,7 +269,17 @@ class PointCloud:
         return self._d[i][j]
 
 
+# the most pt lines parse_point_cloud reads: n points are held as an n-by-n
+# distance matrix of floats, about 32 bytes an entry, so about 0.4 GB and 2 s
+# at the cap (on a 2-vCPU Xeon VM), 35 times the 100 points of perfbench's
+# largest workload.  A dist matrix needs none: its text already holds n^2 numbers
+POINTS_MAX = 3_500
+
+
 def parse_point_cloud(text: str) -> PointCloud:
+    """A cloud of ``pt`` lines or a ``dist`` matrix.  A ``pt`` line past the
+    first ``POINTS_MAX`` is a ``ParseError``, raised before any distance is
+    computed."""
     rows: list[list[float]] = []
     points: list[list[float]] = []
     expected: Optional[int] = None
@@ -242,6 +287,9 @@ def parse_point_cloud(text: str) -> PointCloud:
         if toks[0] == "pt":
             if expected is not None:
                 raise ParseError("cannot mix pt lines with a dist matrix", line_no)
+            if len(points) == POINTS_MAX:
+                raise ParseError(f"more than {POINTS_MAX} points: a cloud is held as "
+                                 f"its n-by-n distance matrix", line_no)
             try:
                 points.append([_real(t) for t in toks[1:]])
             except ValueError:

@@ -272,6 +272,28 @@ def test_rips_is_capped_at_a_simplex_count(capsys, monkeypatch, tmp_path, max_di
                "lower the max dimension or the threshold\n")
 
 
+def test_rips_is_capped_at_a_point_count(capsys, monkeypatch, tmp_path):
+    # a cloud of exactly the cap's points is read; the first pt line past it
+    # is a data error naming the cap, raised before its coordinates are read
+    # and before any distance is computed.  A dist matrix has no cap.
+    monkeypatch.setattr(simplicial, "POINTS_MAX", 4)
+    path = tmp_path / "cloud.pts"
+    four = "".join(f"pt {x} {x * x}\n" for x in range(4))
+    path.write_text(four, encoding="utf-8")
+    code, out, err = run(capsys, "rips", path, "--max-dim", "1")
+    assert (code, err) == (0, "") and out.count("\ngen ") == 4 + 6
+    monkeypatch.setattr(simplicial.PointCloud, "from_points", lambda points: pytest.fail("built"))
+    for last in ("pt 4 16", "pt x y"):
+        path.write_text(f"{four}{last}\n", encoding="utf-8")
+        assert run(capsys, "rips", path) == (
+            1, "", "error: line 5: more than 4 points: a cloud is held as its n-by-n "
+                   "distance matrix\n")
+    path.write_text("dist 5\n" + "".join(" ".join("0" if i == j else "1" for j in range(5)) + "\n"
+                                         for i in range(5)), encoding="utf-8")
+    code, out, err = run(capsys, "rips", "--dist", path, "--max-dim", "0")
+    assert (code, err) == (0, "") and out.count("\ngen ") == 5
+
+
 def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch):
     def exhausted(args):
         raise MemoryError

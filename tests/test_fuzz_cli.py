@@ -7,7 +7,8 @@ code 0, 1 or 2, raise nothing, and write at most one line of at most 1000
 bytes to stderr, however long the tokens it quotes.  Integers stay small
 so that no input asks for a huge filtration span, whose page tables are
 large by design.  ``rips`` also gets small clouds at any ``--max-dim`` up to
-64 with no threshold, under a cap lowered so that some of them hit it.
+64 with no threshold, under a simplex cap and then a point cap, each lowered
+so that some of the clouds hit it.
 """
 from __future__ import annotations
 
@@ -111,5 +112,23 @@ def test_rips_fails_closed_at_any_max_dim():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplicial, "RIPS_MAX", 40)
+        fuzz()
+    assert {"capped", 0} <= set(outcomes), outcomes
+
+
+def test_rips_fails_closed_past_the_point_cap():
+    # a cap of 5 points refuses every cloud of 6 to 8 points at its sixth
+    # pt line, whatever the max dimension
+    outcomes = []
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(text=CLOUDS, max_dim=st.integers(0, 64))
+    def fuzz(text, max_dim):
+        code, err = _run(["rips", "-", "--max-dim", str(max_dim)], text)
+        assert_fails_closed(code, err)
+        outcomes.append("capped" if "more than 5 points" in err else code)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplicial, "POINTS_MAX", 5)
         fuzz()
     assert {"capped", 0} <= set(outcomes), outcomes

@@ -2,7 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -288,6 +288,44 @@ def test_columns_share_each_boundary_entry_and_only_that():
     assert g[0] is not e[0] and g[1] is not e[1]  # one row, another coefficient
 
 
+def read_or_first_error(lines: list, field):
+    """The complex of ``lines`` by name, or its first error's message and the
+    text of the line the error names."""
+    try:
+        return by_name(parse_complex("\n".join(lines) + "\n", field))
+    except ParseError as exc:
+        return str(exc).split(": ", 1)[1], lines[exc.line_no - 1]
+
+
+@pytest.mark.parametrize("field", [GF2, PrimeField(3), Q], ids=str)
+@pytest.mark.parametrize("bnds, error", [
+    # (1, a) is first met from the degree-1 e, then named from the degree-2 t
+    (["bnd e 1 a 1 b", "bnd t 1 a"], "boundary of 't' (degree 2) cannot hit 'a' (degree 0)"),
+    # (1, e) is first met from t, then named from the degree-1 f
+    (["bnd t 1 e", "bnd f 1 e"], "boundary of 'f' (degree 1) cannot hit 'e' (degree 1)"),
+    # the first pair is a hit, the second target is unknown
+    (["bnd e 1 a 1 b", "bnd f 1 a 1 nowhere"], "boundary references unknown generator 'nowhere'"),
+    # the first pair is a hit, the second token is not a coefficient
+    (["bnd e 1 a", "bnd f 1 a 1/x b"], "'1/x' is not a"),
+    # each entry of the last two lines is a hit, and they add nothing
+    (["bnd e 1 a -1 b", "bnd f 1 a -1 b", "bnd t 1 e -1 f", "bnd f 1 b -1 b", "bnd e -1 a 1 a"],
+     None),
+], ids=["degree", "degree-2", "unknown", "coefficient", "good"])
+def test_a_cached_entry_skips_no_check_of_a_later_line(field, bnds, error):
+    # the reader's entry cache is keyed by target degree, coefficient token
+    # and target name, so only an entry met before at the same degree is a
+    # hit; the first error is raised at its own line, and the text with its
+    # bnd lines before their gen lines reads the same
+    gens = ["gen a 0 0", "gen b 0 0", "gen e 1 1", "gen f 1 1", "gen t 2 2"]
+    head = f"field {field.token()}"
+    got = read_or_first_error([head, *gens, *bnds], field)
+    if error is None:
+        assert got == by_name(parse_complex("\n".join([head, *gens, *bnds[:3]]), field))
+    else:
+        assert got[0].startswith(error) and got[1] == bnds[-1]
+    assert read_or_first_error([head, *bnds, *gens], field) == got
+
+
 @pytest.mark.parametrize("field", [PrimeField(32003), Q], ids=str)
 def test_the_entry_cache_grows_with_the_entries_not_tokens_times_targets(field):
     # a cycle of 2,000 edges, every coefficient token distinct and the gen
@@ -534,6 +572,38 @@ def test_serialize_simplicial_writes_the_chain_complex_text(seed, source, field)
     assert text == serialize_complex(simplicial_to_chain(fsc, field), comments)
     assert text == serialize_simplicial_by_lookup(fsc, field, comments)
     assert parse_complex(text, field).validate() == []
+
+
+def face_orders_text() -> str:
+    """A ``simp`` text whose triangles hold each of the six orders of their
+    faces' positions, with an edge of each order and a tetrahedron."""
+    lines = []
+    for k, ranks in enumerate(permutations(range(3))):
+        u, v, w = 3 * k, 3 * k + 1, 3 * k + 2
+        # face i drops vertex i; its value, and so its place among the edges,
+        # follows its rank
+        for (a, b), rank in zip([(v, w), (u, w), (u, v)], ranks):
+            lines.append(f"simp {1 + rank} {a} {b}")
+        lines.append(f"simp 4 {u} {v} {w}")
+    # vertex 21 comes before vertex 20, so the edge's face 0 is the earlier one
+    lines += ["simp 0 21", "simp 0.5 20", "simp 1 20 21"]
+    tet = range(30, 34)
+    lines += [f"simp 2 {' '.join(map(str, face))}"
+              for n in range(1, 5) for face in combinations(tet, n)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("field", [GF2, PrimeField(3), Q], ids=str)
+def test_serialize_simplicial_orders_the_faces_of_each_line(field):
+    # the writer puts an edge's and a triangle's faces in order by comparison
+    # and sorts a larger simplex's: every order is written as the oracles do
+    fsc = parse_simplicial(face_orders_text())
+    orders = Counter(tuple(sorted(range(len(f)), key=f.__getitem__)) for f in fsc.faces if f)
+    assert set(orders) >= {*permutations(range(3)), (0, 1), (1, 0)}
+    assert any(len(order) == 4 for order in orders)
+    text = serialize_simplicial(fsc, field)
+    assert text == serialize_simplicial_by_lookup(fsc, field)
+    assert text == serialize_complex(simplicial_to_chain(fsc, field))
 
 
 def random_complex_text(rng: random.Random, field) -> tuple:
