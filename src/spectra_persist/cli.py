@@ -2,7 +2,12 @@
 
 Commands compose over pipes: every command reads "-" as standard input and
 writes machine-readable text, TSV or JSON.  Exit codes: 0 success, 1 data
-error (parse or validation failures, failed verification), 2 usage error.
+error (parse or validation failures, failed verification, a failed write),
+2 usage error.
+
+One writer owns stdout: ``_write`` builds the one JSON envelope or picks the
+one separator, and ``_emit`` under it, which ``rips`` writes through too, is
+the one place stdout is written, so a failed write is one error line.
 """
 from __future__ import annotations
 
@@ -11,7 +16,7 @@ import gc
 import os
 import re
 import sys
-from itertools import islice
+from itertools import chain, islice
 from math import inf as INF
 from typing import TYPE_CHECKING
 
@@ -95,10 +100,26 @@ def _default_r_max(args, c: FilteredChainComplex) -> int:
     return c.filtration_span + 1 if args.r_max is None else args.r_max
 
 
-def _emit(lines) -> None:
-    """Write lines in batches as they come, so a long output is never held whole."""
-    for batch in line_batches(lines):
-        sys.stdout.write(batch)
+class _OutputError(Exception):
+    """A write to stdout failed, other than by a reader that left early."""
+
+
+def _emit(pieces) -> None:
+    """Write text pieces to stdout as they come, then flush it.  A failed write,
+    or a closed stdout once there is something to write, is an _OutputError;
+    a reader that left early stays a BrokenPipeError."""
+    out = sys.stdout
+    try:
+        for piece in pieces:
+            if out is None:  # the process was started with stdout closed
+                raise _OutputError("standard output is closed")
+            out.write(piece)
+        if out is not None:
+            out.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise _OutputError(exc.strerror or shorten(str(exc))) from None
 
 
 class _Streamed(list):
@@ -116,13 +137,23 @@ class _Streamed(list):
         return any(True for _ in self._make())
 
 
-def _emit_json(obj) -> None:
-    """Write ``json.dumps(obj, indent=2)`` and a newline, in batches as it is encoded."""
-    import json
-    chunks = json.JSONEncoder(indent=2).iterencode(obj)
-    while batch := "".join(islice(chunks, 4096)):
-        sys.stdout.write(batch)
-    sys.stdout.write("\n")
+def _write(args, kind: str, body, lines) -> None:
+    """Write a command's result in its ``--format``: under json the envelope
+    ``{"format": JSON_FORMAT, "kind": kind, **body()}``, encoded in batches as
+    it is written; otherwise the lines of ``lines(sep)``, ``sep`` a tab for tsv
+    and a blank for text.  Only the format asked for is built."""
+    if args.format == "json":
+        import json
+        chunks = json.JSONEncoder(indent=2).iterencode(
+            {"format": JSON_FORMAT, "kind": kind, **body()})
+        _emit(chain(iter(lambda: "".join(islice(chunks, 4096)), ""), ["\n"]))
+    else:
+        _emit(line_batches(lines("\t" if args.format == "tsv" else " ")))
+
+
+def _shown(value):
+    """A page or a lifetime as written: ``inf``, or the integer."""
+    return "inf" if value == INF else value
 
 
 def _table_json(p: PageTable) -> dict:
@@ -130,28 +161,19 @@ def _table_json(p: PageTable) -> dict:
     return {"r_max": p.r_max, "dims": _Streamed(p.json_dims)}
 
 
-def _emit_barcode(b: Barcode, fmt: str) -> None:
-    """Write a barcode in the ``--format`` of ``barcode`` and ``recover``."""
-    if fmt == "json":
-        _emit_json({
-            "format": JSON_FORMAT,
-            "kind": "barcode",
-            "entries": [
-                {"n": e.degree, "s": e.birth,
-                 "m": "inf" if e.is_essential else e.lifetime, "multiplicity": mult}
-                for e, mult in b.entries()
-            ],
-        })
-        return
-    sep = "\t" if fmt == "tsv" else " "
-    _emit(sep.join(map(str, (e.degree, e.birth, "inf" if e.is_essential else e.lifetime, mult)))
-          for e, mult in b.entries())
+def _write_barcode(args, b: Barcode) -> None:
+    """Write a barcode, as ``barcode`` and ``recover`` do."""
+    _write(args, "barcode",
+           lambda: {"entries": [{"n": e.degree, "s": e.birth, "m": _shown(e.lifetime),
+                                 "multiplicity": mult} for e, mult in b.entries()]},
+           lambda sep: (sep.join(map(str, (e.degree, e.birth, _shown(e.lifetime), mult)))
+                        for e, mult in b.entries()))
 
 
 def cmd_barcode(args) -> int:
     from .persistence import decompose
     c = _load_complex(args)
-    _emit_barcode(decompose(c)[1], args.format)
+    _write_barcode(args, decompose(c)[1])
     return 0
 
 
@@ -161,44 +183,29 @@ def cmd_pages(args) -> int:
     c = _load_complex(args)
     r_max = _default_r_max(args, c)
     tables = {}
-    if args.engine in ("barcode", "both"):
-        _, b = decompose(c)
-        tables["barcode"] = pages_from_barcode(b, r_max)
-    if args.engine in ("direct", "both"):
+    if args.engine != "direct":
+        tables["barcode"] = pages_from_barcode(decompose(c)[1], r_max)
+    if args.engine != "barcode":
         tables["direct"] = pages_direct(c, r_max)
     if args.engine != "both":
         table = tables[args.engine]
-        if args.format == "json":
-            _emit_json({"format": JSON_FORMAT, "kind": "pages", **_table_json(table)})
-        else:
-            _emit(table.to_lines("\t" if args.format == "tsv" else " "))
+        _write(args, "pages", lambda: _table_json(table), table.to_lines)
         return 0
     diff = tables["barcode"].diff(tables["direct"])
-    if args.format == "json":
-        obj = {
-            "format": JSON_FORMAT,
-            "kind": "pages-both",
-            "barcode_engine": _table_json(tables["barcode"]),
-            "direct_engine": _table_json(tables["direct"]),
-            "diff": [
-                {"r": "inf" if r == INF else r, "n": n, "s": s,
-                 "barcode": a, "direct": b}
-                for r, n, s, a, b in diff
-            ],
-        }
-        _emit_json(obj)
-    else:
-        sep = "\t" if args.format == "tsv" else " "
-        print("# engine: barcode")
-        _emit(tables["barcode"].to_lines(sep))
-        print("# engine: direct")
-        _emit(tables["direct"].to_lines(sep))
-        if diff:
-            for r, n, s, a, b in diff:
-                r_txt = "inf" if r == INF else str(r)
-                print(f"DIFF: r={r_txt} n={n} s={s} barcode={a} direct={b}")
-        else:
-            print("DIFF: none")
+
+    def lines(sep):
+        for engine in ("barcode", "direct"):
+            yield f"# engine: {engine}"
+            yield from tables[engine].to_lines(sep)
+        yield from [f"DIFF: r={_shown(r)} n={n} s={s} barcode={a} direct={b}"
+                    for r, n, s, a, b in diff] or ["DIFF: none"]
+
+    _write(args, "pages-both",
+           lambda: {"barcode_engine": _table_json(tables["barcode"]),
+                    "direct_engine": _table_json(tables["direct"]),
+                    "diff": [{"r": _shown(r), "n": n, "s": s, "barcode": a, "direct": b}
+                             for r, n, s, a, b in diff]},
+           lines)
     return 1 if diff else 0
 
 
@@ -207,19 +214,9 @@ def cmd_verify(args) -> int:
     c = _load_complex(args)
     r_max = _default_r_max(args, c)
     report = verify(c, r_max)
-    if args.format == "json":
-        obj = {
-            "format": JSON_FORMAT,
-            "kind": "report",
-            "r_max": r_max,
-            "checks": [
-                {"name": ch.name, "passed": ch.passed, "detail": ch.detail}
-                for ch in report.checks
-            ],
-        }
-        _emit_json(obj)
-    else:
-        _emit(report.lines())
+    _write(args, "report",
+           lambda: {"r_max": r_max, "checks": [ch._asdict() for ch in report.checks]},
+           lambda sep: report.lines())
     return 0 if report.all_passed else 1
 
 
@@ -244,60 +241,26 @@ def cmd_rips(args) -> int:
                 f"threshold={args.threshold}"]
     comments += [f"level {k} = {v}" for k, v in enumerate(fsc.levels)]
     # the reading stage validates the text; this one only writes it, as it is made
-    _emit(_simplicial_lines(fsc, field, comments))
+    _emit(line_batches(_simplicial_lines(fsc, field, comments)))
     return 0
 
 
-def _unique_keys(pairs: list) -> dict:
-    """``object_pairs_hook`` for ``json.loads``: a repeated key is a ParseError."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ParseError(f"bad page table JSON: repeated key {shorten(key)!r}")
-            seen.add(key)
-    return obj
-
-
 def cmd_recover(args) -> int:
-    import json
-
-    from .spectral import PageTable, parse_page_table, recover_barcode
-    text = _read_text(args.input)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(stripped, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad page table JSON: {exc}") from None
-        except ParseError:  # a repeated key, from _unique_keys
-            raise
-        except ValueError:  # json reads integers with int, which caps their digits
-            raise ParseError("bad page table JSON: an integer has too many digits") from None
-        except RecursionError:
-            raise ParseError("page table JSON is nested too deeply") from None
-        table = PageTable.from_json_obj(obj)
-    else:
-        table = parse_page_table(text)
+    from .spectral import parse_page_table, recover_barcode
+    table = parse_page_table(_read_text(args.input))
     s_min = args.s_min
     if s_min is None:
-        support = table.support()
-        s_min = min((s for _, s in support), default=0)
-    _emit_barcode(recover_barcode(table, s_min), args.format)
+        s_min = min((s for _, s in table.support()), default=0)
+    _write_barcode(args, recover_barcode(table, s_min))
     return 0
 
 
 def cmd_betti(args) -> int:
     from .persistence import betti, decompose
     c = _load_complex(args)
-    _, b = decompose(c)
-    value = betti(b, args.n, args.i, args.j)
-    if args.format == "json":
-        _emit_json({"format": JSON_FORMAT, "kind": "betti",
-                    "n": args.n, "i": args.i, "j": args.j, "value": value})
-    else:
-        print(value)
+    value = betti(decompose(c)[1], args.n, args.i, args.j)
+    _write(args, "betti", lambda: {"n": args.n, "i": args.i, "j": args.j, "value": value},
+           lambda sep: [str(value)])
     return 0
 
 
@@ -393,13 +356,18 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _parse_int_options(args)
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # the reader left early (say, `| head`): send what is still buffered
-        # to devnull, so the flush at exit does not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return args.func(args)
+    except (BrokenPipeError, _OutputError) as exc:
+        # send what is still buffered to devnull, so that the flush at exit
+        # does not fail again; a reader that left early (say, `| head`) is
+        # owed no error line
+        try:
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        except (AttributeError, OSError, ValueError):  # closed, or an in-process sink
+            pass
+        if isinstance(exc, _OutputError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
     except (ParseError, ClosureError, PageTableError, InvalidComplexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,6 +54,8 @@ runs every check on those two, comparing them run by run.  Its barcode
 round trip needs the pages of the barcode recovered from the direct table:
 when that barcode is ``decompose``'s, they are the barcode engine's table,
 and only a barcode that differs gets a table of its own.
+``parse_page_table`` reads both formats ``pages`` writes, importing ``json``
+only for a JSON text.
 """
 from __future__ import annotations
 
@@ -301,13 +303,42 @@ def _check_int(value) -> int:
     return value
 
 
-def parse_page_table(text: str) -> PageTable:
-    """Parse the line format emitted by :meth:`PageTable.to_lines`.
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` for ``json.loads``: a repeated key is a ParseError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"bad page table JSON: repeated key {shorten(key)!r}")
+            seen.add(key)
+    return obj
 
-    A ``# r_max N`` comment records the computed depth; without it the
-    depth is inferred as the largest page index present, which is only
-    sound when the table was serialized in full.
+
+def parse_page_table(text: str) -> PageTable:
+    """Parse either format ``pages`` writes: a text whose first non-blank
+    character is ``{`` as its ``--format json`` object (see
+    :meth:`PageTable.from_json_obj`), a repeated key refused, and any other
+    text as the line format of :meth:`PageTable.to_lines`.
+
+    In the line format, a ``# r_max N`` comment records the computed depth;
+    without it the depth is inferred as the largest page index present,
+    which is only sound when the table was serialized in full.
     """
+    stripped = text.lstrip()
+    if stripped.startswith("{"):
+        import json
+        try:
+            obj = json.loads(stripped, object_pairs_hook=_unique_keys)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad page table JSON: {exc}") from None
+        except ParseError:  # a repeated key, from _unique_keys
+            raise
+        except ValueError:  # json reads integers with int, which caps their digits
+            raise ParseError("bad page table JSON: an integer has too many digits") from None
+        except RecursionError:
+            raise ParseError("page table JSON is nested too deeply") from None
+        return PageTable.from_json_obj(obj)
     dims: dict[tuple[PageIndex, int, int], int] = {}
     r_max: Optional[int] = None
     for line_no, raw in numbered_lines(text):

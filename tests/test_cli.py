@@ -1,6 +1,7 @@
 import errno
 import gc
 import importlib
+import io
 import json
 import math
 import os
@@ -550,6 +551,112 @@ def test_closed_stdout_exits_one_without_a_traceback():
     assert proc.returncode == 1 and proc.stderr == b""
 
 
+# one run of each command that writes at least two lines; pages --r-max 3000
+# writes more than one batch of lines, and more than a pipe or a file buffer holds
+WRITERS = {
+    "rips": ["rips", FIXTURES / "circle8.pts"],
+    "barcode": ["barcode", FIXTURES / "triangle.fcc"],
+    "pages": ["pages", FIXTURES / "triangle.fcc"],
+    "pages-large": ["pages", FIXTURES / "triangle.fcc", "--r-max", "3000"],
+    "pages-both": ["pages", FIXTURES / "triangle.fcc", "--engine", "both"],
+    "verify": ["verify", FIXTURES / "triangle.fcc"],
+    "verify-json": ["verify", FIXTURES / "triangle.fcc", "--format", "json"],
+    "recover": ["recover", FIXTURES / "triangle.pages"],
+    "recover-json": ["recover", FIXTURES / "triangle.json"],
+    "betti": ["betti", FIXTURES / "triangle.fcc", "--n", "0", "--i", "0", "--j", "1"],
+}
+
+
+def cli_process(argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "spectra_persist.cli", *map(str, argv)],
+                          stderr=subprocess.PIPE, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", WRITERS)
+def test_a_full_stdout_is_one_error_line(command):
+    # the first write, or the flush that sends it, fails; what is still
+    # buffered goes to devnull, so the flush at exit adds nothing to stderr
+    with open("/dev/full", "wb") as full:
+        proc = cli_process(WRITERS[command], stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: cannot write output: No space left on device\n"
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_a_closed_stdout_is_one_error_line(command):
+    proc = cli_process(WRITERS[command], preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: cannot write output: standard output is closed\n"
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_a_reader_that_left_early_gets_no_error_line(command):
+    # `... | head`, with the reader gone before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = cli_process(WRITERS[command], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1 and proc.stderr == b""
+
+
+@pytest.mark.parametrize("format", ["text", "tsv"])
+def test_a_command_that_writes_nothing_needs_no_stdout(format):
+    # nothing is written, so nothing fails: a closed or full stdout is only
+    # an error once there is output for it
+    argv = ["barcode", FIXTURES / "empty.fcc", "--format", format]
+    closed = cli_process(argv, preexec_fn=lambda: os.close(1))
+    assert (closed.returncode, closed.stderr) == (0, b"")
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "wb") as full:
+            assert cli_process(argv, stdout=full).returncode == 0
+
+
+class FailingSink(io.StringIO):
+    """A stdout with no file descriptor whose ``fail_at``-th write raises
+    ENOSPC; it keeps what was written before."""
+
+    def __init__(self, fail_at=None):
+        super().__init__()
+        self.fail_at, self.writes = fail_at, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+
+def sink_run(monkeypatch, capsys, argv, sink):
+    monkeypatch.setattr(sys, "stdout", sink)
+    code = main([str(a) for a in argv])
+    return code, sink.getvalue(), capsys.readouterr().err
+
+
+SINK_CASES = [(command, fmt) for command in ("barcode", "pages", "pages-both", "verify",
+                                             "recover", "recover-json", "betti")
+              for fmt in ("text", "json", "tsv")] + [("rips", None)]
+
+
+@pytest.mark.parametrize("command, fmt", SINK_CASES)
+def test_a_failed_write_at_any_point_is_one_error_line(monkeypatch, capsys, command, fmt):
+    # one line per write, so that a text output fails at its first line and at
+    # its last; a JSON output is written as its encoded text and a newline
+    monkeypatch.setattr(cli, "line_batches", lambda lines: (line + "\n" for line in lines))
+    argv = [*WRITERS[command], *(["--format", fmt] if fmt else [])]
+    first = FailingSink()
+    code, whole, err = sink_run(monkeypatch, capsys, argv, first)
+    assert code in (0, 1) and err == "" and first.writes >= 1
+    for k in sorted({1, first.writes}):
+        code, out, err = sink_run(monkeypatch, capsys, argv, FailingSink(k))
+        assert code == 1, (k, out)
+        assert err == "error: cannot write output: No space left on device\n"
+        assert whole.startswith(out)
+
+
 def test_non_utf8_input_is_a_data_error(capsys, tmp_path):
     path = tmp_path / "bad.fcc"
     path.write_bytes(b"gen a 0 0\xff\n")
@@ -764,11 +871,13 @@ SIMP = FIXTURES / "triangle.simp"
      ["signs", "randomgen", "json", "simplicial", "fractions"]),
     (["pages", FIXTURES / "triangle.fcc"], ["spectral", "persistence"],
      ["signs", "randomgen", "json", "simplicial", "fractions"]),
-    # only --format json and recover load json
-    (["recover", FIXTURES / "triangle.pages"], ["spectral", "json"],
+    # only --format json and a JSON page table load json
+    (["recover", FIXTURES / "triangle.pages"], ["spectral"],
+     ["randomgen", "simplicial", "ingest", "json", "fractions"]),
+    (["recover", FIXTURES / "triangle.json"], ["spectral", "json"],
      ["randomgen", "simplicial", "ingest", "fractions"]),
 ], ids=["rips", "rips-q", "barcode", "barcode-simp", "barcode-simp-q", "betti", "verify", "pages",
-        "recover"])
+        "recover", "recover-json"])
 def test_a_command_loads_only_the_modules_it_runs(argv, needed, absent):
     proc = subprocess.run([sys.executable, "-c", LIST_MODULES, *map(str, argv)],
                           capture_output=True, text=True, timeout=60,

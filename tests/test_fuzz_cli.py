@@ -6,7 +6,10 @@ command on stdin.  Whatever the input, the command must end with exit
 code 0, 1 or 2, raise nothing, and write at most one line of at most 1000
 bytes to stderr, however long the tokens it quotes.  Integers stay small
 so that no input asks for a huge filtration span, whose page tables are
-large by design.  ``rips`` also gets small clouds at any ``--max-dim`` up to
+large by design.  Each command that takes ``--format`` also gets the soup
+in every format, so that one that parses reaches each of the writer's
+branches, and ``recover`` also gets JSON page tables near the ones
+``pages`` writes.  ``rips`` also gets small clouds at any ``--max-dim`` up to
 64 with no threshold, under a simplex cap and then a point cap, each lowered
 so that some of the clouds hit it.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import sys
 
 import pytest
@@ -88,6 +92,60 @@ def test_cli_fails_closed_on_token_soup(command, field, text):
     if field is not None:
         argv += ["--field", field]
     assert_fails_closed(*_run(argv, text))
+
+
+FORMAT_CASES = [(command, field, fmt) for command in ("barcode", "pages", "verify", "betti")
+                for field in ("2", "q") for fmt in ("text", "json", "tsv")]
+FORMAT_CASES += [("recover", None, fmt) for fmt in ("text", "json", "tsv")]
+
+
+@pytest.mark.parametrize("command, field, fmt", FORMAT_CASES)
+def test_cli_fails_closed_on_token_soup_in_every_format(command, field, fmt):
+    # soup that parses reaches the writer's branch for fmt, which some
+    # example must do
+    outcomes = []
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=LINES)
+    def fuzz(text):
+        argv = [*COMMANDS[command], "--format", fmt]
+        if field is not None:
+            argv += ["--field", field]
+        code, err = _run(argv, text)
+        assert_fails_closed(code, err)
+        outcomes.append(code)
+
+    fuzz()
+    assert 0 in outcomes, outcomes
+
+
+# JSON page tables near the one pages writes: its keys, small integers and
+# "inf", some cells left out or repeated, some values of the wrong type
+CELL = st.fixed_dictionaries({"r": st.sampled_from([1, 2, 3, "inf"]), "n": st.integers(0, 1),
+                              "s": st.integers(0, 2), "dim": st.integers(0, 2)})
+SCALAR = st.one_of(st.integers(-1, 3), st.sampled_from(["inf", "1", None, True, 1.5]))
+JSON_TABLES = st.one_of(
+    st.fixed_dictionaries({"r_max": st.integers(1, 3), "dims": st.lists(CELL, max_size=6)}),
+    st.dictionaries(st.sampled_from(["r_max", "dims", "format", "kind"]),
+                    st.one_of(SCALAR, st.lists(st.one_of(CELL, SCALAR), max_size=3)),
+                    max_size=4),
+).map(json.dumps)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "tsv"])
+def test_recover_fails_closed_on_json_tables(fmt):
+    outcomes = []
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(text=JSON_TABLES)
+    def fuzz(text):
+        code, err = _run(["recover", "-", "--format", fmt], text)
+        assert_fails_closed(code, err)
+        outcomes.append(code)
+
+    fuzz()
+    assert {0, 1} <= set(outcomes), outcomes
 
 
 # coordinates that mostly parse (listed twice), so that many clouds have

@@ -150,3 +150,46 @@ def test_simplicial_output_matches_pinned_digest():
             outcome = (type(exc).__name__, str(exc))
         h.update(repr((entries, outcome)).encode())
     assert h.hexdigest() == SIMPLICIAL_GOLDEN
+
+
+# JSON page tables for recover: one after blank lines, which it reads, and
+# ones it refuses: a repeated key, an integer past int's digit limit, nesting
+# past the recursion limit, and text that is not JSON
+JSON_TABLES = (
+    '\n  \n {"r_max": 2, "dims": [{"r": 1, "n": 0, "s": 0, "dim": 1},'
+    ' {"r": 2, "n": 0, "s": 0, "dim": 1}, {"r": "inf", "n": 0, "s": 0, "dim": 1}]}\n',
+    '{"r_max": 1, "r_max": 2, "dims": []}\n',
+    '{"r_max": 2, "dims": [{"r": 1, "n": 0, "s": 0, "dim": 1, "dim": 2}]}\n',
+    '{"r_max": ' + "1" * 5000 + ', "dims": []}\n',
+    '{"r_max": 1, "dims": ' + "[" * 10_000 + "]" * 10_000 + "}\n",
+    '{"r_max": 1, "dims": [\n',
+)
+FORMATS_GOLDEN = "2a1263448a7202fd9e2e388305897fb54bdb7eed82fb5344d1d741dae27e7bd9"
+
+
+def _format_cases():
+    """``betti``, ``pages`` with its default engine, and ``recover`` of JSON
+    tables, which GOLDEN leaves out: (argv, the argv whose stdout is stdin, or
+    stdin itself as a str, or None)."""
+    for name in COMPLEXES:
+        for field in FIELDS:
+            for fmt in FORMATS:
+                common = ["@" + name, "--field", field, "--format", fmt]
+                yield ["betti", *common, "--n", "0", "--i", "0", "--j", "1"], None
+                yield ["betti", *common, "--n", "1", "--i", "2", "--j", "5"], None
+                yield ["betti", *common, "--n", "0", "--i", "2", "--j", "1"], None
+                yield ["pages", *common], None
+                yield ["pages", *common, "--r-max", "2"], None
+    for fmt in FORMATS:
+        yield (["recover", "-", "--format", fmt],
+               ["pages", "@u_0_2_3.fcc", "--engine", "both", "--format", "json"])
+        for text in JSON_TABLES:
+            yield ["recover", "-", "--format", fmt], text
+
+
+def test_format_outputs_match_pinned_digest():
+    h = hashlib.sha256()
+    for argv, source in _format_cases():
+        stdin = source if isinstance(source, str) else "" if source is None else _run(source)[1]
+        h.update(repr((source, argv, *_run(argv, stdin))).encode())
+    assert h.hexdigest() == FORMATS_GOLDEN

@@ -677,8 +677,31 @@ def page_tables(draw):
 def test_page_table_text_and_json_round_trips(table):
     assert parse_page_table("\n".join(table.to_lines())) == table
     assert parse_page_table("\n".join(table.to_lines("\t"))) == table
-    obj = json.loads(json.dumps(to_json_obj(table)))
-    assert PageTable.from_json_obj(obj) == table
+    text = json.dumps(to_json_obj(table), indent=2)
+    assert PageTable.from_json_obj(json.loads(text)) == table
+    # the one reader reads the JSON text to the table from_json_obj makes
+    assert parse_page_table(text) == table
+    assert parse_page_table("\n " + text) == table
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"r_max": 1, "dims": [\n', "bad page table JSON: Expecting value: line 2 column 1 (char 23)"),
+    ('{"r_max": 1, "r_max": 2, "dims": []}', "bad page table JSON: repeated key 'r_max'"),
+    ('{"r_max": ' + "1" * 5000 + ', "dims": []}',
+     "bad page table JSON: an integer has too many digits"),
+    ('{"r_max": 1, "dims": ' + "[" * 10_000 + "]" * 10_000 + "}",
+     "page table JSON is nested too deeply"),
+], ids=["bad-json", "repeated-key", "digits", "nesting"])
+def test_parse_page_table_refuses_json_faults_as_recover_does(capsys, tmp_path, text, message):
+    # a library caller gets the refusal recover prints; a repeated r_max is
+    # not read as its last value
+    with pytest.raises(ParseError) as err:
+        parse_page_table(text)
+    assert str(err.value) == message
+    path = tmp_path / "table.json"
+    path.write_text(text)
+    assert main(["recover", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @st.composite
