@@ -6,8 +6,9 @@ error (parse or validation failures, failed verification, a failed write),
 2 usage error.
 
 One writer owns stdout: ``_write`` builds the one JSON envelope or picks the
-one separator, and ``_emit`` under it, which ``rips`` writes through too, is
-the one place stdout is written, so a failed write is one error line.
+one separator, and ``_emit`` under it, which ``rips`` and ``--help`` write
+through too, is the one place stdout is written, so a failed write is one
+error line.
 """
 from __future__ import annotations
 
@@ -282,6 +283,13 @@ class _Parser(argparse.ArgumentParser):
             self.error(f"unrecognized arguments: {shorten(' '.join(extra))}")
         return args
 
+    def print_help(self, file=None):
+        # argparse writes help itself and drops a failed write; through _emit
+        # it fails as any output does
+        if file is not None:
+            return super().print_help(file)
+        _emit([self.format_help()])
+
     def error(self, message):
         def cut(match):
             text = match[0]
@@ -358,17 +366,7 @@ def main(argv=None) -> int:
         _parse_int_options(args)
         return args.func(args)
     except (BrokenPipeError, _OutputError) as exc:
-        # send what is still buffered to devnull, so that the flush at exit
-        # does not fail again; a reader that left early (say, `| head`) is
-        # owed no error line
-        try:
-            fd = sys.stdout.fileno()
-            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
-        except (AttributeError, OSError, ValueError):  # closed, or an in-process sink
-            pass
-        if isinstance(exc, _OutputError):
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
+        return _failed_write(exc)
     except (ParseError, ClosureError, PageTableError, InvalidComplexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -380,6 +378,14 @@ def main(argv=None) -> int:
         return 1
 
 
+def _failed_write(exc) -> int:
+    """Report a failed write to stdout and give its exit code; a reader that
+    left early (say, `| head`) is owed no error line."""
+    if isinstance(exc, _OutputError):
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+    return 1
+
+
 def entry() -> None:
     # One command, then exit: the library builds no reference cycles, so the
     # cyclic collector would only rescan the generators, columns and tuples
@@ -389,7 +395,26 @@ def entry() -> None:
     # end in _read_text's one error line (its default keeps them as surrogates)
     if sys.stdin is not None:
         sys.stdin.reconfigure(encoding="utf-8", errors="strict")
-    sys.exit(main())
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's own exit, after --help
+        code = exc.code
+    # the status sys.exit gives: None is 0, an int itself, anything else 1
+    code = 0 if code is None else code if isinstance(code, int) else 1
+    # The one exit path.  Every write flushed stdout, so this flush is a
+    # backstop; after a failed write it fails again on the text left in the
+    # buffer, which main has reported, and os._exit drops that text.
+    try:
+        _emit(())
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except (BrokenPipeError, _OutputError) as exc:
+        if code == 0:
+            code = _failed_write(exc)
+    # os._exit skips the interpreter's finalization: the teardown of every
+    # loaded module and a last full collection, which gc.disable() does not
+    # stop.  It runs no atexit hook and flushes nothing, hence the flush above.
+    os._exit(code)
 
 
 if __name__ == "__main__":

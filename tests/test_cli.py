@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -564,55 +565,106 @@ WRITERS = {
     "recover": ["recover", FIXTURES / "triangle.pages"],
     "recover-json": ["recover", FIXTURES / "triangle.json"],
     "betti": ["betti", FIXTURES / "triangle.fcc", "--n", "0", "--i", "0", "--j", "1"],
+    # help is output too
+    "help": ["--help"],
+    "barcode-help": ["barcode", "--help"],
 }
+# stdout as users have it, block-buffered, and unbuffered: under
+# PYTHONUNBUFFERED every write reaches the file descriptor at once
+BUFFERING = ["buffered", "unbuffered"]
 
 
-def cli_process(argv, **kwargs):
+def with_buffering(values):
+    """Each value with a buffered stdout, under its own id, and with an
+    unbuffered one, under the id with ``-unbuffered`` appended."""
+    return [pytest.param(value, buffering,
+                         id=value if buffering == "buffered" else f"{value}-{buffering}")
+            for value in values for buffering in BUFFERING]
+
+
+def cli_process(argv, buffering="buffered", **kwargs):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "spectra_persist.cli", *map(str, argv)],
-                          stderr=subprocess.PIPE, timeout=60,
-                          env={**os.environ, "PYTHONPATH": str(SRC)}, **kwargs)
+                          stderr=subprocess.PIPE, timeout=60, env=env, **kwargs)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("command", WRITERS)
-def test_a_full_stdout_is_one_error_line(command):
+@pytest.mark.parametrize("command, buffering", with_buffering(WRITERS))
+def test_a_full_stdout_is_one_error_line(command, buffering):
     # the first write, or the flush that sends it, fails; what is still
-    # buffered goes to devnull, so the flush at exit adds nothing to stderr
+    # buffered is dropped at exit, so nothing more reaches stderr
     with open("/dev/full", "wb") as full:
-        proc = cli_process(WRITERS[command], stdout=full)
+        proc = cli_process(WRITERS[command], buffering, stdout=full)
     assert proc.returncode == 1
     assert proc.stderr == b"error: cannot write output: No space left on device\n"
 
 
-@pytest.mark.parametrize("command", WRITERS)
-def test_a_closed_stdout_is_one_error_line(command):
-    proc = cli_process(WRITERS[command], preexec_fn=lambda: os.close(1))
+@pytest.mark.parametrize("command, buffering", with_buffering(WRITERS))
+def test_a_closed_stdout_is_one_error_line(command, buffering):
+    proc = cli_process(WRITERS[command], buffering, preexec_fn=lambda: os.close(1))
     assert proc.returncode == 1
     assert proc.stderr == b"error: cannot write output: standard output is closed\n"
 
 
-@pytest.mark.parametrize("command", WRITERS)
-def test_a_reader_that_left_early_gets_no_error_line(command):
+@pytest.mark.parametrize("command, buffering", with_buffering(WRITERS))
+def test_a_reader_that_left_early_gets_no_error_line(command, buffering):
     # `... | head`, with the reader gone before the first write
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = cli_process(WRITERS[command], stdout=write_end)
+        proc = cli_process(WRITERS[command], buffering, stdout=write_end)
     finally:
         os.close(write_end)
     assert proc.returncode == 1 and proc.stderr == b""
 
 
-@pytest.mark.parametrize("format", ["text", "tsv"])
-def test_a_command_that_writes_nothing_needs_no_stdout(format):
+@pytest.mark.parametrize("format, buffering", with_buffering(["text", "tsv"]))
+def test_a_command_that_writes_nothing_needs_no_stdout(format, buffering):
     # nothing is written, so nothing fails: a closed or full stdout is only
     # an error once there is output for it
     argv = ["barcode", FIXTURES / "empty.fcc", "--format", format]
-    closed = cli_process(argv, preexec_fn=lambda: os.close(1))
+    closed = cli_process(argv, buffering, preexec_fn=lambda: os.close(1))
     assert (closed.returncode, closed.stderr) == (0, b"")
     if os.path.exists("/dev/full"):
         with open("/dev/full", "wb") as full:
-            assert cli_process(argv, stdout=full).returncode == 0
+            assert cli_process(argv, buffering, stdout=full).returncode == 0
+
+
+# each command in text and, where it has one, json; help; and each exit code
+ENTRY_CASES = {
+    **{f"{name}-{fmt}": [*WRITERS[name], "--format", fmt]
+       for name in ("barcode", "pages", "verify", "recover", "betti") for fmt in ("text", "json")},
+    "rips": WRITERS["rips"],
+    "help": WRITERS["help"],
+    "barcode-help": WRITERS["barcode-help"],
+    "usage-error": ["barcode", "--bogus"],
+    "parse-error": ["barcode", FIXTURES / "circle8.pts"],
+    "verify-broken": ["verify", FIXTURES / "broken_dsq.fcc"],
+    "barcode-empty": ["barcode", FIXTURES / "empty.fcc"],
+}
+
+
+@pytest.mark.parametrize("case", ENTRY_CASES)
+def test_the_console_entry_point_gives_what_main_gives(monkeypatch, capsys, case):
+    # entry() ends the process without the interpreter's exit flush, so an
+    # output it did not flush, or a changed exit code, shows here; help's
+    # width follows COLUMNS in both runs
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [str(a) for a in ENTRY_CASES[case]]
+    with ThreadPoolExecutor(len(BUFFERING)) as pool:  # both bufferings at once
+        procs = list(pool.map(lambda buffering: cli_process(
+            argv, buffering, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE), BUFFERING))
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's exit after help
+        code = exc.code
+    captured = capsys.readouterr()
+    for buffering, proc in zip(BUFFERING, procs):
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+            code, captured.out, captured.err), buffering
 
 
 class FailingSink(io.StringIO):
